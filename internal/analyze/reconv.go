@@ -66,13 +66,46 @@ type Certificate struct {
 }
 
 // ExactnessCertificate computes the certificate for every live node of an
-// acyclic network.
+// acyclic network in one reverse-topological pass, so every fanout's
+// verdict is known before its fanins'. Two rules settle most nodes
+// without a cone walk:
+//
+//   - a node with a non-exact fanout is non-exact: the fanout's cone lies
+//     inside the node's, so its merge point is a merge point of the
+//     node's cone too;
+//   - a node with one distinct fanout takes that fanout's verdict: its
+//     cone is itself plus the fanout's cone, the fanout has exactly one
+//     distinct fanin inside it (the node; any other would close a cycle),
+//     and no other cone node is fed by the node, so every in-cone fanin
+//     count equals the one in the fanout's cone.
+//
+// Only nodes with two or more distinct fanouts, all exact, walk their
+// cone (firstMerge); a node without fanouts is trivially exact.
 func ExactnessCertificate(n *circuit.Network) *Certificate {
 	c := &Certificate{exact: make([]bool, n.NumSlots())}
-	w := newConeWalker(n)
-	for _, id := range n.LiveNodes() {
+	order := n.TopoOrder()
+	var w *coneWalker
+	for i := len(order) - 1; i >= 0; i-- {
+		id := order[i]
 		c.assessed++
-		if w.firstMerge(id) == circuit.InvalidNode {
+		fos := n.Fanouts(id)
+		exact, branches := true, false
+		for _, fo := range fos {
+			if !c.exact[fo] {
+				exact = false
+				break
+			}
+			if fo != fos[0] {
+				branches = true
+			}
+		}
+		if exact && branches {
+			if w == nil {
+				w = newConeWalker(n)
+			}
+			exact = w.firstMerge(id) == circuit.InvalidNode
+		}
+		if exact {
 			c.exact[id] = true
 			c.numExact++
 		}

@@ -207,6 +207,18 @@ func (v *Vec) Count() int {
 	return c
 }
 
+// XorCount returns the number of positions where a and b differ — the
+// popcount of a XOR b — without materialising the XOR. Lengths must match.
+func XorCount(a, b *Vec) int {
+	a.checkSameLen(b)
+	bw := b.words[:len(a.words)]
+	c := 0
+	for i, w := range a.words {
+		c += bits.OnesCount64(w ^ bw[i])
+	}
+	return c
+}
+
 // Any reports whether any bit is set.
 func (v *Vec) Any() bool {
 	for _, w := range v.words {

@@ -125,6 +125,26 @@ func TestCountAdditiveUnderDisjointOr(t *testing.T) {
 	}
 }
 
+// TestXorCountMatchesXorThenCount pins the fused kernel against the
+// two-step Xor + Count it replaces, including tail lengths that are not
+// a multiple of the word size.
+func TestXorCountMatchesXorThenCount(t *testing.T) {
+	r := rand.New(rand.NewSource(2))
+	for trial := 0; trial < 100; trial++ {
+		n := r.Intn(400)
+		a, b := randVec(r, n), randVec(r, n)
+		if got, want := XorCount(a, b), New(n).Xor(a, b).Count(); got != want {
+			t.Fatalf("n=%d: XorCount = %d, Xor+Count = %d", n, got, want)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic on length mismatch")
+		}
+	}()
+	XorCount(New(3), New(4))
+}
+
 func TestAndNot(t *testing.T) {
 	a := New(10)
 	b := New(10)

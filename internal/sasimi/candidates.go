@@ -1,8 +1,6 @@
 package sasimi
 
 import (
-	"math/bits"
-
 	"batchals/internal/bitvec"
 	"batchals/internal/circuit"
 	"batchals/internal/sim"
@@ -47,134 +45,4 @@ func (c *Candidate) substituteValue(vals *sim.Values, scratch *bitvec.Vec) *bitv
 	default:
 		return vals.Node(c.Sub)
 	}
-}
-
-// gatherCandidates enumerates all admissible substitutions of the current
-// network: for every gate target and every potential substitute signal
-// (including complemented signals and the two constants), keep pairs that
-//
-//   - do not create a cycle (the substitute is not in the target's
-//     transitive fanout cone),
-//   - do not increase the circuit delay (substitute arrival, plus an
-//     inverter for complemented substitution, within the target arrival),
-//   - reclaim positive area,
-//   - and look almost-identical on the pattern set: difference probability
-//     at most cfg.SimilarityCap.
-//
-// A cheap prefix check on the first few simulation words rejects grossly
-// dissimilar pairs before the full popcount.
-func gatherCandidates(net *circuit.Network, vals *sim.Values, cfg *Config, arrival []float64, invDelay float64) []Candidate {
-	m := vals.M
-	targets := make([]circuit.NodeID, 0, net.NumNodes())
-	subs := make([]circuit.NodeID, 0, net.NumNodes())
-	for _, id := range net.LiveNodes() {
-		k := net.Kind(id)
-		if k.IsGate() {
-			targets = append(targets, id)
-			subs = append(subs, id)
-		} else if k == circuit.KindInput {
-			subs = append(subs, id)
-		}
-	}
-
-	// MFFC per target, computed once. For the (uncommon) substitute that
-	// lies inside the target's MFFC, the realised gain is smaller — the
-	// substitute and the cone it exclusively supports stay live — so those
-	// pairs recompute a pinned MFFC below.
-	gain := make(map[circuit.NodeID]float64, len(targets))
-	mffcSet := make(map[circuit.NodeID]map[circuit.NodeID]bool, len(targets))
-	for _, t := range targets {
-		g := 0.0
-		set := make(map[circuit.NodeID]bool)
-		for _, id := range net.MFFC(t) {
-			g += cfg.Library.GateArea(net.Kind(id), len(net.Fanins(id)))
-			set[id] = true
-		}
-		gain[t] = g
-		mffcSet[t] = set
-	}
-	invArea := cfg.Library.GateArea(circuit.KindNot, 1)
-	// pairGain returns the exact area reclaimed when t is replaced by s.
-	pairGain := func(t, s circuit.NodeID) float64 {
-		if !mffcSet[t][s] {
-			return gain[t]
-		}
-		g := 0.0
-		for _, id := range net.MFFCExcluding(t, s) {
-			g += cfg.Library.GateArea(net.Kind(id), len(net.Fanins(id)))
-		}
-		return g
-	}
-
-	prefixWords := bitvec.Words(m)
-	if prefixWords > 4 {
-		prefixWords = 4
-	}
-	prefixBits := prefixWords * bitvec.WordBits
-	if prefixBits > m {
-		prefixBits = m
-	}
-	// Allow generous slack on the prefix estimate before rejecting.
-	prefixCap := cfg.SimilarityCap*2 + 0.1
-
-	var cands []Candidate
-	diff := bitvec.New(m)
-	for _, t := range targets {
-		tv := vals.Node(t)
-		tfo := net.TransitiveFanoutCone(t)
-		baseGain := gain[t]
-		if baseGain <= 0 {
-			continue
-		}
-		tArr := arrival[t]
-
-		// Constant substitutions: always delay-safe and cycle-safe.
-		ones := tv.Count()
-		p1 := float64(ones) / float64(m)
-		if p0 := 1 - p1; p0 <= cfg.SimilarityCap {
-			cands = append(cands, Candidate{Target: t, Sub: circuit.InvalidNode,
-				Const: true, ConstVal: true, DiffProb: p0, AreaGain: baseGain})
-		}
-		if p1 <= cfg.SimilarityCap {
-			cands = append(cands, Candidate{Target: t, Sub: circuit.InvalidNode,
-				Const: true, ConstVal: false, DiffProb: p1, AreaGain: baseGain})
-		}
-
-		for _, s := range subs {
-			if s == t || tfo[s] {
-				continue
-			}
-			sv := vals.Node(s)
-			// Prefix screen.
-			if prefixWords > 0 {
-				d := 0
-				tw, sw := tv.WordsSlice(), sv.WordsSlice()
-				for w := 0; w < prefixWords; w++ {
-					d += bits.OnesCount64(tw[w] ^ sw[w])
-				}
-				frac := float64(d) / float64(prefixBits)
-				if frac > prefixCap && (1-frac) > prefixCap {
-					continue
-				}
-			}
-			diff.Xor(tv, sv)
-			dp := float64(diff.Count()) / float64(m)
-
-			if dp <= cfg.SimilarityCap && arrival[s] <= tArr {
-				if g := pairGain(t, s); g > 0 {
-					cands = append(cands, Candidate{Target: t, Sub: s,
-						DiffProb: dp, AreaGain: g})
-				}
-			}
-			if idp := 1 - dp; idp <= cfg.SimilarityCap && arrival[s]+invDelay <= tArr {
-				if g := pairGain(t, s) - invArea; g > 0 {
-					cands = append(cands, Candidate{Target: t, Sub: s,
-						Inverted: true, DiffProb: idp, AreaGain: g})
-				}
-			}
-		}
-	}
-
-	// Deterministic order: most similar first, ties by larger gain, then ids.
-	return sortAndCap(cands, cfg)
 }

@@ -551,23 +551,23 @@ loop:
 		sp = prof.Begin(obs.PhaseEstimate)
 		arrival := cfg.Library.NodeArrival(approx)
 		invDelay := cfg.Library.GateDelay(circuit.KindNot)
+		env := newGatherEnv(approx, vals, &cfg, arrival, invDelay)
 		var cands []Candidate
-		if incremental {
-			env := newGatherEnv(approx, vals, &cfg, arrival, invDelay)
-			var gerr error
-			if cache == nil {
-				cache = &gatherCache{}
-				cands, gerr = cache.full(goCtx, env, pool)
-			} else {
-				cands, gerr = cache.update(goCtx, env, pendingEdit, pendingChanged, pool)
-			}
-			if gerr != nil {
-				// A cancelled gather leaves the cache partially written;
-				// drop it so a hypothetical resume cannot read torn state.
-				cache = nil
-			}
-		} else {
-			cands = gatherCandidatesParallel(goCtx, approx, vals, &cfg, arrival, invDelay, pool)
+		var gerr error
+		switch {
+		case !incremental:
+			cands, gerr = gather(goCtx, env, pool, nil)
+			cands = capped(cands, &cfg)
+		case cache == nil:
+			cache = &gatherCache{}
+			cands, gerr = cache.full(goCtx, env, pool)
+		default:
+			cands, gerr = cache.update(goCtx, env, pendingEdit, pendingChanged, pool)
+		}
+		if gerr != nil {
+			// A cancelled gather leaves the cache partially written; drop
+			// it so a hypothetical resume cannot read torn state.
+			cache = nil
 		}
 		if err := goCtx.Err(); err != nil {
 			prof.End(sp)
@@ -575,7 +575,7 @@ loop:
 			break loop
 		}
 		if cfg.verifyIncremental && incremental {
-			if err := crossCheckIncremental(approx, vals, &cfg, arrival, invDelay, pool, cands, ictx.cpm); err != nil {
+			if err := crossCheckIncremental(env, pool, cands, ictx.cpm); err != nil {
 				prof.End(sp)
 				return nil, err
 			}
@@ -714,10 +714,13 @@ loop:
 // crossCheckIncremental is the verifyIncremental paranoia pass: it rebuilds
 // the candidate list (and, when present, the CPM) from scratch and compares
 // against the incremental results field for field.
-func crossCheckIncremental(net *circuit.Network, vals *sim.Values, cfg *Config,
-	arrival []float64, invDelay float64, pool *par.Pool, cands []Candidate, cpm *core.CPM) error {
-
-	full := gatherCandidatesParallel(context.Background(), net, vals, cfg, arrival, invDelay, pool)
+func crossCheckIncremental(env *gatherEnv, pool *par.Pool, cands []Candidate, cpm *core.CPM) error {
+	net, vals := env.net, env.vals
+	full, err := gather(context.Background(), env, pool, nil)
+	if err != nil {
+		return err
+	}
+	full = capped(full, env.cfg)
 	if len(full) != len(cands) {
 		return fmt.Errorf("sasimi: incremental gather diverged: %d candidates vs %d full", len(cands), len(full))
 	}
@@ -744,7 +747,7 @@ func crossCheckIncremental(net *circuit.Network, vals *sim.Values, cfg *Config,
 
 // checkAcyclic closes the documented ReplaceFanin gap: circuit editing
 // does not itself forbid a substitution that closes a combinational loop
-// (gatherCandidates screens for it, but the screen and the surgery are
+// (the gather screens for it, but the screen and the surgery are
 // separate code paths). Under Config.CheckInvariants every accepted
 // substitution is re-checked here, turning what would be a TopoOrder
 // panic inside the next simulation into an error that names the cycle.
@@ -879,7 +882,12 @@ func EstimateAll(golden, approx *circuit.Network, cfg Config) ([]Candidate, erro
 	est.prepare(ctx)
 
 	arrival := cfg.Library.NodeArrival(approx)
-	cands := gatherCandidatesParallel(context.Background(), approx, vals, &cfg, arrival, cfg.Library.GateDelay(circuit.KindNot), pool)
+	env := newGatherEnv(approx, vals, &cfg, arrival, cfg.Library.GateDelay(circuit.KindNot))
+	cands, err := gather(context.Background(), env, pool, nil)
+	if err != nil {
+		return nil, err
+	}
+	cands = capped(cands, &cfg)
 	scratch := bitvec.New(patterns.NumPatterns())
 	change := bitvec.New(patterns.NumPatterns())
 	o := newRunObs(&cfg, approx)

@@ -1,0 +1,313 @@
+package sasimi
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
+	"testing"
+
+	"batchals/internal/bench"
+	"batchals/internal/bitvec"
+	"batchals/internal/cell"
+	"batchals/internal/circuit"
+	"batchals/internal/core"
+	"batchals/internal/flow"
+	"batchals/internal/par"
+	"batchals/internal/sim"
+)
+
+// bruteGather is the reference enumeration the gather is tested against:
+// every (target, substitute) pair, the cycle screen as an explicit
+// TransitiveFanoutCone walk, the difference as a materialised XOR plus
+// Count, no other screens, and one sort.Slice over the whole list, capped
+// at MaxCandidates.
+func bruteGather(net *circuit.Network, vals *sim.Values, cfg *Config, arrival []float64, invDelay float64) []Candidate {
+	m := vals.M
+	simCap := cfg.SimilarityCap
+	invArea := cfg.Library.GateArea(circuit.KindNot, 1)
+	area := func(ids []circuit.NodeID) float64 {
+		g := 0.0
+		for _, id := range ids {
+			g += cfg.Library.GateArea(net.Kind(id), len(net.Fanins(id)))
+		}
+		return g
+	}
+	var cands []Candidate
+	diff := bitvec.New(m)
+	for _, t := range net.LiveNodes() {
+		if !net.Kind(t).IsGate() {
+			continue
+		}
+		mffc := net.MFFC(t)
+		gain := area(mffc)
+		if gain <= 0 {
+			continue
+		}
+		pairGain := func(s circuit.NodeID) float64 {
+			for _, id := range mffc {
+				if id == s {
+					return area(net.MFFCExcluding(t, s))
+				}
+			}
+			return gain
+		}
+		tv := vals.Node(t)
+		p1 := float64(tv.Count()) / float64(m)
+		if p0 := 1 - p1; p0 <= simCap {
+			cands = append(cands, Candidate{Target: t, Sub: circuit.InvalidNode,
+				Const: true, ConstVal: true, DiffProb: p0, AreaGain: gain})
+		}
+		if p1 <= simCap {
+			cands = append(cands, Candidate{Target: t, Sub: circuit.InvalidNode,
+				Const: true, ConstVal: false, DiffProb: p1, AreaGain: gain})
+		}
+		tfo := net.TransitiveFanoutCone(t)
+		for _, s := range net.LiveNodes() {
+			k := net.Kind(s)
+			if s == t || tfo[s] || !(k.IsGate() || k == circuit.KindInput) {
+				continue
+			}
+			dp := float64(diff.Xor(tv, vals.Node(s)).Count()) / float64(m)
+			if dp <= simCap && arrival[s] <= arrival[t] {
+				if g := pairGain(s); g > 0 {
+					cands = append(cands, Candidate{Target: t, Sub: s, DiffProb: dp, AreaGain: g})
+				}
+			}
+			if idp := 1 - dp; idp <= simCap && arrival[s]+invDelay <= arrival[t] {
+				if g := pairGain(s) - invArea; g > 0 {
+					cands = append(cands, Candidate{Target: t, Sub: s, Inverted: true, DiffProb: idp, AreaGain: g})
+				}
+			}
+		}
+	}
+	sort.Slice(cands, func(i, j int) bool { return candLess(&cands[i], &cands[j]) })
+	return capped(cands, cfg)
+}
+
+// gatherFixture simulates net on m seeded random patterns and returns the
+// inputs of one gather under cfg (defaults filled).
+func gatherFixture(net *circuit.Network, m int, cfg *Config) (*sim.Values, []float64, float64) {
+	cfg.fillDefaults()
+	vals := sim.Simulate(net, sim.RandomPatterns(net.NumInputs(), m, 7))
+	return vals, cfg.Library.NodeArrival(net), cfg.Library.GateDelay(circuit.KindNot)
+}
+
+// gatherOn runs the production gather at the given worker count, capped
+// like every flow path.
+func gatherOn(t *testing.T, env *gatherEnv, workers int) []Candidate {
+	t.Helper()
+	pool := par.NewPool(workers)
+	defer pool.Close()
+	got, err := gather(context.Background(), env, pool, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return capped(got, env.cfg)
+}
+
+// sameCandidates fails the test at the first field-level divergence.
+func sameCandidates(t *testing.T, label string, got, want []Candidate) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d candidates, reference has %d", label, len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("%s: candidate %d diverges:\n got  %+v\n want %+v", label, i, got[i], want[i])
+		}
+	}
+}
+
+// TestGatherMatchesBruteForce pins the one gather — screens, cone-walk
+// elision, per-bin sorting and the k-way merge — against the brute-force
+// reference, field for field, over circuits × similarity caps × workers.
+// Under -race the 3000-gate circuit is left out: the smaller circuits
+// already fill every bin of the dispatch, and that row alone needs about
+// 2 GB and a minute under the detector.
+func TestGatherMatchesBruteForce(t *testing.T) {
+	circuits := []string{"rca8", "dec4", "par16", "cmp8", "c880", "mul8"}
+	if !raceEnabled {
+		circuits = append(circuits, "synth3k")
+	}
+	for _, name := range circuits {
+		var net *circuit.Network
+		if name == "synth3k" {
+			net = bench.Tiled("synth3k", 64, 64, 3000, 10)
+		} else {
+			var err error
+			if net, err = bench.ByName(name); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, simCap := range []float64{0.1, 0.3, 0.45} {
+			cfg := &Config{Budget: flow.Budget{Metric: core.MetricER, Threshold: 0.05}, SimilarityCap: simCap}
+			vals, arrival, invDelay := gatherFixture(net, 1024, cfg)
+			want := bruteGather(net, vals, cfg, arrival, invDelay)
+			if len(want) == 0 && simCap == 0.45 {
+				t.Fatalf("%s cap=%v: reference gathered nothing; comparison is vacuous", name, simCap)
+			}
+			env := newGatherEnv(net, vals, cfg, arrival, invDelay)
+			if !env.strict {
+				t.Fatalf("%s: default library must give strict arrival times", name)
+			}
+			for _, workers := range []int{1, 2, 4} {
+				sameCandidates(t, fmt.Sprintf("%s cap=%v workers=%d", name, simCap, workers),
+					gatherOn(t, env, workers), want)
+			}
+		}
+	}
+}
+
+// zeroDelayNotLibrary is the default library with free inverters: a NOT
+// gate then arrives no later than its fanin, which defeats the strict
+// arrival check and leaves the cycle screen to the cone walks.
+func zeroDelayNotLibrary() *cell.Library {
+	lib := cell.Default()
+	lib.Delay[circuit.KindNot] = 0
+	return lib
+}
+
+// TestGatherConeWalkFallback runs the gather under a library whose
+// arrival times are not strict (c880 has inverters driven by gates).
+// There a target and the inverter it drives arrive together, so only the
+// cone walk keeps the cycle-closing inverted pair out; the test also
+// shows that the walk is load-bearing by disabling it.
+func TestGatherConeWalkFallback(t *testing.T) {
+	net, err := bench.ByName("c880")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := &Config{Budget: flow.Budget{Metric: core.MetricER, Threshold: 0.05, Library: zeroDelayNotLibrary()}}
+	vals, arrival, invDelay := gatherFixture(net, 1024, cfg)
+	want := bruteGather(net, vals, cfg, arrival, invDelay)
+	env := newGatherEnv(net, vals, cfg, arrival, invDelay)
+	if env.strict {
+		t.Fatal("zero-delay inverters must defeat the strict-arrival check")
+	}
+	for _, workers := range []int{1, 2, 4} {
+		sameCandidates(t, fmt.Sprintf("c880 zero-delay NOT workers=%d", workers), gatherOn(t, env, workers), want)
+	}
+	env.strict = true // skip the walks although arrival does not cover them
+	if got := gatherOn(t, env, 1); len(got) <= len(want) {
+		t.Fatalf("without the cone walk the gather found %d candidates, want more than %d: the fallback is untested",
+			len(got), len(want))
+	}
+}
+
+// TestIncrementalConeWalkFallback runs the incremental flow under the
+// non-strict library with the per-iteration cross-check on, so the
+// cache's transitive-fanin fallback is compared against a full gather
+// every iteration.
+func TestIncrementalConeWalkFallback(t *testing.T) {
+	golden, err := bench.ByName("c880")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 4} {
+		res, err := Run(golden, Config{
+			Budget: flow.Budget{Metric: core.MetricER, Threshold: 0.05, NumPatterns: 1000, Seed: 3,
+				Library: zeroDelayNotLibrary()},
+			Workers:           workers,
+			Incremental:       IncrementalOn,
+			CheckInvariants:   true,
+			verifyIncremental: true,
+		})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if res.NumIterations < 2 {
+			t.Fatalf("workers=%d: %d iterations; the cache update never ran", workers, res.NumIterations)
+		}
+	}
+}
+
+// TestMergeSortedEqualsSort is the merge's property test: merging sorted
+// runs equals sorting their concatenation, including empty runs, a single
+// run and no runs at all.
+func TestMergeSortedEqualsSort(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 300; trial++ {
+		k := r.Intn(7)
+		runs := make([][]Candidate, k)
+		var all []Candidate
+		id := 0
+		for i := range runs {
+			n := r.Intn(40)
+			if r.Intn(4) == 0 {
+				n = 0
+			}
+			for j := 0; j < n; j++ {
+				// Few distinct DiffProb/AreaGain values force the identity
+				// tie-breakers; the running id keeps candidates distinct.
+				c := Candidate{
+					Target:   circuit.NodeID(r.Intn(5)),
+					Sub:      circuit.NodeID(id),
+					Inverted: r.Intn(2) == 0,
+					DiffProb: float64(r.Intn(4)) / 8,
+					AreaGain: float64(r.Intn(3)),
+				}
+				id++
+				runs[i] = append(runs[i], c)
+			}
+			sort.Slice(runs[i], func(a, b int) bool { return candLess(&runs[i][a], &runs[i][b]) })
+			all = append(all, runs[i]...)
+		}
+		sort.Slice(all, func(a, b int) bool { return candLess(&all[a], &all[b]) })
+		got := mergeSorted(runs)
+		if len(all) == 0 {
+			if len(got) != 0 {
+				t.Fatalf("trial %d: merged %d candidates from empty runs", trial, len(got))
+			}
+			continue
+		}
+		if !reflect.DeepEqual(got, all) {
+			t.Fatalf("trial %d (k=%d): merge differs from sorting the concatenation", trial, k)
+		}
+	}
+}
+
+// TestGatherAdmitsPairsBelowPrefixCap pins the removal of the old prefix
+// screen, which judged a pair by its first 256 patterns against a cap of
+// 2·SimilarityCap + 0.1 and so dropped admissible pairs whenever the cap
+// was below 0.2. Here AND(a, b) differs from a on 100 of 4096 patterns,
+// all of them among the first 256: the prefix reads 100/256 ≈ 0.39 > 0.3,
+// yet the difference probability 100/4096 ≈ 0.024 is well inside the cap.
+func TestGatherAdmitsPairsBelowPrefixCap(t *testing.T) {
+	net := circuit.New("and2")
+	a := net.AddInput("a")
+	b := net.AddInput("b")
+	and := net.AddGate(circuit.KindAnd, a, b)
+	net.AddOutput("y", and)
+
+	const m = 4096
+	patterns := sim.NewPatterns(2, m)
+	for i := 0; i < m; i++ {
+		patterns.SetBit(i, 0, true)
+		patterns.SetBit(i, 1, i >= 100)
+	}
+	for _, workers := range []int{1, 2, 4} {
+		cands, err := EstimateAll(net, net.Clone(), Config{
+			Budget:        flow.Budget{Metric: core.MetricER, Threshold: 0.05},
+			Patterns:      patterns,
+			SimilarityCap: 0.1,
+			Workers:       workers,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		found := false
+		for _, c := range cands {
+			if c.Target == and && c.Sub == a && !c.Inverted && !c.Const {
+				found = true
+				if c.DiffProb != 100.0/m {
+					t.Fatalf("workers=%d: AND <- a has DiffProb %v, want %v", workers, c.DiffProb, 100.0/m)
+				}
+			}
+		}
+		if !found {
+			t.Fatalf("workers=%d: admissible pair AND <- a (DiffProb %v) missing from %+v", workers, 100.0/m, cands)
+		}
+	}
+}

@@ -3,7 +3,6 @@ package sasimi
 import (
 	"context"
 
-	"batchals/internal/bitvec"
 	"batchals/internal/circuit"
 	"batchals/internal/core"
 	"batchals/internal/obs"
@@ -13,14 +12,14 @@ import (
 // gatherCache carries candidate-enumeration state across iterations of the
 // incremental engine. Candidate gathering is the flow's single most
 // expensive phase, yet an accepted substitution invalidates only a small
-// region of it: a cached target bucket stays bit-identical unless the
-// target's value vector, arrival time or MFFC reads changed, and within a
-// clean bucket only the pairs whose substitute lies in the edit's dirty
-// region need re-evaluation. The cache exploits exactly that:
+// region of it: a target's candidates stay bit-identical unless the
+// target's value vector, arrival time or MFFC reads changed, and among a
+// clean target's candidates only the pairs whose substitute lies in the
+// edit's dirty region need re-evaluation. The cache exploits exactly that:
 //
-//   - per target it keeps the canonical-order bucket plus the dependency
-//     set deps (MFFC cone nodes and their fanins — the records the MFFC
-//     walk reads, see targetData);
+//   - per target it keeps the MFFC gain figures plus the dependency set
+//     deps (MFFC cone nodes and their fanins — the records the MFFC walk
+//     reads, see targetData);
 //   - after an edit it derives targetDirty = value-changed ∪ added ∪
 //     arrival-changed ∪ {t : deps(t) ∩ probe ≠ ∅}, where probe is the set
 //     of nodes whose structural records the edit touched (Repl, Rewired,
@@ -31,88 +30,52 @@ import (
 //     moved has its substitute in this set, because new target→substitute
 //     paths run through a rewired edge, lost paths ran through the swept
 //     region, and changed values lie in the seeds' fanout cones;
-//   - dirty targets recompute in full, clean targets drop the candidates
-//     whose substitute is dirty or removed and merge in freshly evaluated
-//     pairs for the dirty substitutes, preserving canonical bucket order.
+//   - dirty targets re-enumerate in full, clean targets evaluate only the
+//     pairs with a dirty substitute.
 //
-// The final candidate list is itself maintained incrementally: candLess
+// The candidate list itself is maintained by filter-and-merge: candLess
 // is a strict total order, so the sorted permutation of the candidate
 // multiset is unique, and the cache keeps the previous iteration's fully
 // sorted list. After an edit it filters out the entries owned by dirty or
 // removed targets and dropped substitutes (a linear pass over a list that
-// is already sorted), sorts only the replacement entries (the dirty
-// targets' new buckets plus the clean targets' fresh pairs — a small
-// fraction of the total), and merges the two sorted runs. The result is
-// the unique sorted permutation of the new multiset — bit-identical to
-// re-sorting the flattened buckets from scratch, at a fraction of the
-// comparator cost — pinned by the differential suite and the
-// Config.verifyIncremental cross-check.
+// is already sorted), the workers enumerate and sort the replacement
+// entries in bins, and one k-way merge joins the sorted runs. The result
+// is the unique sorted permutation of the new multiset — bit-identical to
+// a full gather, pinned by the differential suite and the
+// Config.verifyIncremental cross-check. No per-target candidate lists are
+// kept: the filter reads the sorted list directly.
 type gatherCache struct {
 	data        []targetData // indexed by node slot
 	prevArrival []float64
 	// sorted is the full sorted candidate list of the previous gather,
-	// before the MaxCandidates cap, with pristine gather-time fields
-	// (callers get a copy, so scoring's in-place Delta/Score writes never
-	// leak back into the cache).
+	// before the MaxCandidates cap. Callers get a view of it (see capped):
+	// scoring writes Delta/Score/Exact in place, fields the cache never
+	// reads.
 	sorted []Candidate
 
 	// Dispatch scratch: the LPT bin-packer and its inputs (work items as
-	// target indices plus their estimated resim costs), and one reusable
-	// Xor-scratch vector per pool worker — computeTarget and evalPair use
-	// diff purely as scratch, so a worker-owned vector replaces the
-	// per-target bitvec.New of the unplanned fan-out.
+	// target node ids plus their estimated costs), and one reusable
+	// candidate buffer per pool worker that each bin appends into before
+	// copying out its exact-size sorted run.
 	planner par.Planner
 	items   []int
 	costs   []float64
-	diffs   []*bitvec.Vec
+	bufs    [][]Candidate
 }
 
-// workerDiffs returns one m-bit scratch vector per pool worker, growing
-// the pool-owned set on first use (m is fixed for the life of a flow).
-func (gc *gatherCache) workerDiffs(workers, m int) []*bitvec.Vec {
-	for len(gc.diffs) < workers {
-		gc.diffs = append(gc.diffs, bitvec.New(m))
-	}
-	return gc.diffs
-}
-
-// full performs the initial complete gather, populating every target's
-// cached bucket and dependency set. Targets are bin-packed (uniform cost —
-// nothing is known about the cones yet) and each bin's buckets land in
-// per-target slots owned by the target index, so the fan-out is
-// deterministic at any worker count and bin shape. A cancelled context
-// aborts the fan-out and returns the context's error; the cache is then
-// partially populated and must be discarded.
+// full performs the initial complete gather, recording every target's
+// gain figures and dependency set. A cancelled context aborts the fan-out
+// and returns the context's error; the cache is then partially populated
+// and must be discarded.
 func (gc *gatherCache) full(goCtx context.Context, env *gatherEnv, pool *par.Pool) ([]Candidate, error) {
 	gc.data = make([]targetData, env.net.NumSlots())
-	targets := liveGateTargets(env.net)
-	gc.costs = gc.costs[:0]
-	for range targets {
-		gc.costs = append(gc.costs, 1)
-	}
-	bins := gc.planner.Plan(gc.costs, par.PlanBins(len(targets), pool.Workers()))
-	diffs := gc.workerDiffs(pool.Workers(), env.m)
-	pool.Label("sasimi.gather", obs.PhaseEstimate)
-	if err := pool.DoCtx(goCtx, len(bins), func(w, bi int) {
-		diff := diffs[w]
-		for _, ti := range bins[bi] {
-			t := targets[ti]
-			gc.data[t] = env.computeTarget(t, diff, true)
-		}
-	}); err != nil {
+	sorted, err := gather(goCtx, env, pool, gc.data)
+	if err != nil {
 		return nil, err
 	}
+	gc.sorted = sorted
 	gc.prevArrival = append([]float64(nil), env.arrival...)
-	total := 0
-	for _, t := range targets {
-		total += len(gc.data[t].bucket)
-	}
-	gc.sorted = make([]Candidate, 0, total)
-	for _, t := range targets {
-		gc.sorted = append(gc.sorted, gc.data[t].bucket...)
-	}
-	sortCandidates(gc.sorted)
-	return gc.capped(env.cfg), nil
+	return capped(gc.sorted, env.cfg), nil
 }
 
 // update refreshes the cache after one accepted edit and returns the new
@@ -195,17 +158,19 @@ func (gc *gatherCache) update(goCtx context.Context, env *gatherEnv, ed *core.Ed
 		}
 	}
 
-	// drop marks substitutes whose cached pairs must leave clean buckets:
-	// the dirty ones (re-evaluated below) and the removed ones (gone).
+	// drop marks substitutes whose pairs must leave the sorted list: the
+	// dirty ones (re-evaluated below) and the removed ones (gone).
 	drop := make([]bool, slots)
 	copy(drop, subDirty)
 	for _, id := range ed.Removed {
 		drop[id] = true
 	}
 
-	// The dirty substitutes that are admissible, ascending, with one
-	// transitive fanin cone each: t ∈ tfi(s) ⟺ s ∈ TFO(t), which is the
-	// enumeration's cycle screen evaluated from the substitute's side.
+	// The dirty substitutes that are admissible, ascending. Under
+	// non-strict arrival times each gets one transitive fanin cone:
+	// t ∈ tfi(s) ⟺ s ∈ TFO(t), which is the enumeration's cycle screen
+	// evaluated from the substitute's side. Under strict arrival times
+	// the arrival guard covers it (see gatherEnv.strict).
 	var dirtySubs []circuit.NodeID
 	for _, id := range n.LiveNodes() {
 		if subDirty[id] {
@@ -214,88 +179,75 @@ func (gc *gatherCache) update(goCtx context.Context, env *gatherEnv, ed *core.Ed
 			}
 		}
 	}
-	tfis := make([][]bool, len(dirtySubs))
-	for i, s := range dirtySubs {
-		tfis[i] = n.TransitiveFaninCone(s)
+	var tfis [][]bool
+	if !env.strict {
+		tfis = make([][]bool, len(dirtySubs))
+		for i, s := range dirtySubs {
+			tfis[i] = n.TransitiveFaninCone(s)
+		}
 	}
 
 	// Classify targets driver-side so the bin-packer can see each one's
-	// estimated resim cost: a dirty target re-enumerates every substitute
+	// estimated cost: a dirty target re-enumerates every substitute
 	// (≈|subs| pair evaluations plus the MFFC walk), a clean one touches
-	// only the dirty substitutes. The old per-target fan-out fed both
-	// through identical tasks, and the few dirty cones straggled behind a
-	// long tail of near-free clean tasks — the measured 12% worker idle.
-	// LPT bins bound the load spread by one item's cost, and Overcommit
-	// bins per worker leave queued bins for any worker that finishes early
-	// to steal.
+	// only the dirty substitutes. LPT bins bound the load spread by one
+	// item's cost, and Overcommit bins per worker leave queued bins for
+	// any worker that finishes early to steal.
 	targets := liveGateTargets(n)
 	dirtyT := make([]bool, slots)
-	freshBy := make([][]Candidate, len(targets))
 	gc.items = gc.items[:0]
 	gc.costs = gc.costs[:0]
 	dirtyCost := float64(len(env.subs)) + 8
 	cleanCost := float64(len(dirtySubs)) + 1
-	for ti, t := range targets {
+	for _, t := range targets {
 		td := &gc.data[t]
 		if !td.live || changedVal[t] || arrivalChanged[t] || depsTouched(td.deps, probe) {
 			dirtyT[t] = true
-			gc.items = append(gc.items, ti)
+			gc.items = append(gc.items, int(t))
 			gc.costs = append(gc.costs, dirtyCost)
-		} else if td.baseGain > 0 {
-			// Always enqueued, even with no dirty substitutes: drop marks
-			// removed substitutes whose pairs must leave the bucket.
-			gc.items = append(gc.items, ti)
+		} else if td.baseGain > 0 && len(dirtySubs) > 0 {
+			gc.items = append(gc.items, int(t))
 			gc.costs = append(gc.costs, cleanCost)
 		}
-		// Clean targets without a bucket: no work, provably unchanged.
+		// Other clean targets: no work, provably unchanged.
 	}
 	bins := gc.planner.Plan(gc.costs, par.PlanBins(len(gc.items), pool.Workers()))
-	diffs := gc.workerDiffs(pool.Workers(), env.m)
+	// The last run is the kept part of the previous list, filled below.
+	runs := make([][]Candidate, len(bins)+1)
+	for len(gc.bufs) < pool.Workers() {
+		gc.bufs = append(gc.bufs, nil)
+	}
 	pool.Label("sasimi.gather_inc", obs.PhaseEstimate)
 	err := pool.DoCtx(goCtx, len(bins), func(w, bi int) {
-		diff := diffs[w]
+		buf := gc.bufs[w][:0]
 		for _, ii := range bins[bi] {
-			ti := gc.items[ii]
-			t := targets[ti]
+			t := circuit.NodeID(gc.items[ii])
 			if dirtyT[t] {
-				gc.data[t] = env.computeTarget(t, diff, true)
+				gc.data[t] = env.target(t, true)
+				buf = env.appendTarget(buf, &gc.data[t], t)
 				continue
 			}
 			td := &gc.data[t]
 			tv := env.vals.Node(t)
-			tArr := env.arrival[t]
-			var fresh []Candidate
 			for i, s := range dirtySubs {
-				if s == t || tfis[i][t] {
+				if s == t || (tfis != nil && tfis[i][t]) {
 					continue
 				}
-				fresh = env.evalPair(fresh, td, t, s, tv, tArr, diff)
+				buf = env.appendPair(buf, td, t, s, tv)
 			}
-			freshBy[ti] = fresh
-			td.bucket = mergeBucket(td.bucket, fresh, drop)
 		}
+		gc.bufs[w] = buf
+		runs[bi] = sortedRun(buf)
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	// Maintain the sorted list by filter-and-merge: the previous list
-	// minus the entries of dirty/removed targets and dropped substitutes
-	// is still sorted; the replacements (dirty targets' new buckets plus
-	// the clean targets' fresh pairs) form exactly the complement of the
-	// new multiset. candLess is a strict total order, so the merge is
-	// bit-identical to re-sorting the flattened buckets.
-	var added []Candidate
-	for ti, t := range targets {
-		if dirtyT[t] {
-			added = append(added, gc.data[t].bucket...)
-		} else {
-			added = append(added, freshBy[ti]...)
-		}
-	}
-	sortCandidates(added)
-
-	kept := make([]Candidate, 0, len(gc.sorted))
+	// Filter the previous list in place: minus the entries of dirty or
+	// removed targets and dropped substitutes it is still sorted, and the
+	// workers' runs are exactly the complement of the new multiset. The
+	// previous iteration's view of this list is dead by now.
+	kept := gc.sorted[:0]
 	for i := range gc.sorted {
 		c := &gc.sorted[i]
 		if !n.IsLive(c.Target) || dirtyT[c.Target] {
@@ -306,42 +258,11 @@ func (gc *gatherCache) update(goCtx context.Context, env *gatherEnv, ed *core.Ed
 		}
 		kept = append(kept, *c)
 	}
-	gc.sorted = mergeSorted(kept, added)
+	runs[len(bins)] = kept
+	gc.sorted = mergeSorted(runs)
 
 	gc.prevArrival = append(gc.prevArrival[:0], env.arrival...)
-	return gc.capped(env.cfg), nil
-}
-
-// mergeSorted merges two candLess-sorted runs. Ties cannot occur (the
-// order is total over distinct candidates), so tie placement is moot.
-func mergeSorted(a, b []Candidate) []Candidate {
-	if len(b) == 0 {
-		return a
-	}
-	out := make([]Candidate, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if candLess(&a[i], &b[j]) {
-			out = append(out, a[i])
-			i++
-		} else {
-			out = append(out, b[j])
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
-}
-
-// capped hands the caller its own copy of the MaxCandidates prefix of
-// the cached sorted list. Copying keeps the cache pristine: scoring
-// writes Delta/Score/Exact into the returned slice in place.
-func (gc *gatherCache) capped(cfg *Config) []Candidate {
-	view := gc.sorted
-	if cfg.MaxCandidates > 0 && len(view) > cfg.MaxCandidates {
-		view = view[:cfg.MaxCandidates]
-	}
-	return append([]Candidate(nil), view...)
+	return capped(gc.sorted, env.cfg), nil
 }
 
 func depsTouched(deps []circuit.NodeID, probe []bool) bool {
@@ -351,49 +272,4 @@ func depsTouched(deps []circuit.NodeID, probe []bool) bool {
 		}
 	}
 	return false
-}
-
-// mergeBucket rebuilds a clean target's bucket: retained constants first
-// (they depend only on the target's value and base gain, both unchanged),
-// then the ordered merge of the retained pairs — minus dropped substitutes
-// — with the freshly evaluated ones. Both inputs are ordered by ascending
-// substitute with plain before inverted, and their substitute sets are
-// disjoint, so the merge reproduces the canonical enumeration order.
-func mergeBucket(old, fresh []Candidate, drop []bool) []Candidate {
-	out := make([]Candidate, 0, len(old)+len(fresh))
-	i := 0
-	for i < len(old) && old[i].Const {
-		out = append(out, old[i])
-		i++
-	}
-	j := 0
-	for i < len(old) || j < len(fresh) {
-		if i < len(old) && drop[old[i].Sub] {
-			i++
-			continue
-		}
-		switch {
-		case i >= len(old):
-			out = append(out, fresh[j])
-			j++
-		case j >= len(fresh):
-			out = append(out, old[i])
-			i++
-		case pairBefore(&old[i], &fresh[j]):
-			out = append(out, old[i])
-			i++
-		default:
-			out = append(out, fresh[j])
-			j++
-		}
-	}
-	return out
-}
-
-// pairBefore orders pair candidates by the enumeration's inner-loop order.
-func pairBefore(a, b *Candidate) bool {
-	if a.Sub != b.Sub {
-		return a.Sub < b.Sub
-	}
-	return !a.Inverted && b.Inverted
 }

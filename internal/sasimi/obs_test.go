@@ -213,7 +213,7 @@ func TestNilTracerScoringAllocs(t *testing.T) {
 	cfg := Config{Budget: flow.Budget{Metric: core.MetricER, Threshold: 1}}
 	cfg.fillDefaults()
 	arrival := lib.NodeArrival(net)
-	cands := gatherCandidates(net, vals, &cfg, arrival, lib.GateDelay(circuit.KindNot))
+	cands := bruteGather(net, vals, &cfg, arrival, lib.GateDelay(circuit.KindNot))
 	if len(cands) == 0 {
 		t.Fatal("no candidates on RCA8")
 	}

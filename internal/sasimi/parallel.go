@@ -8,63 +8,7 @@ import (
 	"batchals/internal/core"
 	"batchals/internal/obs"
 	"batchals/internal/par"
-	"batchals/internal/sim"
 )
-
-// gatherCandidatesParallel is gatherCandidates with the per-target
-// enumeration fanned out across the pool's workers. Each target's
-// candidates are collected into a per-target bucket (the task index owns
-// the bucket slot); concatenating the buckets in target order reproduces
-// the sequential enumeration order exactly, so the final deterministic
-// sort — a total order on (DiffProb, AreaGain, Target, Sub) applied to an
-// identical input permutation — yields the identical candidate list at any
-// worker count. The network traversals used per target (MFFC,
-// MFFCExcluding, TransitiveFanoutCone) are read-only and allocate locally,
-// so workers share the network safely.
-func gatherCandidatesParallel(goCtx context.Context, net *circuit.Network, vals *sim.Values, cfg *Config,
-	arrival []float64, invDelay float64, pool *par.Pool) []Candidate {
-
-	if pool.Workers() <= 1 {
-		return gatherCandidates(net, vals, cfg, arrival, invDelay)
-	}
-	env := newGatherEnv(net, vals, cfg, arrival, invDelay)
-	targets := liveGateTargets(net)
-	buckets := make([][]Candidate, len(targets))
-	if goCtx == nil {
-		goCtx = context.Background()
-	}
-	// Bin-pack targets (uniform cost) so each worker reuses one scratch
-	// vector across its whole bin instead of allocating one per target.
-	var planner par.Planner
-	costs := make([]float64, len(targets))
-	for i := range costs {
-		costs[i] = 1
-	}
-	bins := planner.Plan(costs, par.PlanBins(len(targets), pool.Workers()))
-	diffs := make([]*bitvec.Vec, pool.Workers())
-	for i := range diffs {
-		diffs[i] = bitvec.New(env.m)
-	}
-	pool.Label("sasimi.gather", obs.PhaseEstimate)
-	if err := pool.DoCtx(goCtx, len(bins), func(w, bi int) {
-		for _, ti := range bins[bi] {
-			td := env.computeTarget(targets[ti], diffs[w], false)
-			buckets[ti] = td.bucket
-		}
-	}); err != nil {
-		return nil // cancelled mid-gather; the caller abandons the iteration
-	}
-
-	total := 0
-	for _, b := range buckets {
-		total += len(b)
-	}
-	cands := make([]Candidate, 0, total)
-	for _, b := range buckets {
-		cands = append(cands, b...)
-	}
-	return sortAndCap(cands, cfg)
-}
 
 // scoreCandidatesMaybeSharded dispatches candidate scoring: the batch
 // estimator on a multi-worker pool takes the pattern-sharded path, every

@@ -169,7 +169,7 @@ func TestParallelScoringMatchesSequential(t *testing.T) {
 		cfg.fillDefaults()
 		cfg.Workers = 1
 		arrival := lib.NodeArrival(approx)
-		seqCands := gatherCandidates(approx, vals, &cfg, arrival, lib.GateDelay(circuit.KindNot))
+		seqCands := bruteGather(approx, vals, &cfg, arrival, lib.GateDelay(circuit.KindNot))
 		if len(seqCands) == 0 {
 			t.Fatal("no candidates")
 		}
@@ -185,11 +185,11 @@ func TestParallelScoringMatchesSequential(t *testing.T) {
 
 		for _, workers := range []int{2, 4, 7} {
 			pool := par.NewPool(workers)
-			gotCands := gatherCandidatesParallel(context.Background(), approx, vals, &cfg, arrival,
-				lib.GateDelay(circuit.KindNot), pool)
-			if !reflect.DeepEqual(gotCands, seqCands) {
+			env := newGatherEnv(approx, vals, &cfg, arrival, lib.GateDelay(circuit.KindNot))
+			gotCands, err := gather(context.Background(), env, pool, nil)
+			if err != nil || !reflect.DeepEqual(gotCands, seqCands) {
 				pool.Close()
-				t.Fatalf("metric=%v workers=%d: gathered candidates diverge", metric, workers)
+				t.Fatalf("metric=%v workers=%d: gathered candidates diverge (err %v)", metric, workers, err)
 			}
 			pctx := &iterContext{net: approx, vals: vals, st: st, metric: metric, cpm: ctx.cpm, pool: pool}
 			gotBest, gotFeasible := scoreCandidatesSharded(pctx, gotCands, 0, cfg.Threshold, pool, nil, 1)
@@ -228,7 +228,7 @@ func TestNilTracerShardedScoringAllocs(t *testing.T) {
 	cfg := Config{Budget: flow.Budget{Metric: core.MetricER, Threshold: 1}, Workers: 1}
 	cfg.fillDefaults()
 	arrival := lib.NodeArrival(net)
-	cands := gatherCandidates(net, vals, &cfg, arrival, lib.GateDelay(circuit.KindNot))
+	cands := bruteGather(net, vals, &cfg, arrival, lib.GateDelay(circuit.KindNot))
 	if len(cands) == 0 {
 		t.Fatal("no candidates on RCA8")
 	}

@@ -111,7 +111,7 @@ func verifyFixture(t testing.TB, name string, metric core.Metric, k int) (*circu
 	vals := sim.Simulate(net, patterns)
 	st := emetric.NewState(sim.OutputMatrix(net, vals), sim.OutputMatrix(net, vals))
 	arrival := cfg.Library.NodeArrival(net)
-	cands := gatherCandidates(net, vals, cfg, arrival, cfg.Library.GateDelay(circuit.KindNot))
+	cands := bruteGather(net, vals, cfg, arrival, cfg.Library.GateDelay(circuit.KindNot))
 	if len(cands) < k {
 		t.Fatalf("fixture %s gathered only %d candidates, need %d", name, len(cands), k)
 	}

@@ -331,15 +331,28 @@ func TestDaemonTimelineServiceLane(t *testing.T) {
 	if rec == nil {
 		t.Fatalf("timeline recorder not attached")
 	}
-	var buf bytes.Buffer
-	if err := rec.WriteTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{`"service"`, "service.queued", "service.running"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("timeline export missing %q", want)
+	// The daemon bridges the lifecycle onto the timeline after the job
+	// turns done (the running span needs the terminal stamp), so wait for
+	// the spans themselves, not just the state.
+	wants := []string{`"service"`, "service.queued", "service.running"}
+	var missing []string
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		var buf bytes.Buffer
+		if err := rec.WriteTrace(&buf); err != nil {
+			t.Fatal(err)
 		}
+		missing = missing[:0]
+		for _, want := range wants {
+			if !strings.Contains(buf.String(), want) {
+				missing = append(missing, want)
+			}
+		}
+		if len(missing) == 0 || time.Now().After(deadline) {
+			break
+		}
+	}
+	for _, want := range missing {
+		t.Errorf("timeline export missing %q", want)
 	}
 }
 
