@@ -77,6 +77,12 @@ func main() {
 		Runner:    runJob,
 	})
 
+	// The handler goes in before the daemon listens, so that a SIGTERM
+	// any time after the listening line — right after the first 200 from
+	// /readyz, say — drains instead of killing the process.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fatal(err)
@@ -100,9 +106,6 @@ func main() {
 		}
 	}
 	d.Server().SetReady(true)
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	fmt.Println("alsd: shutting down")
 	drainCtx, cancel := context.WithTimeout(context.Background(), *drainWindow)

@@ -35,7 +35,11 @@ import (
 
 // Always-on substrate counters on the default metrics registry; see the
 // matching block in internal/sim. Pre-resolved so the per-event cost is a
-// single atomic add.
+// single atomic add. The ΔER/ΔAEM query kernels do not tick their counters
+// themselves: a per-query atomic add on a counter every worker and every
+// concurrently running flow shares costs more than a cheap query, so the
+// caller adds a pass's query count once (CountDeltaQueries,
+// CountPartialQueries).
 var (
 	statCPMBuilds  = obs.Default().Counter("cpm_builds_total")
 	statCPMBuildNS = obs.Default().Counter("cpm_build_ns_total")
@@ -43,6 +47,17 @@ var (
 	statDeltaAEM   = obs.Default().Counter("cpm_delta_aem_queries_total")
 	statExactDelta = obs.Default().Counter("exact_delta_queries_total")
 )
+
+// CountDeltaQueries adds n DeltaER/DeltaERCounts (metric ER) or DeltaAEM
+// (metric AEM) calls to their query counter. Callers count once per
+// scoring pass.
+func CountDeltaQueries(metric Metric, n int) {
+	if metric == MetricAEM {
+		statDeltaAEM.Add(int64(n))
+	} else {
+		statDeltaER.Add(int64(n))
+	}
+}
 
 // CPM is the change propagation matrix for one network, one pattern set and
 // one simulation of that network.
@@ -278,14 +293,14 @@ func (c *CPM) DeltaER(nx circuit.NodeID, change *bitvec.Vec, st *emetric.State) 
 // become fully corrected, out of the M-pattern sample. These Binomial
 // counts are what the statistical confidence layer (obs.Wilson /
 // obs.Hoeffding) consumes — DeltaER's normalised float erases the sample
-// size the interval math needs.
+// size the interval math needs. The query is not counted; see
+// CountDeltaQueries.
 //
 //als:allocfree
 func (c *CPM) DeltaERCounts(nx circuit.NodeID, change *bitvec.Vec, st *emetric.State) (incCount, decCount int64) {
 	if c.restricted {
 		panic("core: DeltaER on an output-restricted CPM")
 	}
-	statDeltaER.Inc()
 	if !change.Any() {
 		return 0, 0
 	}
@@ -363,7 +378,8 @@ type aemReach struct {
 // word Y_chg is the previous approximate word with the CPM-propagated bits
 // flipped, and the contribution is |Y_chg−Y_org| − |Y_pre−Y_org|. The
 // result is normalised by M (it is an average), and may be negative.
-// Requires at most 63 outputs.
+// Requires at most 63 outputs. The query is not counted; see
+// CountDeltaQueries.
 //
 //als:allocfree
 func (c *CPM) DeltaAEM(nx circuit.NodeID, change *bitvec.Vec, st *emetric.State) float64 {
@@ -373,7 +389,6 @@ func (c *CPM) DeltaAEM(nx circuit.NodeID, change *bitvec.Vec, st *emetric.State)
 	if c.o > 63 {
 		panic("core: DeltaAEM requires <= 63 outputs")
 	}
-	statDeltaAEM.Inc()
 	if !change.Any() {
 		return 0
 	}

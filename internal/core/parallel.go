@@ -19,6 +19,17 @@ var (
 	statPartialAEM = obs.Default().Counter("cpm_partial_aem_queries_total")
 )
 
+// CountPartialQueries adds n DeltaERPartial (metric ER) or DeltaAEMPartial
+// (metric AEM) calls to their query counter. Callers count once per shard
+// of a scoring pass, so concurrent workers do not contend on the counter.
+func CountPartialQueries(metric Metric, n int) {
+	if metric == MetricAEM {
+		statPartialAEM.Add(int64(n))
+	} else {
+		statPartialER.Add(int64(n))
+	}
+}
+
 // BuildParallel constructs a CPM bit-identical to Build's, with the pattern
 // axis sharded across the pool's workers.
 //
@@ -117,13 +128,18 @@ func BuildParallel(n *circuit.Network, vals *sim.Values, pool *par.Pool) *CPM {
 	return c
 }
 
-// EnsureAnyProp warms the AnyProp cache for the given nodes. AnyProp is
-// already safe to fault in from concurrent workers; pre-warming simply
-// avoids the duplicated compute of racing fills on hot candidate targets.
-func (c *CPM) EnsureAnyProp(ids []circuit.NodeID) {
-	for _, id := range ids {
-		c.AnyProp(id)
-	}
+// EnsureAnyProp warms the AnyProp cache for the given nodes, spread over
+// the pool's workers (a nil or single-worker pool fills them inline).
+// AnyProp is already safe to fault in from concurrent workers, and its
+// fills are pure; pre-warming each node once simply avoids the duplicated
+// compute of racing fills on hot candidate targets.
+func (c *CPM) EnsureAnyProp(ids []circuit.NodeID, pool *par.Pool) {
+	n := pool.Workers()
+	pool.Do(n, func(_, task int) {
+		for i := task; i < len(ids); i += n {
+			c.AnyProp(ids[i])
+		}
+	})
 }
 
 // EnsureAEMColumns extracts the per-pattern golden/approximate output words
@@ -147,14 +163,14 @@ func (c *CPM) EnsureAEMColumns(st *emetric.State) {
 // both cases of Algorithm 1 are word-local, and the sequential early-exits
 // only skip words whose partial is already zero.
 //
-// Safe to call from concurrent workers (AnyProp faults in atomically).
+// Safe to call from concurrent workers (AnyProp faults in atomically). The
+// query is not counted; see CountPartialQueries.
 //
 //als:allocfree
 func (c *CPM) DeltaERPartial(nx circuit.NodeID, chg []uint64, st *emetric.State, w0, w1 int) (inc, dec int64) {
 	if c.restricted {
 		panic("core: DeltaERPartial on an output-restricted CPM")
 	}
-	statPartialER.Inc()
 	ap := c.AnyProp(nx).WordsSlice()
 	wa := st.WrongAny.WordsSlice()
 	row := c.p[nx]
@@ -184,6 +200,7 @@ func (c *CPM) DeltaERPartial(nx circuit.NodeID, chg []uint64, st *emetric.State,
 // for its patterns, so the restriction is result-identical.
 //
 // EnsureAEMColumns(st) must have been called (from one goroutine) first.
+// The query is not counted; see CountPartialQueries.
 //
 //als:allocfree
 func (c *CPM) DeltaAEMPartial(nx circuit.NodeID, chg []uint64, st *emetric.State, w0, w1 int) float64 {
@@ -196,7 +213,6 @@ func (c *CPM) DeltaAEMPartial(nx circuit.NodeID, chg []uint64, st *emetric.State
 	if c.aemFor != st {
 		panic(fmt.Sprintf("core: DeltaAEMPartial for state %p without EnsureAEMColumns", st))
 	}
-	statPartialAEM.Inc()
 	row := c.p[nx]
 	// The reached-output gather lives in a fixed-size stack array (c.o is
 	// capped at 63 above): the kernel runs per candidate per shard, so a

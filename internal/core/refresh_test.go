@@ -130,7 +130,7 @@ func TestRefreshInvalidatesLazyCaches(t *testing.T) {
 	cpm := BuildParallel(n, vals, pool)
 
 	// Warm AnyProp for every live node, the certificate, and the AEM memo.
-	cpm.EnsureAnyProp(n.LiveNodes())
+	cpm.EnsureAnyProp(n.LiveNodes(), nil)
 	st := emetric.NewState(goldenOut, sim.OutputMatrix(n, vals))
 	cpm.EnsureAEMColumns(st)
 	for _, id := range n.LiveNodes() {

@@ -493,6 +493,7 @@ func RunContext(goCtx context.Context, golden *circuit.Network, cfg Config) (*Re
 	res.FinalArea = res.OriginalArea
 
 	estAccum := 0.0
+	adm := newAdmission(patterns.NumPatterns(), cfg.SimilarityCap)
 	scratch := bitvec.New(patterns.NumPatterns())
 	change := bitvec.New(patterns.NumPatterns())
 	var vscratch verifyScratch
@@ -551,7 +552,7 @@ loop:
 		sp = prof.Begin(obs.PhaseEstimate)
 		arrival := cfg.Library.NodeArrival(approx)
 		invDelay := cfg.Library.GateDelay(circuit.KindNot)
-		env := newGatherEnv(approx, vals, &cfg, arrival, invDelay)
+		env := newGatherEnv(approx, vals, &cfg, arrival, invDelay, adm)
 		var cands []Candidate
 		var gerr error
 		switch {
@@ -777,7 +778,8 @@ func cycleNames(net *circuit.Network, cyc []circuit.NodeID) string {
 // feasible candidate (-1 if none fits the remaining budget) plus the list
 // of feasible indices. With o == nil this is exactly the pre-observability
 // hot loop — TestNilTracerScoringAllocs pins that it allocates nothing
-// beyond the estimator's own scratch work.
+// beyond the estimator's own scratch work. The batch estimator's CPM
+// queries are counted once for the whole pass.
 //
 //als:allocfree
 func scoreCandidates(est estimator, cands []Candidate, vals *sim.Values,
@@ -800,6 +802,9 @@ func scoreCandidates(est estimator, cands []Candidate, vals *sim.Values,
 		if best == -1 || c.Score > cands[best].Score {
 			best = i
 		}
+	}
+	if be, ok := est.(*batchEstimator); ok {
+		core.CountDeltaQueries(be.ctx.metric, len(cands))
 	}
 	return best, feasible
 }
@@ -882,7 +887,8 @@ func EstimateAll(golden, approx *circuit.Network, cfg Config) ([]Candidate, erro
 	est.prepare(ctx)
 
 	arrival := cfg.Library.NodeArrival(approx)
-	env := newGatherEnv(approx, vals, &cfg, arrival, cfg.Library.GateDelay(circuit.KindNot))
+	env := newGatherEnv(approx, vals, &cfg, arrival, cfg.Library.GateDelay(circuit.KindNot),
+		newAdmission(vals.M, cfg.SimilarityCap))
 	cands, err := gather(context.Background(), env, pool, nil)
 	if err != nil {
 		return nil, err

@@ -1,8 +1,11 @@
 package sasimi
 
 import (
+	"cmp"
 	"context"
+	"math"
 	"slices"
+	"sort"
 
 	"batchals/internal/bitvec"
 	"batchals/internal/circuit"
@@ -26,6 +29,7 @@ type gatherEnv struct {
 	invArea  float64
 	subs     []circuit.NodeID // admissible substitutes, ascending id
 	m        int
+	adm      *admission
 	// pop is the popcount of every admissible substitute's value vector
 	// (targets are gates, so they are substitutes too), indexed by slot.
 	pop []int
@@ -37,7 +41,10 @@ type gatherEnv struct {
 	strict bool
 }
 
-func newGatherEnv(net *circuit.Network, vals *sim.Values, cfg *Config, arrival []float64, invDelay float64) *gatherEnv {
+func newGatherEnv(net *circuit.Network, vals *sim.Values, cfg *Config, arrival []float64, invDelay float64, adm *admission) *gatherEnv {
+	if adm.m != vals.M {
+		panic("sasimi: admission thresholds computed for a different pattern count")
+	}
 	env := &gatherEnv{
 		net:      net,
 		vals:     vals,
@@ -47,6 +54,7 @@ func newGatherEnv(net *circuit.Network, vals *sim.Values, cfg *Config, arrival [
 		invArea:  cfg.Library.GateArea(circuit.KindNot, 1),
 		subs:     make([]circuit.NodeID, 0, net.NumNodes()),
 		m:        vals.M,
+		adm:      adm,
 		pop:      make([]int, net.NumSlots()),
 		strict:   invDelay >= 0,
 	}
@@ -62,6 +70,145 @@ func newGatherEnv(net *circuit.Network, vals *sim.Values, cfg *Config, arrival [
 		}
 	}
 	return env
+}
+
+// admission is a run's similarity cap restated over integer difference
+// counts. Every DiffProb the gather admits is one of two float expressions
+// of a count c out of M patterns:
+//
+//   - float64(c)/float64(M): plain pairs (c is the XOR popcount) and
+//     constant 0 (c is the target's popcount);
+//   - 1 − float64(c)/float64(M): inverted pairs and constant 1.
+//
+// Both are monotone in c, so the admission test is a threshold on c: the
+// plain form admits c ≤ maxPlain, the inverted form c ≥ minInv. The
+// thresholds are found with the test's own expressions, so comparing
+// counts decides every candidate exactly as the float test does.
+//
+// A rank maps an admitted DiffProb to an integer in the same order: 2d+s,
+// where d is the number of differing patterns (c for the plain form, M − c
+// for the inverted one) and s ∈ {0, 1} orders the two float forms of the
+// same d, which may differ in the last bit (never at power-of-two M).
+// Distinct d lie 1/M apart, far beyond either form's rounding error, so
+// equal ranks mean equal DiffProbs and rank order is DiffProb order.
+type admission struct {
+	m                int
+	maxPlain, minInv int
+	// plainRank[c] ranks the plain form of c ≤ maxPlain, invRank[c−minInv]
+	// the inverted form of c ≥ minInv.
+	plainRank, invRank []uint32
+	numRanks           int // every rank is below numRanks
+}
+
+// newAdmission computes the admission thresholds and rank tables for m
+// patterns under similarity cap simCap. It costs O(m) and depends on
+// nothing else, so a flow computes it once per run.
+func newAdmission(m int, simCap float64) *admission {
+	fm := float64(m)
+	plainDP := func(c int) float64 { return float64(c) / fm }
+	invDP := func(c int) float64 { return 1 - float64(c)/fm }
+	a := &admission{
+		m:        m,
+		maxPlain: sort.Search(m+1, func(c int) bool { return !(plainDP(c) <= simCap) }) - 1,
+		minInv:   sort.Search(m+1, func(c int) bool { return invDP(c) <= simCap }),
+	}
+	a.plainRank = make([]uint32, a.maxPlain+1)
+	for c := range a.plainRank {
+		a.plainRank[c] = formRank(c, plainDP(c) > invDP(m-c))
+	}
+	a.invRank = make([]uint32, m+1-a.minInv)
+	for i := range a.invRank {
+		c := a.minInv + i
+		a.invRank[i] = formRank(m-c, invDP(c) > plainDP(m-c))
+	}
+	a.numRanks = 2*max(a.maxPlain, m-a.minInv) + 2
+	return a
+}
+
+// formRank is the rank 2d+s of a DiffProb with d differing patterns; above
+// reports that it exceeds the other float form of the same d.
+func formRank(d int, above bool) uint32 {
+	r := uint32(2 * d)
+	if above {
+		r++
+	}
+	return r
+}
+
+// binBuf is one pool worker's reusable gather scratch: the candidates a
+// bin emits, each one's DiffProb rank alongside, and the keys and rank
+// histogram that sort them. Everything is reused bin after bin, so the
+// scratch grows to the largest bin the worker runs.
+type binBuf struct {
+	cands []Candidate
+	ranks []uint32
+	keys  []runKey
+	start []int
+}
+
+// runKey orders candidates of equal rank: descending AreaGain (every
+// admitted gain is positive, and the complemented bits of a positive float
+// ascend as the float descends), then emission index.
+type runKey struct {
+	gain uint64
+	idx  uint32
+}
+
+func compareRunKeys(a, b runKey) int {
+	if a.gain != b.gain {
+		return cmp.Compare(a.gain, b.gain)
+	}
+	return cmp.Compare(a.idx, b.idx)
+}
+
+func (b *binBuf) add(c Candidate, rank uint32) {
+	b.cands = append(b.cands, c)
+	b.ranks = append(b.ranks, rank)
+}
+
+// sortedRun returns the bin's candidates as an exact-size run in
+// candCompare order and empties the buffer for the next bin.
+//
+// The bin must have emitted in identity order: ascending target, and per
+// target the constants (1 before 0), then the substitutes ascending, plain
+// before inverted. That is the candCompare order among candidates of equal
+// DiffProb and AreaGain, so the emission index stands in for the identity
+// fields. A counting sort by rank, stable in emission order, then leaves
+// only equal-rank candidates to order, by gain and emission index.
+func (b *binBuf) sortedRun(numRanks int) []Candidate {
+	n := len(b.cands)
+	if n == 0 {
+		return nil
+	}
+	b.start = slices.Grow(b.start[:0], numRanks+1)[:numRanks+1]
+	start := b.start
+	clear(start)
+	for _, r := range b.ranks {
+		start[r+1]++
+	}
+	for r := 1; r <= numRanks; r++ {
+		start[r] += start[r-1]
+	}
+	b.keys = slices.Grow(b.keys[:0], n)[:n]
+	keys := b.keys
+	for i, r := range b.ranks {
+		keys[start[r]] = runKey{gain: ^math.Float64bits(b.cands[i].AreaGain), idx: uint32(i)}
+		start[r]++
+	}
+	// start[r] is now the end of rank r's keys.
+	lo := 0
+	for _, hi := range start[:numRanks] {
+		if hi-lo > 1 {
+			slices.SortFunc(keys[lo:hi], compareRunKeys)
+		}
+		lo = hi
+	}
+	run := make([]Candidate, n)
+	for i, k := range keys {
+		run[i] = b.cands[k.idx]
+	}
+	b.cands, b.ranks = b.cands[:0], b.ranks[:0]
+	return run
 }
 
 // targetData is the per-target gather state: the MFFC-derived gain
@@ -106,8 +253,8 @@ func (env *gatherEnv) target(t circuit.NodeID, wantDeps bool) targetData {
 	return td
 }
 
-// appendTarget appends every admissible candidate of target t to out:
-// keep substitutions that
+// appendTarget appends every admissible candidate of target t to b, in
+// identity order: keep substitutions that
 //
 //   - do not create a cycle (the substitute is not in the target's
 //     transitive fanout cone),
@@ -118,18 +265,18 @@ func (env *gatherEnv) target(t circuit.NodeID, wantDeps bool) targetData {
 //     at most cfg.SimilarityCap.
 //
 // Constants are always delay-safe and cycle-safe.
-func (env *gatherEnv) appendTarget(out []Candidate, td *targetData, t circuit.NodeID) []Candidate {
+func (env *gatherEnv) appendTarget(b *binBuf, td *targetData, t circuit.NodeID) {
 	if td.baseGain <= 0 {
-		return out
+		return
 	}
-	p1 := float64(env.pop[t]) / float64(env.m)
-	if p0 := 1 - p1; p0 <= env.cfg.SimilarityCap {
-		out = append(out, Candidate{Target: t, Sub: circuit.InvalidNode,
-			Const: true, ConstVal: true, DiffProb: p0, AreaGain: td.baseGain})
+	adm, m, pt := env.adm, env.m, env.pop[t]
+	if pt >= adm.minInv {
+		b.add(Candidate{Target: t, Sub: circuit.InvalidNode, Const: true, ConstVal: true,
+			DiffProb: 1 - float64(pt)/float64(m), AreaGain: td.baseGain}, adm.invRank[pt-adm.minInv])
 	}
-	if p1 <= env.cfg.SimilarityCap {
-		out = append(out, Candidate{Target: t, Sub: circuit.InvalidNode,
-			Const: true, ConstVal: false, DiffProb: p1, AreaGain: td.baseGain})
+	if pt <= adm.maxPlain {
+		b.add(Candidate{Target: t, Sub: circuit.InvalidNode, Const: true, ConstVal: false,
+			DiffProb: float64(pt) / float64(m), AreaGain: td.baseGain}, adm.plainRank[pt])
 	}
 	var tfo []bool
 	if !env.strict {
@@ -140,52 +287,48 @@ func (env *gatherEnv) appendTarget(out []Candidate, td *targetData, t circuit.No
 		if s == t || (tfo != nil && tfo[s]) {
 			continue
 		}
-		out = env.appendPair(out, td, t, s, tv)
+		env.appendPair(b, td, t, s, tv)
 	}
-	return out
 }
 
 // appendPair appends the admissible plain and inverted candidates of the
-// pair (t, s). The caller has already screened s == t and, unless the
-// arrival times are strict, the cycle check (s in t's fanout cone).
+// pair (t, s), plain first. The caller has already screened s == t and,
+// unless the arrival times are strict, the cycle check (s in t's fanout
+// cone).
 //
 // Two exact screens run before the pattern-space XOR. The arrival guard
 // comes first. Then the popcount bound: the Hamming distance d of the two
 // vectors is at least |pop(t) − pop(s)|, and that of t and NOT s — which
-// is M − d — at least |pop(t) − (M − pop(s))|. Each bound is evaluated
-// with the admission test's own float expression (floating-point division
-// and subtraction are monotone), so the screen rejects a pair only when
-// the test itself would.
-func (env *gatherEnv) appendPair(out []Candidate, td *targetData, t, s circuit.NodeID, tv *bitvec.Vec) []Candidate {
+// is M − d — at least |pop(t) − (M − pop(s))|, so d is at most
+// M − |pop(t) − (M − pop(s))|. Each bound is compared with the admission
+// threshold of its form, so the screen rejects a pair only when the
+// admission test itself would.
+func (env *gatherEnv) appendPair(b *binBuf, td *targetData, t, s circuit.NodeID, tv *bitvec.Vec) {
 	tArr := env.arrival[t]
 	plain := env.arrival[s] <= tArr
 	inv := env.arrival[s]+env.invDelay <= tArr
 	if !plain && !inv {
-		return out
+		return
 	}
-	m, simCap := env.m, env.cfg.SimilarityCap
+	adm, m := env.adm, env.m
 	pt, ps := env.pop[t], env.pop[s]
-	if plain && float64(absInt(pt-ps))/float64(m) > simCap {
-		plain = false
-	}
-	if inv && 1-float64(m-absInt(pt-(m-ps)))/float64(m) > simCap {
-		inv = false
-	}
+	plain = plain && absInt(pt-ps) <= adm.maxPlain
+	inv = inv && m-absInt(pt-(m-ps)) >= adm.minInv
 	if !plain && !inv {
-		return out
+		return
 	}
-	dp := float64(bitvec.XorCount(tv, env.vals.Node(s))) / float64(m)
-	if plain && dp <= simCap {
+	c := bitvec.XorCount(tv, env.vals.Node(s))
+	if plain && c <= adm.maxPlain {
 		if g := env.pairGain(td, t, s); g > 0 {
-			out = append(out, Candidate{Target: t, Sub: s, DiffProb: dp, AreaGain: g})
+			b.add(Candidate{Target: t, Sub: s, DiffProb: float64(c) / float64(m), AreaGain: g}, adm.plainRank[c])
 		}
 	}
-	if idp := 1 - dp; inv && idp <= simCap {
+	if inv && c >= adm.minInv {
 		if g := env.pairGain(td, t, s) - env.invArea; g > 0 {
-			out = append(out, Candidate{Target: t, Sub: s, Inverted: true, DiffProb: idp, AreaGain: g})
+			b.add(Candidate{Target: t, Sub: s, Inverted: true, DiffProb: 1 - float64(c)/float64(m), AreaGain: g},
+				adm.invRank[c-adm.minInv])
 		}
 	}
-	return out
 }
 
 func absInt(x int) int {
@@ -220,11 +363,11 @@ func (env *gatherEnv) pairGain(td *targetData, t, s circuit.NodeID) float64 {
 // non-incremental flow, EstimateAll, the incremental cross-check and the
 // gather cache's first iteration. Targets are bin-packed (uniform cost)
 // onto the pool; each bin appends its candidates into its worker's
-// reusable buffer, copies them into an exact-size run and sorts the run
-// on the worker. The driver then merges the runs. candLess is a strict
-// total order, so the result — the unique sorted permutation of the
-// candidate multiset — is bit-identical at any worker count and bin
-// shape. A single-worker pool runs the bins inline.
+// reusable buffer and turns them into an exact-size sorted run on the
+// worker. The driver then merges the runs. candCompare is a strict total
+// order, so the result — the unique sorted permutation of the candidate
+// multiset — is bit-identical at any worker count and bin shape. A
+// single-worker pool runs the bins inline.
 //
 // When data is non-nil, each target's gather state is recorded in
 // data[t] (the slot is owned by the target, so workers write disjointly).
@@ -237,26 +380,37 @@ func gather(goCtx context.Context, env *gatherEnv, pool *par.Pool, data []target
 		costs[i] = 1
 	}
 	var planner par.Planner
-	bins := planner.Plan(costs, par.PlanBins(len(targets), pool.Workers()))
+	bins := planAscending(&planner, costs, pool.Workers())
 	runs := make([][]Candidate, len(bins))
-	bufs := make([][]Candidate, pool.Workers())
+	bufs := make([]binBuf, pool.Workers())
 	pool.Label("sasimi.gather", obs.PhaseEstimate)
 	if err := pool.DoCtx(goCtx, len(bins), func(w, bi int) {
-		buf := bufs[w][:0]
+		b := &bufs[w]
 		for _, ti := range bins[bi] {
 			t := targets[ti]
 			td := env.target(t, data != nil)
-			buf = env.appendTarget(buf, &td, t)
+			env.appendTarget(b, &td, t)
 			if data != nil {
 				data[t] = td
 			}
 		}
-		bufs[w] = buf
-		runs[bi] = sortedRun(buf)
+		runs[bi] = b.sortedRun(env.adm.numRanks)
 	}); err != nil {
 		return nil, err
 	}
 	return mergeSorted(runs), nil
+}
+
+// planAscending bin-packs items with the given costs for the pool's
+// workers and orders every bin ascending. Callers list their items in
+// ascending target order, so every bin enumerates its targets ascending
+// and emits its candidates in identity order, as binBuf.sortedRun needs.
+func planAscending(p *par.Planner, costs []float64, workers int) [][]int {
+	bins := p.Plan(costs, par.PlanBins(len(costs), workers))
+	for _, b := range bins {
+		slices.Sort(b)
+	}
+	return bins
 }
 
 // liveGateTargets returns the admissible substitution targets, ascending.
@@ -318,18 +472,6 @@ func candCompare(a, b *Candidate) int {
 
 // candLess reports whether a precedes b in the candCompare order.
 func candLess(a, b *Candidate) bool { return candCompare(a, b) < 0 }
-
-// sortedRun copies a bin's candidates out of a worker's reusable buffer
-// into an exact-size run and sorts it.
-func sortedRun(buf []Candidate) []Candidate {
-	if len(buf) == 0 {
-		return nil
-	}
-	run := make([]Candidate, len(buf))
-	copy(run, buf)
-	slices.SortFunc(run, func(a, b Candidate) int { return candCompare(&a, &b) })
-	return run
-}
 
 // mergeSorted merges candLess-sorted runs into one sorted slice: a k-way
 // merge through a binary min-heap of run heads. Ties cannot occur (the

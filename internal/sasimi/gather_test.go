@@ -120,41 +120,122 @@ func sameCandidates(t *testing.T, label string, got, want []Candidate) {
 	}
 }
 
-// TestGatherMatchesBruteForce pins the one gather — screens, cone-walk
-// elision, per-bin sorting and the k-way merge — against the brute-force
-// reference, field for field, over circuits × similarity caps × workers.
-// Under -race the 3000-gate circuit is left out: the smaller circuits
-// already fill every bin of the dispatch, and that row alone needs about
-// 2 GB and a minute under the detector.
+// TestGatherMatchesBruteForce pins the one gather — integer admission,
+// screens, cone-walk elision, count-ranked bin sorting and the k-way merge
+// — against the brute-force reference, field for field, over circuits ×
+// pattern counts × similarity caps × workers. At M = 1000 and 10000 the
+// two float forms of a DiffProb differ in the last bit for many counts,
+// which the rank must order; at M = 1024 they never do. Under -race the
+// 3000-gate circuit is left out: the smaller circuits already fill every
+// bin of the dispatch, and that row alone needs about 2 GB and a minute
+// under the detector. It runs at M = 1024 only.
+//
+// Not every cell has candidates (par16's signals are all near probability
+// 1/2, which M = 10000 resolves above every cap), so the comparison must
+// be non-vacuous for every circuit and for every pattern count.
 func TestGatherMatchesBruteForce(t *testing.T) {
 	circuits := []string{"rca8", "dec4", "par16", "cmp8", "c880", "mul8"}
 	if !raceEnabled {
 		circuits = append(circuits, "synth3k")
 	}
+	perM := map[int]int{}
 	for _, name := range circuits {
+		perCircuit := 0
 		var net *circuit.Network
+		ms := []int{1000, 1024, 10000}
 		if name == "synth3k" {
 			net = bench.Tiled("synth3k", 64, 64, 3000, 10)
+			ms = []int{1024}
 		} else {
 			var err error
 			if net, err = bench.ByName(name); err != nil {
 				t.Fatal(err)
 			}
 		}
-		for _, simCap := range []float64{0.1, 0.3, 0.45} {
-			cfg := &Config{Budget: flow.Budget{Metric: core.MetricER, Threshold: 0.05}, SimilarityCap: simCap}
-			vals, arrival, invDelay := gatherFixture(net, 1024, cfg)
-			want := bruteGather(net, vals, cfg, arrival, invDelay)
-			if len(want) == 0 && simCap == 0.45 {
-				t.Fatalf("%s cap=%v: reference gathered nothing; comparison is vacuous", name, simCap)
+		for _, m := range ms {
+			for _, simCap := range []float64{0.1, 0.3, 0.45} {
+				cfg := &Config{Budget: flow.Budget{Metric: core.MetricER, Threshold: 0.05}, SimilarityCap: simCap}
+				vals, arrival, invDelay := gatherFixture(net, m, cfg)
+				want := bruteGather(net, vals, cfg, arrival, invDelay)
+				perCircuit += len(want)
+				perM[m] += len(want)
+				env := newGatherEnv(net, vals, cfg, arrival, invDelay, newAdmission(m, simCap))
+				if !env.strict {
+					t.Fatalf("%s: default library must give strict arrival times", name)
+				}
+				for _, workers := range []int{1, 2, 4} {
+					sameCandidates(t, fmt.Sprintf("%s M=%d cap=%v workers=%d", name, m, simCap, workers),
+						gatherOn(t, env, workers), want)
+				}
 			}
-			env := newGatherEnv(net, vals, cfg, arrival, invDelay)
-			if !env.strict {
-				t.Fatalf("%s: default library must give strict arrival times", name)
+		}
+		if perCircuit == 0 {
+			t.Fatalf("%s: reference gathered nothing in any cell; comparison is vacuous", name)
+		}
+	}
+	for m, n := range perM {
+		if n == 0 {
+			t.Fatalf("M=%d: reference gathered nothing on any circuit; comparison is vacuous", m)
+		}
+	}
+}
+
+// TestAdmissionMatchesFloatTest pins the integer admission and the ranks
+// against the float expressions they stand for. For every count, maxPlain
+// and minInv admit exactly what the float admission test admits, and over
+// every admitted DiffProb of both forms the rank order is the float order,
+// with equal ranks exactly for equal values.
+func TestAdmissionMatchesFloatTest(t *testing.T) {
+	type form struct {
+		dp   float64
+		rank uint32
+	}
+	for _, m := range []int{1, 7, 1000, 1024, 10000, 100000} {
+		split := 0 // counts d whose two float forms differ
+		for d := 0; d <= m; d++ {
+			if float64(d)/float64(m) != 1-float64(m-d)/float64(m) {
+				split++
 			}
-			for _, workers := range []int{1, 2, 4} {
-				sameCandidates(t, fmt.Sprintf("%s cap=%v workers=%d", name, simCap, workers),
-					gatherOn(t, env, workers), want)
+		}
+		if pow2 := m&(m-1) == 0; pow2 != (split == 0) {
+			t.Fatalf("M=%d: the two float forms differ for %d counts", m, split)
+		}
+		for _, simCap := range []float64{0, 0.05, 0.1, 0.3, 0.45, 0.5, 0.7, 1} {
+			adm := newAdmission(m, simCap)
+			var all []form
+			for c := 0; c <= m; c++ {
+				dp := float64(c) / float64(m)
+				if (dp <= simCap) != (c <= adm.maxPlain) {
+					t.Fatalf("M=%d cap=%v: plain count %d (DiffProb %v) vs maxPlain %d", m, simCap, c, dp, adm.maxPlain)
+				}
+				if dp <= simCap {
+					all = append(all, form{dp, adm.plainRank[c]})
+				}
+				idp := 1 - float64(c)/float64(m)
+				if (idp <= simCap) != (c >= adm.minInv) {
+					t.Fatalf("M=%d cap=%v: inverted count %d (DiffProb %v) vs minInv %d", m, simCap, c, idp, adm.minInv)
+				}
+				if idp <= simCap {
+					all = append(all, form{idp, adm.invRank[c-adm.minInv]})
+				}
+			}
+			sort.Slice(all, func(i, j int) bool {
+				if all[i].dp != all[j].dp {
+					return all[i].dp < all[j].dp
+				}
+				return all[i].rank < all[j].rank
+			})
+			for i, f := range all {
+				if int(f.rank) >= adm.numRanks {
+					t.Fatalf("M=%d cap=%v: rank %d beyond numRanks %d", m, simCap, f.rank, adm.numRanks)
+				}
+				if i == 0 {
+					continue
+				}
+				p := all[i-1]
+				if (p.dp == f.dp) != (p.rank == f.rank) || (p.dp < f.dp) != (p.rank < f.rank) {
+					t.Fatalf("M=%d cap=%v: DiffProbs %v, %v have ranks %d, %d", m, simCap, p.dp, f.dp, p.rank, f.rank)
+				}
 			}
 		}
 	}
@@ -182,7 +263,7 @@ func TestGatherConeWalkFallback(t *testing.T) {
 	cfg := &Config{Budget: flow.Budget{Metric: core.MetricER, Threshold: 0.05, Library: zeroDelayNotLibrary()}}
 	vals, arrival, invDelay := gatherFixture(net, 1024, cfg)
 	want := bruteGather(net, vals, cfg, arrival, invDelay)
-	env := newGatherEnv(net, vals, cfg, arrival, invDelay)
+	env := newGatherEnv(net, vals, cfg, arrival, invDelay, newAdmission(vals.M, cfg.SimilarityCap))
 	if env.strict {
 		t.Fatal("zero-delay inverters must defeat the strict-arrival check")
 	}

@@ -38,12 +38,13 @@ import (
 // multiset is unique, and the cache keeps the previous iteration's fully
 // sorted list. After an edit it filters out the entries owned by dirty or
 // removed targets and dropped substitutes (a linear pass over a list that
-// is already sorted), the workers enumerate and sort the replacement
-// entries in bins, and one k-way merge joins the sorted runs. The result
-// is the unique sorted permutation of the new multiset — bit-identical to
-// a full gather, pinned by the differential suite and the
-// Config.verifyIncremental cross-check. No per-target candidate lists are
-// kept: the filter reads the sorted list directly.
+// is already sorted), the workers enumerate the replacement entries in
+// bins and count-sort each bin into a run (see binBuf.sortedRun), and one
+// k-way merge joins the sorted runs. The result is the unique sorted
+// permutation of the new multiset — bit-identical to a full gather,
+// pinned by the differential suite and the Config.verifyIncremental
+// cross-check. No per-target candidate lists are kept: the filter reads
+// the sorted list directly.
 type gatherCache struct {
 	data        []targetData // indexed by node slot
 	prevArrival []float64
@@ -54,13 +55,13 @@ type gatherCache struct {
 	sorted []Candidate
 
 	// Dispatch scratch: the LPT bin-packer and its inputs (work items as
-	// target node ids plus their estimated costs), and one reusable
-	// candidate buffer per pool worker that each bin appends into before
-	// copying out its exact-size sorted run.
+	// target node ids plus their estimated costs), and one reusable bin
+	// buffer per pool worker that each bin appends into before sorting out
+	// its exact-size run.
 	planner par.Planner
 	items   []int
 	costs   []float64
-	bufs    [][]Candidate
+	bufs    []binBuf
 }
 
 // full performs the initial complete gather, recording every target's
@@ -192,7 +193,8 @@ func (gc *gatherCache) update(goCtx context.Context, env *gatherEnv, ed *core.Ed
 	// (≈|subs| pair evaluations plus the MFFC walk), a clean one touches
 	// only the dirty substitutes. LPT bins bound the load spread by one
 	// item's cost, and Overcommit bins per worker leave queued bins for
-	// any worker that finishes early to steal.
+	// any worker that finishes early to steal. Items are listed in
+	// ascending target order, and planAscending keeps each bin ascending.
 	targets := liveGateTargets(n)
 	dirtyT := make([]bool, slots)
 	gc.items = gc.items[:0]
@@ -211,20 +213,20 @@ func (gc *gatherCache) update(goCtx context.Context, env *gatherEnv, ed *core.Ed
 		}
 		// Other clean targets: no work, provably unchanged.
 	}
-	bins := gc.planner.Plan(gc.costs, par.PlanBins(len(gc.items), pool.Workers()))
+	bins := planAscending(&gc.planner, gc.costs, pool.Workers())
 	// The last run is the kept part of the previous list, filled below.
 	runs := make([][]Candidate, len(bins)+1)
-	for len(gc.bufs) < pool.Workers() {
-		gc.bufs = append(gc.bufs, nil)
+	if len(gc.bufs) < pool.Workers() {
+		gc.bufs = append(gc.bufs, make([]binBuf, pool.Workers()-len(gc.bufs))...)
 	}
 	pool.Label("sasimi.gather_inc", obs.PhaseEstimate)
 	err := pool.DoCtx(goCtx, len(bins), func(w, bi int) {
-		buf := gc.bufs[w][:0]
+		b := &gc.bufs[w]
 		for _, ii := range bins[bi] {
 			t := circuit.NodeID(gc.items[ii])
 			if dirtyT[t] {
 				gc.data[t] = env.target(t, true)
-				buf = env.appendTarget(buf, &gc.data[t], t)
+				env.appendTarget(b, &gc.data[t], t)
 				continue
 			}
 			td := &gc.data[t]
@@ -233,11 +235,10 @@ func (gc *gatherCache) update(goCtx context.Context, env *gatherEnv, ed *core.Ed
 				if s == t || (tfis != nil && tfis[i][t]) {
 					continue
 				}
-				buf = env.appendPair(buf, td, t, s, tv)
+				env.appendPair(b, td, t, s, tv)
 			}
 		}
-		gc.bufs[w] = buf
-		runs[bi] = sortedRun(buf)
+		runs[bi] = b.sortedRun(env.adm.numRanks)
 	})
 	if err != nil {
 		return nil, err

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"batchals/internal/bench"
+	"batchals/internal/circuit"
 	"batchals/internal/core"
 	"batchals/internal/flow"
 )
@@ -134,28 +135,46 @@ func itoa(n int) string {
 // TestVerifyIncrementalCrossCheck runs a flow with the internal
 // verifyIncremental hook enabled: every iteration the incremental candidate
 // list and CPM are compared field-for-field against rebuilt-from-scratch
-// versions, failing the run on any divergence.
+// versions, failing the run on any divergence. The c880 row runs at
+// M = 10000, where the two float forms of a DiffProb differ for many
+// counts, with two workers, so the cache update's LPT bins mix dirty and
+// clean targets.
 func TestVerifyIncrementalCrossCheck(t *testing.T) {
-	for _, metric := range []core.Metric{core.MetricER, core.MetricAEM} {
-		threshold := 0.1
-		if metric == core.MetricAEM {
-			threshold = 4.0
-		}
-		golden := bench.RCA(8)
-		_, err := Run(golden, Config{
+	c880, err := bench.ByName("c880")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		golden    *circuit.Network
+		metric    core.Metric
+		threshold float64
+		m         int
+		workers   int
+		minIters  int // iterations the run must accept, so cache updates ran
+	}{
+		{bench.RCA(8), core.MetricER, 0.1, 800, 0, 1},
+		{bench.RCA(8), core.MetricAEM, 4.0, 800, 0, 1},
+		{c880, core.MetricER, 0.01, 10000, 2, 10},
+	} {
+		res, err := Run(tc.golden, Config{
 			Budget: flow.Budget{
-				Metric:      metric,
-				Threshold:   threshold,
-				NumPatterns: 800,
+				Metric:      tc.metric,
+				Threshold:   tc.threshold,
+				NumPatterns: tc.m,
 				Seed:        3,
 			},
 			Estimator:         EstimatorBatch,
+			Workers:           tc.workers,
 			Incremental:       IncrementalOn,
 			CheckInvariants:   true,
 			verifyIncremental: true,
 		})
 		if err != nil {
-			t.Fatalf("metric %v: cross-check failed: %v", metric, err)
+			t.Fatalf("%s metric %v M=%d: cross-check failed: %v", tc.golden.Name, tc.metric, tc.m, err)
+		}
+		if res.NumIterations < tc.minIters {
+			t.Fatalf("%s metric %v M=%d: %d iterations, want at least %d",
+				tc.golden.Name, tc.metric, tc.m, res.NumIterations, tc.minIters)
 		}
 	}
 }

@@ -39,7 +39,8 @@ func scoreCandidatesMaybeSharded(ctx *iterContext, est estimator, cands []Candid
 // land in per-shard slots owned by the task index and are combined in
 // fixed shard order, which reproduces the sequential DeltaER/DeltaAEM
 // values bit for bit (see core.DeltaERPartial / core.DeltaAEMPartial for
-// the word-locality argument).
+// the word-locality argument). Each shard counts its queries once, after
+// its loop.
 func scoreCandidatesSharded(ctx *iterContext, cands []Candidate,
 	curErr, threshold float64, pool *par.Pool, o *runObs, iter int) (int, []int) {
 
@@ -49,21 +50,23 @@ func scoreCandidatesSharded(ctx *iterContext, cands []Candidate,
 	shards := par.Shards(m, pool.Workers())
 	aem := ctx.metric == core.MetricAEM
 
-	// Warm the CPM's shared lazy caches from this goroutine before the
-	// fan-out: AnyProp fills are atomic (racing fills would merely waste
-	// work), the AEM column memo is plain and must be sequenced here.
-	targets := make([]circuit.NodeID, 0, len(cands))
-	seen := make(map[circuit.NodeID]bool, len(cands))
-	for i := range cands {
-		if !seen[cands[i].Target] {
-			seen[cands[i].Target] = true
-			targets = append(targets, cands[i].Target)
-		}
-	}
+	// Warm the CPM's shared lazy caches before the scoring fan-out. The AEM
+	// column memo is plain and must be filled from this goroutine; AnyProp
+	// fills are atomic and pure, so the distinct targets' rows are filled
+	// on the pool, each once. seen is indexed by node slot.
+	pool.Label("sasimi.score", obs.PhaseEstimate)
 	if aem {
 		cpm.EnsureAEMColumns(st)
 	} else {
-		cpm.EnsureAnyProp(targets)
+		var targets []circuit.NodeID
+		seen := make([]bool, ctx.net.NumSlots())
+		for i := range cands {
+			if t := cands[i].Target; !seen[t] {
+				seen[t] = true
+				targets = append(targets, t)
+			}
+		}
+		cpm.EnsureAnyProp(targets, pool)
 	}
 
 	erInc := make([][]int64, len(shards))
@@ -84,7 +87,6 @@ func scoreCandidatesSharded(ctx *iterContext, cands []Candidate,
 	}
 	last := words - 1
 	tail := bitvec.TailMask(m)
-	pool.Label("sasimi.score", obs.PhaseEstimate)
 	err := pool.DoCtx(goCtx, len(shards), func(_, si int) {
 		sh := shards[si]
 		chg := make([]uint64, words)
@@ -123,6 +125,7 @@ func scoreCandidatesSharded(ctx *iterContext, cands []Candidate,
 				erDec[si][ci] = dec
 			}
 		}
+		core.CountPartialQueries(ctx.metric, len(cands))
 	})
 	if err != nil {
 		// Cancelled mid-scoring: the partial results are abandoned and the

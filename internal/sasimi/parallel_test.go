@@ -180,20 +180,34 @@ func TestParallelScoringMatchesSequential(t *testing.T) {
 		scratch := bitvec.New(vals.M)
 		change := bitvec.New(vals.M)
 		wantCands := append([]Candidate(nil), seqCands...)
+		seqQueries, shardQueries := obs.Default().Counter("cpm_delta_er_queries_total"),
+			obs.Default().Counter("cpm_partial_er_queries_total")
+		if metric == core.MetricAEM {
+			seqQueries, shardQueries = obs.Default().Counter("cpm_delta_aem_queries_total"),
+				obs.Default().Counter("cpm_partial_aem_queries_total")
+		}
+		before := seqQueries.Value()
 		wantBest, wantFeasible := scoreCandidates(est, wantCands, vals, 0, cfg.Threshold,
 			scratch, change, nil, 1)
+		if got := seqQueries.Value() - before; got != int64(len(wantCands)) {
+			t.Fatalf("metric=%v: a sequential pass over %d candidates counted %d queries", metric, len(wantCands), got)
+		}
 
 		for _, workers := range []int{2, 4, 7} {
 			pool := par.NewPool(workers)
-			env := newGatherEnv(approx, vals, &cfg, arrival, lib.GateDelay(circuit.KindNot))
+			env := newGatherEnv(approx, vals, &cfg, arrival, lib.GateDelay(circuit.KindNot), newAdmission(vals.M, cfg.SimilarityCap))
 			gotCands, err := gather(context.Background(), env, pool, nil)
 			if err != nil || !reflect.DeepEqual(gotCands, seqCands) {
 				pool.Close()
 				t.Fatalf("metric=%v workers=%d: gathered candidates diverge (err %v)", metric, workers, err)
 			}
 			pctx := &iterContext{net: approx, vals: vals, st: st, metric: metric, cpm: ctx.cpm, pool: pool}
+			before := shardQueries.Value()
 			gotBest, gotFeasible := scoreCandidatesSharded(pctx, gotCands, 0, cfg.Threshold, pool, nil, 1)
 			pool.Close()
+			if got, want := shardQueries.Value()-before, int64(len(gotCands)*len(par.Shards(vals.M, workers))); got != want {
+				t.Fatalf("metric=%v workers=%d: a sharded pass counted %d queries, want N·S = %d", metric, workers, got, want)
+			}
 			if gotBest != wantBest || !reflect.DeepEqual(gotFeasible, wantFeasible) {
 				t.Fatalf("metric=%v workers=%d: selection diverges (best %d vs %d)",
 					metric, workers, gotBest, wantBest)

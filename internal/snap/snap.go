@@ -103,6 +103,7 @@ func Run(golden *circuit.Network, cfg Config) (*Result, error) {
 		}
 		bestScore := -1.0
 		var best *cand
+		queries := 0
 		for _, id := range approx.LiveNodes() {
 			if !approx.Kind(id).IsGate() {
 				continue
@@ -135,6 +136,7 @@ func Run(golden *circuit.Network, cfg Config) (*Result, error) {
 					} else {
 						delta = cpm.DeltaER(id, change, st)
 					}
+					queries++
 				} else {
 					delta = p
 				}
@@ -148,6 +150,7 @@ func Run(golden *circuit.Network, cfg Config) (*Result, error) {
 				}
 			}
 		}
+		core.CountDeltaQueries(cfg.Metric, queries)
 		if best == nil {
 			break
 		}

@@ -156,6 +156,7 @@ func Run(golden *circuit.Network, cfg Config) (*Result, error) {
 			// CPM in one pass, take the best feasible.
 			cpm := core.Build(approx, vals)
 			res.BatchMoves++
+			queries := 0
 			for k := 0; k < cfg.BatchWidth; k++ {
 				p := draw(approx, vals, arrival, cfg, r)
 				if p == nil {
@@ -168,6 +169,7 @@ func Run(golden *circuit.Network, cfg Config) (*Result, error) {
 				} else {
 					p.delta = cpm.DeltaER(p.target, change, st)
 				}
+				queries++
 				if curErr+p.delta > cfg.Threshold+1e-12 {
 					continue
 				}
@@ -175,6 +177,7 @@ func Run(golden *circuit.Network, cfg Config) (*Result, error) {
 					best = p
 				}
 			}
+			core.CountDeltaQueries(cfg.Metric, queries)
 		} else {
 			// Early phase: a single proposal, evaluated exactly (cheap
 			// because it is just one candidate — the paper's observation).

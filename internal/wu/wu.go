@@ -107,6 +107,7 @@ func Run(golden *circuit.Network, cfg Config) (*Result, error) {
 
 		var best *candidate
 		bestScore := -1.0
+		queries := 0
 		for _, id := range approx.LiveNodes() {
 			kind := approx.Kind(id)
 			if !removableKind(kind) {
@@ -127,6 +128,7 @@ func Run(golden *circuit.Network, cfg Config) (*Result, error) {
 					} else {
 						delta = cpm.DeltaER(id, change, st)
 					}
+					queries++
 				} else {
 					delta = float64(change.Count()) / float64(m)
 				}
@@ -143,6 +145,7 @@ func Run(golden *circuit.Network, cfg Config) (*Result, error) {
 				}
 			}
 		}
+		core.CountDeltaQueries(cfg.Metric, queries)
 		if best == nil {
 			break
 		}
