@@ -13,10 +13,9 @@
 //   - the SASIMI signal-substitution ALS flow with three interchangeable
 //     estimators (batch / full-simulation / local), and a second
 //     constant-setting flow (internal/sasimi, internal/snap);
-//   - benchmark generators, .bench and BLIF I/O, a BDD engine for exact
-//     analysis, and a harness regenerating every table and figure of the
-//     paper (internal/bench, internal/benchfmt, internal/blif,
-//     internal/bdd, internal/repro).
+//   - benchmark generators, .bench and BLIF I/O, and a harness
+//     regenerating every table and figure of the paper (internal/bench,
+//     internal/benchfmt, internal/blif, internal/repro).
 //
 // This root package is a thin facade over those building blocks: enough to
 // load or generate a circuit, run an approximation flow under an ER or AEM
@@ -161,11 +160,10 @@ type Options struct {
 // from internal/sasimi).
 type IncrementalMode = sasimi.IncrementalMode
 
-// Incremental engine modes: Auto (zero value) and On enable it, Off forces
+// Incremental engine modes: Auto (the zero value) enables it, Off forces
 // the per-iteration full rebuild.
 const (
 	IncrementalAuto = sasimi.IncrementalAuto
-	IncrementalOn   = sasimi.IncrementalOn
 	IncrementalOff  = sasimi.IncrementalOff
 )
 

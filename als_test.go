@@ -156,11 +156,9 @@ func TestFacadeIncrementalModes(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := Options{Metric: ErrorRate, Threshold: 0.03, NumPatterns: 1500, Seed: 1, KeepTrace: true}
-	on := base
-	on.Incremental = IncrementalOn
 	off := base
 	off.Incremental = IncrementalOff
-	a, err := Approximate(golden, on)
+	a, err := Approximate(golden, base)
 	if err != nil {
 		t.Fatal(err)
 	}

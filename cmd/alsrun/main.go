@@ -99,9 +99,7 @@ func main() {
 		VerifyTopK:      *verifyTopK,
 		CheckInvariants: *checkInv,
 	}
-	if *incremental {
-		opts.Incremental = batchals.IncrementalOn
-	} else {
+	if !*incremental {
 		opts.Incremental = batchals.IncrementalOff
 	}
 	if *partCells > 0 {
@@ -349,10 +347,10 @@ func runSASIMI(golden *batchals.Network, opts batchals.Options, iters bool, outF
 	}
 	fmt.Printf("result: area %.0f -> %.0f (ratio %.3f), %d substitutions, measured error %.5f\n",
 		res.OriginalArea, res.FinalArea, res.AreaRatio(), res.NumIterations, res.FinalError)
-	fmt.Printf("runtime: %s total (CPM %s, estimation %s)\n",
+	fmt.Printf("runtime: %s total (cpm_build %s, estimate %s)\n",
 		res.TotalTime.Round(time.Millisecond),
-		res.CPMTime.Round(time.Millisecond),
-		res.EstimateTime.Round(time.Millisecond))
+		res.Phases.Stats[obs.PhaseCPMBuild].Time.Round(time.Millisecond),
+		res.Phases.Stats[obs.PhaseEstimate].Time.Round(time.Millisecond))
 	saveOut(outFile, res.Approx)
 	return res
 }

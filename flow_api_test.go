@@ -6,7 +6,10 @@ import (
 	"testing"
 
 	"batchals/internal/flow"
+	"batchals/internal/obs"
+	"batchals/internal/partition"
 	"batchals/internal/sasimi"
+	"batchals/internal/sim"
 	"batchals/internal/snap"
 )
 
@@ -40,8 +43,9 @@ func TestFlowMatchesApproximate(t *testing.T) {
 
 // TestPartitionedFlowDifferential is the issue's differential suite: on
 // four benchmarks, the partitioned flow must stay within the global
-// threshold (measured independently), produce multiple parts, and be
-// bit-identical across worker counts.
+// threshold (measured independently), produce multiple parts, sum the
+// kept parts' phase timers into Result.Phases, and be bit-identical
+// across worker counts.
 func TestPartitionedFlowDifferential(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -89,6 +93,16 @@ func TestPartitionedFlowDifferential(t *testing.T) {
 				meas := MeasureError(golden, res.Approx, 4000, 99).ErrorRate
 				if meas > tc.threshold+0.01 {
 					t.Fatalf("independently measured error %g far over threshold %g", meas, tc.threshold)
+				}
+				// Every kept part ran at least one CPM phase.
+				var kept int64
+				for _, p := range rep.Parts {
+					if p.Outputs > 0 && !p.Reverted {
+						kept++
+					}
+				}
+				if st := res.Phases.Stats[obs.PhaseCPMBuild]; st.Time <= 0 || st.Count < kept {
+					t.Fatalf("cpm_build phase %v over %d spans, want time > 0 and >= %d spans", st.Time, st.Count, kept)
 				}
 				dumps[i] = res.Approx.Dump()
 			}
@@ -186,9 +200,10 @@ func TestPartitionTimelineLanes(t *testing.T) {
 }
 
 // TestBudgetSentinelParity: the three config surfaces — the root Flow
-// (monolithic and partitioned), sasimi.Config and snap.Config — agree on
-// the typed validation sentinels, so errors.Is works identically no
-// matter which entry point rejected the budget.
+// (monolithic and partitioned), sasimi.Config (Run and EstimateAll) and
+// snap.Config — agree on the typed validation sentinels, so errors.Is
+// works identically no matter which entry point rejected the budget.
+// Inputs no sentinel covers are still errors, not panics.
 func TestBudgetSentinelParity(t *testing.T) {
 	golden, err := Benchmark("rca8")
 	if err != nil {
@@ -210,6 +225,10 @@ func TestBudgetSentinelParity(t *testing.T) {
 		}},
 		{"sasimi", func() error {
 			_, err := sasimi.Run(golden, sasimi.Config{Budget: flow.Budget{Threshold: -1}})
+			return err
+		}},
+		{"estimate-all", func() error {
+			_, err := sasimi.EstimateAll(golden, golden.Clone(), sasimi.Config{Budget: flow.Budget{Threshold: -1}})
 			return err
 		}},
 		{"snap", func() error {
@@ -243,6 +262,11 @@ func TestBudgetSentinelParity(t *testing.T) {
 			_, err := sasimi.Run(golden, sasimi.Config{Budget: flow.Budget{Threshold: 0.01, NumPatterns: -1}})
 			return err
 		}},
+		{"estimate-all", func() error {
+			_, err := sasimi.EstimateAll(golden, golden.Clone(),
+				sasimi.Config{Budget: flow.Budget{Threshold: 0.01, NumPatterns: -1}})
+			return err
+		}},
 		{"snap", func() error {
 			_, err := snap.Run(golden, snap.Config{Budget: flow.Budget{Threshold: 0.01, NumPatterns: -1}})
 			return err
@@ -252,6 +276,50 @@ func TestBudgetSentinelParity(t *testing.T) {
 		err := c.run()
 		if !errors.Is(err, ErrNoPatterns) {
 			t.Errorf("%s: error %v is not ErrNoPatterns", c.name, err)
+		}
+	}
+
+	wide, err := Benchmark("c2670") // 140 outputs, over the AEM limit
+	if err != nil {
+		t.Fatal(err)
+	}
+	narrow, err := Benchmark("mul4") // 8 inputs against rca8's 16
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrongWidth := sasimi.Config{
+		Budget:   flow.Budget{Threshold: 0.01},
+		Patterns: sim.RandomPatterns(golden.NumInputs()+3, 64, 1),
+	}
+	rejected := []struct {
+		name string
+		run  func() error
+	}{
+		{"sasimi-wrong-width-patterns", func() error {
+			_, err := sasimi.RunContext(ctx, golden, wrongWidth)
+			return err
+		}},
+		{"estimate-all-wrong-width-patterns", func() error {
+			_, err := sasimi.EstimateAll(golden, golden.Clone(), wrongWidth)
+			return err
+		}},
+		{"partition-wrong-width-patterns", func() error {
+			_, _, err := partition.Run(ctx, golden, wrongWidth, partition.Options{TargetCells: 15})
+			return err
+		}},
+		{"estimate-all-aem-too-many-outputs", func() error {
+			_, err := sasimi.EstimateAll(wide, wide.Clone(),
+				sasimi.Config{Budget: flow.Budget{Metric: AvgErrorMagnitude, Threshold: 1}})
+			return err
+		}},
+		{"estimate-all-mismatched-pair", func() error {
+			_, err := sasimi.EstimateAll(golden, narrow, sasimi.Config{Budget: flow.Budget{Threshold: 0.01}})
+			return err
+		}},
+	}
+	for _, c := range rejected {
+		if err := c.run(); err == nil {
+			t.Errorf("%s: accepted", c.name)
 		}
 	}
 }

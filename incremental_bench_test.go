@@ -63,7 +63,7 @@ func BenchmarkIncrementalIterations(b *testing.B) {
 		mode IncrementalMode
 	}{
 		{"full-rebuild", IncrementalOff},
-		{"incremental", IncrementalOn},
+		{"incremental", IncrementalAuto},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
 			start := time.Now()

@@ -91,10 +91,6 @@ type CPM struct {
 	erInc, erDec, erTmp *bitvec.Vec
 	aemReached          []aemReach
 
-	// restricted marks a CPM built by BuildForOutputs: its output axis is
-	// a subset, so the whole-circuit error queries are unavailable.
-	restricted bool
-
 	// cert caches the lazily-built exactness certificate (see Certificate);
 	// atomic for the same reason as anyProp: the certificate depends only
 	// on the immutable network structure.
@@ -236,9 +232,8 @@ func (c *CPM) M() int { return c.m }
 // NumOutputs returns the number of primary outputs covered.
 func (c *CPM) NumOutputs() int { return c.o }
 
-// BuildTime returns how long the CPM construction took; the experiment
-// harness uses it to reproduce the "ratio of CPM runtime" column of
-// Table 3.
+// BuildTime returns how long the CPM construction, or the last Refresh,
+// took.
 func (c *CPM) BuildTime() time.Duration { return c.buildTime }
 
 // Prop returns the M-bit vector of patterns under which a flip at node id
@@ -298,9 +293,6 @@ func (c *CPM) DeltaER(nx circuit.NodeID, change *bitvec.Vec, st *emetric.State) 
 //
 //als:allocfree
 func (c *CPM) DeltaERCounts(nx circuit.NodeID, change *bitvec.Vec, st *emetric.State) (incCount, decCount int64) {
-	if c.restricted {
-		panic("core: DeltaER on an output-restricted CPM")
-	}
 	if !change.Any() {
 		return 0, 0
 	}
@@ -383,9 +375,6 @@ type aemReach struct {
 //
 //als:allocfree
 func (c *CPM) DeltaAEM(nx circuit.NodeID, change *bitvec.Vec, st *emetric.State) float64 {
-	if c.restricted {
-		panic("core: DeltaAEM on an output-restricted CPM")
-	}
 	if c.o > 63 {
 		panic("core: DeltaAEM requires <= 63 outputs")
 	}
@@ -442,82 +431,4 @@ func absDiff(a, b uint64) float64 {
 		return float64(a - b)
 	}
 	return float64(b - a)
-}
-
-// ChangedOutputs returns, for pattern i, the set of outputs the CPM
-// predicts to flip when nx flips, as a bit mask over output indices
-// (output 0 = bit 0). Requires at most 64 outputs.
-func (c *CPM) ChangedOutputs(nx circuit.NodeID, i int) uint64 {
-	if c.o > 64 {
-		panic("core: ChangedOutputs requires <= 64 outputs")
-	}
-	var mask uint64
-	row := c.p[nx]
-	for o := 0; o < c.o; o++ {
-		if row[o].Get(i) {
-			mask |= 1 << uint(o)
-		}
-	}
-	return mask
-}
-
-// BuildForOutputs constructs a CPM restricted to the given output indices:
-// p-rows only carry those outputs, cutting memory from Θ(M·N·O) bits to
-// Θ(M·N·|outputs|). DeltaER/DeltaAEM are not available on a restricted CPM
-// (they need every output); use Prop/AnyProp/Observability, or build
-// output groups and combine externally. Output indices must be distinct
-// and in range.
-func BuildForOutputs(n *circuit.Network, vals *sim.Values, outputs []int) *CPM {
-	start := time.Now()
-	m := vals.M
-	all := n.Outputs()
-	for _, o := range outputs {
-		if o < 0 || o >= len(all) {
-			panic(fmt.Sprintf("core: output index %d out of range [0,%d)", o, len(all)))
-		}
-	}
-	c := &CPM{
-		net:        n,
-		vals:       vals,
-		m:          m,
-		o:          len(outputs),
-		p:          make([][]*bitvec.Vec, n.NumSlots()),
-		anyProp:    make([]atomic.Pointer[bitvec.Vec], n.NumSlots()),
-		restricted: true,
-	}
-	order := n.TopoOrder()
-	for _, id := range order {
-		row := make([]*bitvec.Vec, len(outputs))
-		for o := range outputs {
-			row[o] = bitvec.New(m)
-		}
-		c.p[id] = row
-	}
-	for slot, o := range outputs {
-		c.p[all[o].Node][slot].Fill()
-	}
-	d := bitvec.New(m)
-	tmp := bitvec.New(m)
-	for idx := len(order) - 1; idx >= 0; idx-- {
-		id := order[idx]
-		for _, nf := range uniqueFanouts(n, id) {
-			boolDiff(n, vals, id, nf, d)
-			if !d.Any() {
-				continue
-			}
-			prow := c.p[id]
-			frow := c.p[nf]
-			for o := range outputs {
-				if !frow[o].Any() {
-					continue
-				}
-				tmp.And(frow[o], d)
-				prow[o].Or(prow[o], tmp)
-			}
-		}
-	}
-	c.buildTime = time.Since(start)
-	statCPMBuilds.Inc()
-	statCPMBuildNS.Add(int64(c.buildTime))
-	return c
 }

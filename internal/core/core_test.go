@@ -423,73 +423,8 @@ func TestObservabilityBounds(t *testing.T) {
 	}
 }
 
-func TestChangedOutputsMask(t *testing.T) {
-	n := circuit.New("m")
-	a := n.AddInput("a")
-	b := n.AddInput("b")
-	g := n.AddGate(circuit.KindAnd, a, b)
-	inv := n.AddGate(circuit.KindNot, g)
-	n.AddOutput("o0", g)
-	n.AddOutput("o1", inv)
-	p := sim.ExhaustivePatterns(2)
-	vals := sim.Simulate(n, p)
-	c := Build(n, vals)
-	for i := 0; i < 4; i++ {
-		// Flipping g always flips both outputs.
-		if c.ChangedOutputs(g, i) != 0b11 {
-			t.Fatalf("pattern %d: mask %b want 11", i, c.ChangedOutputs(g, i))
-		}
-	}
-}
-
 func TestMetricString(t *testing.T) {
 	if MetricER.String() != "ER" || MetricAEM.String() != "AEM" {
 		t.Fatal("metric names wrong")
 	}
-}
-
-func TestBuildForOutputsMatchesFull(t *testing.T) {
-	r := rand.New(rand.NewSource(71))
-	n := randomDAG(t, r, 7, 60)
-	p := sim.RandomPatterns(7, 256, 2)
-	vals := sim.Simulate(n, p)
-	full := Build(n, vals)
-	// Restrict to a scattered subset of outputs.
-	var subset []int
-	for o := 0; o < n.NumOutputs(); o += 2 {
-		subset = append(subset, o)
-	}
-	part := BuildForOutputs(n, vals, subset)
-	for _, id := range n.LiveNodes() {
-		for slot, o := range subset {
-			if !part.Prop(id, slot).Equal(full.Prop(id, o)) {
-				t.Fatalf("node %d output %d: restricted CPM differs", id, o)
-			}
-		}
-	}
-}
-
-func TestBuildForOutputsRejectsErrorQueries(t *testing.T) {
-	r := rand.New(rand.NewSource(72))
-	_, approx, _, vals, st := buildApproxPair(t, r, 5, 20, 64, 1)
-	part := BuildForOutputs(approx, vals, []int{0})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	part.DeltaER(gatesOf(approx)[0], bitvec.New(64), st)
-}
-
-func TestBuildForOutputsRangeCheck(t *testing.T) {
-	r := rand.New(rand.NewSource(73))
-	n := randomDAG(t, r, 5, 20)
-	p := sim.RandomPatterns(5, 64, 1)
-	vals := sim.Simulate(n, p)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	BuildForOutputs(n, vals, []int{n.NumOutputs()})
 }

@@ -43,8 +43,6 @@ type Engine struct {
 
 	lastRefresh RefreshStats
 	lastFull    bool
-	lastResim   int
-	lastChanged int
 }
 
 // NewEngine fully simulates the network on the pattern set and builds the
@@ -77,8 +75,6 @@ func (e *Engine) Apply(ed Edit) (resimmed, changed []circuit.NodeID) {
 		e.St.V.Row(o).CopyFrom(e.Vals.Node(out.Node))
 	}
 	e.St.Refresh()
-	e.lastResim = len(resimmed)
-	e.lastChanged = len(changed)
 	if e.cpm != nil {
 		if e.hasPending {
 			// Two edits accumulated without a CPM read between them;
@@ -128,7 +124,3 @@ func (e *Engine) CPM() *CPM {
 // matrix, and whether it was a full build (true) or a dirty-region refresh
 // (false). For a full build DirtyRows == TotalRows.
 func (e *Engine) LastRefresh() (RefreshStats, bool) { return e.lastRefresh, e.lastFull }
-
-// LastResim reports the node counts of the most recent Apply: nodes
-// re-evaluated and nodes whose value vectors changed.
-func (e *Engine) LastResim() (resimmed, changed int) { return e.lastResim, e.lastChanged }

@@ -168,9 +168,6 @@ func (c *CPM) EnsureAEMColumns(st *emetric.State) {
 //
 //als:allocfree
 func (c *CPM) DeltaERPartial(nx circuit.NodeID, chg []uint64, st *emetric.State, w0, w1 int) (inc, dec int64) {
-	if c.restricted {
-		panic("core: DeltaERPartial on an output-restricted CPM")
-	}
 	ap := c.AnyProp(nx).WordsSlice()
 	wa := st.WrongAny.WordsSlice()
 	row := c.p[nx]
@@ -204,9 +201,6 @@ func (c *CPM) DeltaERPartial(nx circuit.NodeID, chg []uint64, st *emetric.State,
 //
 //als:allocfree
 func (c *CPM) DeltaAEMPartial(nx circuit.NodeID, chg []uint64, st *emetric.State, w0, w1 int) float64 {
-	if c.restricted {
-		panic("core: DeltaAEMPartial on an output-restricted CPM")
-	}
 	if c.o > 63 {
 		panic("core: DeltaAEMPartial requires <= 63 outputs")
 	}

@@ -102,8 +102,7 @@ type RefreshStats struct {
 // Lazy caches are invalidated conservatively: AnyProp per dirty or removed
 // row, the exactness certificate entirely (the structure changed), and the
 // AEM column cache entirely (the error state changes every accept anyway).
-// BuildTime is reset to the refresh duration, so flows that report
-// per-iteration CPM cost see the incremental cost.
+// BuildTime is reset to the refresh duration.
 func (c *CPM) Refresh(ed Edit, changed []circuit.NodeID, pool *par.Pool) RefreshStats {
 	start := time.Now()
 	n := c.net

@@ -20,10 +20,10 @@ import (
 //     write without that evidence means queries can read stale cache
 //     entries against fresh rows.
 //
-// Constructors (Build, BuildParallel, BuildForOutputs) define the
-// receiver locally — a fresh CPM has empty caches, so they pass without
-// special-casing. A finding on a line carrying //als:invalidate-ok is an
-// acknowledged exception.
+// Constructors (Build, BuildParallel) define the receiver locally — a
+// fresh CPM has empty caches, so they pass without special-casing. A
+// finding on a line carrying //als:invalidate-ok is an acknowledged
+// exception.
 var Invalidation = &Analyzer{
 	Name: "invalidation",
 	Doc:  "CPM row writers must invalidate lazy caches; Engine state mutates through Apply",

@@ -93,18 +93,6 @@ type AcceptInfo struct {
 	CIAdequate bool `json:"ci_adequate,omitempty"`
 }
 
-// VerifyInfo describes one exact recheck of a batch-estimated candidate
-// (the VerifyTopK path). It is routed to drift accounting rather than the
-// Tracer: per-candidate verification drift is an estimator-quality
-// observable, not a flow event.
-type VerifyInfo struct {
-	Iter      int
-	Target    string
-	Predicted float64 // batch-estimated delta
-	Actual    float64 // exact resimulated delta
-	Exact     bool    // certificate of the batch estimate
-}
-
 // CandidateFilter is an optional Tracer capability: a tracer returning
 // false from WantsCandidates promises to drop every OnCandidate event, so
 // flows may skip materialising per-candidate event arguments — the hottest

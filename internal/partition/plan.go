@@ -123,17 +123,6 @@ func (p *Plan) NumParts() int { return len(p.Parts) }
 // constants and dead slots.
 func (p *Plan) PartOf(id circuit.NodeID) int { return p.partOf[id] }
 
-// MaxCutIns returns the widest upstream interface across parts.
-func (p *Plan) MaxCutIns() int {
-	w := 0
-	for i := range p.Parts {
-		if c := p.Parts[i].CutIns; c > w {
-			w = c
-		}
-	}
-	return w
-}
-
 // ffrUnit is one fanout-free region restricted to its gates, the atomic
 // grain of partitioning.
 type ffrUnit struct {

@@ -69,17 +69,11 @@ func Run(ctx context.Context, golden *circuit.Network, cfg sasimi.Config, opt Op
 		return nil, nil, err
 	}
 	cfg.Budget.FillDefaults()
-	if err := cfg.Budget.Validate("partition"); err != nil {
+	if err := cfg.Check("partition", golden); err != nil {
 		return nil, nil, err
 	}
 	if cfg.Metric == core.MetricAEM {
 		return nil, nil, fmt.Errorf("partition: the partitioned flow supports only the ER metric (AEM does not decompose across part boundaries)")
-	}
-	if cfg.Patterns != nil && cfg.Patterns.NumPatterns() == 0 {
-		return nil, nil, fmt.Errorf("partition: %w: empty Patterns override", flow.ErrNoPatterns)
-	}
-	if err := golden.Validate(); err != nil {
-		return nil, nil, fmt.Errorf("partition: invalid input network: %w", err)
 	}
 
 	tl := cfg.Timeline
@@ -153,7 +147,6 @@ func Run(ctx context.Context, golden *circuit.Network, cfg sasimi.Config, opt Op
 			Incremental:     cfg.Incremental,
 			Patterns:        ex.Patterns,
 			SimilarityCap:   cfg.SimilarityCap,
-			MaxCandidates:   cfg.MaxCandidates,
 			VerifyTopK:      cfg.VerifyTopK,
 			KeepTrace:       cfg.KeepTrace,
 			CheckInvariants: cfg.CheckInvariants,
@@ -296,8 +289,6 @@ func Run(ctx context.Context, golden *circuit.Network, cfg sasimi.Config, opt Op
 			if !reverted[k] {
 				pr.AreaAfter = r.FinalArea
 				res.NumIterations += r.NumIterations
-				res.CPMTime += r.CPMTime
-				res.EstimateTime += r.EstimateTime
 				for ph := range r.Phases.Stats {
 					res.Phases.Stats[ph].Time += r.Phases.Stats[ph].Time
 					res.Phases.Stats[ph].Count += r.Phases.Stats[ph].Count

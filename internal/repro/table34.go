@@ -8,6 +8,7 @@ import (
 	"batchals/internal/core"
 	"batchals/internal/emetric"
 	"batchals/internal/flow"
+	"batchals/internal/obs"
 	"batchals/internal/sasimi"
 )
 
@@ -65,7 +66,7 @@ func erSweep(name string, opt Options, est sasimi.EstimatorKind) (SweepSeries, f
 		s.Points = append(s.Points, SweepPoint{Threshold: th, AreaRatio: ratio})
 		sum += ratio
 		if res.TotalTime > 0 {
-			cpmShare += float64(res.CPMTime) / float64(res.TotalTime)
+			cpmShare += float64(res.Phases.Stats[obs.PhaseCPMBuild].Time) / float64(res.TotalTime)
 		}
 		runs++
 	}

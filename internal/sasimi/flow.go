@@ -31,8 +31,6 @@ type IncrementalMode int
 const (
 	// IncrementalAuto (the zero value) enables the incremental engine.
 	IncrementalAuto IncrementalMode = iota
-	// IncrementalOn explicitly enables the incremental engine.
-	IncrementalOn
 	// IncrementalOff forces the per-iteration full rebuild.
 	IncrementalOff
 )
@@ -42,8 +40,6 @@ func (m IncrementalMode) String() string {
 	switch m {
 	case IncrementalAuto:
 		return "auto"
-	case IncrementalOn:
-		return "on"
 	case IncrementalOff:
 		return "off"
 	}
@@ -77,8 +73,6 @@ type Config struct {
 	// SimilarityCap is the maximum local difference probability for a pair
 	// to be considered almost-identical (default 0.3).
 	SimilarityCap float64
-	// MaxCandidates caps candidates evaluated per iteration (0 = all).
-	MaxCandidates int
 	// VerifyTopK, when positive, re-evaluates the K best-scoring feasible
 	// candidates of each iteration with exact fanout-cone resimulation
 	// before committing to one. This implements the mitigation the paper
@@ -134,6 +128,34 @@ func (cfg *Config) fillDefaults() {
 	}
 }
 
+// Check validates a run's inputs before any work starts, so that bad
+// input is an error instead of a panic mid-run: the budget (wrapping
+// flow.ErrBadThreshold or flow.ErrNoPatterns), a Patterns override that
+// is empty or sized for another input count, the golden network's
+// structure, and the AEM limit of 63 outputs. flowName prefixes the
+// errors. Call it after the budget defaults are filled.
+func (cfg *Config) Check(flowName string, golden *circuit.Network) error {
+	if err := cfg.Budget.Validate(flowName); err != nil {
+		return err
+	}
+	if p := cfg.Patterns; p != nil {
+		if p.NumPatterns() == 0 {
+			return fmt.Errorf("%s: %w: empty Patterns override", flowName, flow.ErrNoPatterns)
+		}
+		if p.NumInputs() != golden.NumInputs() {
+			return fmt.Errorf("%s: Patterns override has %d inputs, network has %d",
+				flowName, p.NumInputs(), golden.NumInputs())
+		}
+	}
+	if err := golden.Validate(); err != nil {
+		return fmt.Errorf("%s: invalid input network: %w", flowName, err)
+	}
+	if cfg.Metric == core.MetricAEM && golden.NumOutputs() > 63 {
+		return fmt.Errorf("%s: AEM flow needs <= 63 outputs, have %d", flowName, golden.NumOutputs())
+	}
+	return nil
+}
+
 // IterationRecord captures one accepted substitution, for the paper's
 // per-iteration figures (Fig. 1, Fig. 3).
 type IterationRecord struct {
@@ -153,7 +175,6 @@ type IterationRecord struct {
 	// estimator error realised by this substitution. Zero (up to float
 	// noise) whenever Exact is set or the estimate was verified exactly.
 	Drift    float64
-	CPMTime  time.Duration
 	IterTime time.Duration
 }
 
@@ -170,8 +191,6 @@ type Result struct {
 	// off.
 	NumIterations int
 	TotalTime     time.Duration
-	CPMTime       time.Duration // total time spent building CPMs
-	EstimateTime  time.Duration // total time spent estimating candidates
 	// Phases is the per-phase wall-time (and, when a Tracer or Metrics
 	// registry was configured, allocation) breakdown of the whole run
 	// across the five flow phases.
@@ -184,46 +203,6 @@ func (r *Result) AreaRatio() float64 {
 		return 1
 	}
 	return r.FinalArea / r.OriginalArea
-}
-
-// ReplayTrace re-emits the run's recorded trace through tr: the aggregate
-// phase spans, then one iteration + accept event per KeepTrace record.
-// This lets a run that was executed without a tracer (or whose Result was
-// loaded elsewhere) feed the same JSONL exporter as a live run.
-func (r *Result) ReplayTrace(tr obs.Tracer) {
-	if tr == nil {
-		return
-	}
-	for p := obs.Phase(0); p < obs.NumPhases; p++ {
-		st := r.Phases.Stats[p]
-		if st.Count == 0 {
-			continue
-		}
-		tr.OnPhase(obs.PhaseInfo{Phase: p, Duration: st.Time, Mem: st.Mem})
-	}
-	prevErr := 0.0
-	for _, it := range r.Iterations {
-		tr.OnIteration(obs.IterationInfo{
-			Iter:       it.Iter,
-			CurErr:     prevErr,
-			Candidates: it.Candidates,
-			Feasible:   it.Feasible,
-			Accepted:   true,
-			Duration:   it.IterTime,
-		})
-		tr.OnAccept(obs.AcceptInfo{
-			Iter:      it.Iter,
-			Target:    it.Target,
-			Sub:       it.Sub,
-			Inverted:  it.Inverted,
-			Predicted: it.ActualErr - it.Drift,
-			Actual:    it.ActualErr,
-			Drift:     it.Drift,
-			Exact:     it.Exact,
-			Area:      it.Area,
-		})
-		prevErr = it.ActualErr
-	}
 }
 
 // runObs bundles the optional observability sinks of one run. A nil
@@ -433,17 +412,8 @@ func Run(golden *circuit.Network, cfg Config) (*Result, error) {
 func RunContext(goCtx context.Context, golden *circuit.Network, cfg Config) (*Result, error) {
 	start := time.Now()
 	cfg.fillDefaults()
-	if err := cfg.Budget.Validate("sasimi"); err != nil {
+	if err := cfg.Check("sasimi", golden); err != nil {
 		return nil, err
-	}
-	if cfg.Patterns != nil && cfg.Patterns.NumPatterns() == 0 {
-		return nil, fmt.Errorf("sasimi: %w: empty Patterns override", flow.ErrNoPatterns)
-	}
-	if cfg.Metric == core.MetricAEM && golden.NumOutputs() > 63 {
-		return nil, fmt.Errorf("sasimi: AEM flow needs <= 63 outputs, have %d", golden.NumOutputs())
-	}
-	if err := golden.Validate(); err != nil {
-		return nil, fmt.Errorf("sasimi: invalid input network: %w", err)
 	}
 
 	// TrackMem (ReadMemStats per phase span) keys off the caller's sinks,
@@ -540,10 +510,7 @@ loop:
 		sp = prof.Begin(obs.PhaseCPMBuild)
 		est.prepare(ictx)
 		prof.End(sp)
-		var cpmTime time.Duration
 		if ictx.cpm != nil {
-			cpmTime = ictx.cpm.BuildTime()
-			res.CPMTime += cpmTime
 			if stats, full := eng.LastRefresh(); !full {
 				o.cpmRefreshed(stats)
 			}
@@ -558,7 +525,6 @@ loop:
 		switch {
 		case !incremental:
 			cands, gerr = gather(goCtx, env, pool, nil)
-			cands = capped(cands, &cfg)
 		case cache == nil:
 			cache = &gatherCache{}
 			cands, gerr = cache.full(goCtx, env, pool)
@@ -589,7 +555,6 @@ loop:
 
 		// Estimate the increased error of every candidate (the batch step)
 		// and pick the best feasible one by ΔArea/ΔError score.
-		estStart := time.Now()
 		best, feasible := scoreCandidatesMaybeSharded(ictx, est, cands, curErr, cfg.Threshold,
 			scratch, change, pool, o, iter)
 		prof.End(sp)
@@ -610,7 +575,6 @@ loop:
 				break loop
 			}
 		}
-		res.EstimateTime += time.Since(estStart)
 		if best == -1 {
 			prof.End(sp)
 			o.iteration(iter, curErr, len(cands), len(feasible), false, time.Since(iterStart))
@@ -689,7 +653,6 @@ loop:
 				Feasible:   len(feasible),
 				Exact:      chosen.Exact,
 				Drift:      actual - predicted,
-				CPMTime:    cpmTime,
 				IterTime:   time.Since(iterStart),
 			})
 		}
@@ -721,7 +684,6 @@ func crossCheckIncremental(env *gatherEnv, pool *par.Pool, cands []Candidate, cp
 	if err != nil {
 		return err
 	}
-	full = capped(full, env.cfg)
 	if len(full) != len(cands) {
 		return fmt.Errorf("sasimi: incremental gather diverged: %d candidates vs %d full", len(cands), len(full))
 	}
@@ -863,11 +825,20 @@ func applyCandidate(net *circuit.Network, c *Candidate) core.Edit {
 // EstimateAll exposes the batch estimation step in isolation: it returns
 // every admissible candidate of the network with Delta filled in by the
 // selected estimator, without applying anything. The facade and the
-// examples use it to demonstrate pure batch estimation.
+// examples use it to demonstrate pure batch estimation. Its inputs are
+// checked as RunContext checks them (see Config.Check), and approx must
+// be a valid network with golden's input and output counts.
 func EstimateAll(golden, approx *circuit.Network, cfg Config) ([]Candidate, error) {
 	cfg.fillDefaults()
-	if err := approx.Validate(); err != nil {
+	if err := cfg.Check("sasimi", golden); err != nil {
 		return nil, err
+	}
+	if err := approx.Validate(); err != nil {
+		return nil, fmt.Errorf("sasimi: invalid approximate network: %w", err)
+	}
+	if approx.NumInputs() != golden.NumInputs() || approx.NumOutputs() != golden.NumOutputs() {
+		return nil, fmt.Errorf("sasimi: approximate network has %d inputs and %d outputs, golden has %d and %d",
+			approx.NumInputs(), approx.NumOutputs(), golden.NumInputs(), golden.NumOutputs())
 	}
 	pool := par.NewPool(cfg.Workers)
 	defer pool.Close()
@@ -893,7 +864,6 @@ func EstimateAll(golden, approx *circuit.Network, cfg Config) ([]Candidate, erro
 	if err != nil {
 		return nil, err
 	}
-	cands = capped(cands, &cfg)
 	scratch := bitvec.New(patterns.NumPatterns())
 	change := bitvec.New(patterns.NumPatterns())
 	o := newRunObs(&cfg, approx)

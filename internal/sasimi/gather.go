@@ -371,8 +371,7 @@ func (env *gatherEnv) pairGain(td *targetData, t, s circuit.NodeID) float64 {
 //
 // When data is non-nil, each target's gather state is recorded in
 // data[t] (the slot is owned by the target, so workers write disjointly).
-// The result is not capped at MaxCandidates. A cancelled context aborts
-// the fan-out and returns the context's error.
+// A cancelled context aborts the fan-out and returns the context's error.
 func gather(goCtx context.Context, env *gatherEnv, pool *par.Pool, data []targetData) ([]Candidate, error) {
 	targets := liveGateTargets(env.net)
 	costs := make([]float64, len(targets))
@@ -522,14 +521,4 @@ func mergeSorted(runs [][]Candidate) []Candidate {
 		siftDown(0)
 	}
 	return append(out, h[0]...)
-}
-
-// capped returns the MaxCandidates prefix of a sorted candidate list — a
-// view, not a copy. Scoring and verification write only Delta, Score and
-// Exact, which no gather path reads.
-func capped(cands []Candidate, cfg *Config) []Candidate {
-	if cfg.MaxCandidates > 0 && len(cands) > cfg.MaxCandidates {
-		return cands[:cfg.MaxCandidates]
-	}
-	return cands
 }

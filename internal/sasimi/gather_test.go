@@ -21,8 +21,7 @@ import (
 // bruteGather is the reference enumeration the gather is tested against:
 // every (target, substitute) pair, the cycle screen as an explicit
 // TransitiveFanoutCone walk, the difference as a materialised XOR plus
-// Count, no other screens, and one sort.Slice over the whole list, capped
-// at MaxCandidates.
+// Count, no other screens, and one sort.Slice over the whole list.
 func bruteGather(net *circuit.Network, vals *sim.Values, cfg *Config, arrival []float64, invDelay float64) []Candidate {
 	m := vals.M
 	simCap := cfg.SimilarityCap
@@ -83,7 +82,7 @@ func bruteGather(net *circuit.Network, vals *sim.Values, cfg *Config, arrival []
 		}
 	}
 	sort.Slice(cands, func(i, j int) bool { return candLess(&cands[i], &cands[j]) })
-	return capped(cands, cfg)
+	return cands
 }
 
 // gatherFixture simulates net on m seeded random patterns and returns the
@@ -94,8 +93,7 @@ func gatherFixture(net *circuit.Network, m int, cfg *Config) (*sim.Values, []flo
 	return vals, cfg.Library.NodeArrival(net), cfg.Library.GateDelay(circuit.KindNot)
 }
 
-// gatherOn runs the production gather at the given worker count, capped
-// like every flow path.
+// gatherOn runs the production gather at the given worker count.
 func gatherOn(t *testing.T, env *gatherEnv, workers int) []Candidate {
 	t.Helper()
 	pool := par.NewPool(workers)
@@ -104,7 +102,7 @@ func gatherOn(t *testing.T, env *gatherEnv, workers int) []Candidate {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return capped(got, env.cfg)
+	return got
 }
 
 // sameCandidates fails the test at the first field-level divergence.
@@ -291,7 +289,6 @@ func TestIncrementalConeWalkFallback(t *testing.T) {
 			Budget: flow.Budget{Metric: core.MetricER, Threshold: 0.05, NumPatterns: 1000, Seed: 3,
 				Library: zeroDelayNotLibrary()},
 			Workers:           workers,
-			Incremental:       IncrementalOn,
 			CheckInvariants:   true,
 			verifyIncremental: true,
 		})

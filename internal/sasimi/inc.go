@@ -48,10 +48,9 @@ import (
 type gatherCache struct {
 	data        []targetData // indexed by node slot
 	prevArrival []float64
-	// sorted is the full sorted candidate list of the previous gather,
-	// before the MaxCandidates cap. Callers get a view of it (see capped):
-	// scoring writes Delta/Score/Exact in place, fields the cache never
-	// reads.
+	// sorted is the full sorted candidate list of the previous gather.
+	// Callers get it, not a copy: scoring writes Delta/Score/Exact in
+	// place, fields the cache never reads.
 	sorted []Candidate
 
 	// Dispatch scratch: the LPT bin-packer and its inputs (work items as
@@ -76,7 +75,7 @@ func (gc *gatherCache) full(goCtx context.Context, env *gatherEnv, pool *par.Poo
 	}
 	gc.sorted = sorted
 	gc.prevArrival = append([]float64(nil), env.arrival...)
-	return capped(gc.sorted, env.cfg), nil
+	return gc.sorted, nil
 }
 
 // update refreshes the cache after one accepted edit and returns the new
@@ -263,7 +262,7 @@ func (gc *gatherCache) update(goCtx context.Context, env *gatherEnv, ed *core.Ed
 	gc.sorted = mergeSorted(runs)
 
 	gc.prevArrival = append(gc.prevArrival[:0], env.arrival...)
-	return capped(gc.sorted, env.cfg), nil
+	return gc.sorted, nil
 }
 
 func depsTouched(deps []circuit.NodeID, probe []bool) bool {

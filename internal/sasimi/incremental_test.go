@@ -108,7 +108,7 @@ func TestIncrementalMatchesFullRebuild(t *testing.T) {
 	for _, tc := range differentialGrid {
 		full := runIncCase(t, tc, 1, IncrementalOff)
 		for _, w := range diffWorkers() {
-			inc := runIncCase(t, tc, w, IncrementalOn)
+			inc := runIncCase(t, tc, w, IncrementalAuto)
 			label := tc.bench + "/" + tc.metric.String() + "/w" + itoa(w)
 			compareResults(t, label, inc, full)
 			// The full-rebuild path must itself be worker-invariant.
@@ -165,7 +165,6 @@ func TestVerifyIncrementalCrossCheck(t *testing.T) {
 			},
 			Estimator:         EstimatorBatch,
 			Workers:           tc.workers,
-			Incremental:       IncrementalOn,
 			CheckInvariants:   true,
 			verifyIncremental: true,
 		})
@@ -180,15 +179,12 @@ func TestVerifyIncrementalCrossCheck(t *testing.T) {
 }
 
 // TestIncrementalDefaultOn pins the API contract: the zero value of
-// IncrementalMode enables the engine, IncrementalOff disables it, and both
-// still satisfy the error budget.
+// IncrementalMode enables the engine and IncrementalOff disables it.
 func TestIncrementalDefaultOn(t *testing.T) {
-	if !IncrementalAuto.enabled() || !IncrementalOn.enabled() || IncrementalOff.enabled() {
+	var zero IncrementalMode
+	if !zero.enabled() || IncrementalOff.enabled() {
 		t.Fatal("IncrementalMode.enabled() wiring is wrong")
 	}
-	auto := runIncCase(t, differentialGrid[0], 1, IncrementalAuto)
-	on := runIncCase(t, differentialGrid[0], 1, IncrementalOn)
-	compareResults(t, "auto-vs-on", auto, on)
 }
 
 // TestRunContextCancelled pins the cancellation contract: an

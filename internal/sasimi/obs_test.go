@@ -141,60 +141,6 @@ func TestFlowEmitsObservability(t *testing.T) {
 	}
 }
 
-// TestReplayTraceMatchesLiveTrace re-emits a KeepTrace result through a
-// fresh JSONL tracer and checks the accept events agree with the live run.
-func TestReplayTraceMatchesLiveTrace(t *testing.T) {
-	res := runOn(t, "mul4", Config{
-		Budget: flow.Budget{
-			Metric:      core.MetricER,
-			Threshold:   0.05,
-			NumPatterns: 2000,
-			Seed:        7,
-		},
-		Estimator: EstimatorBatch,
-		KeepTrace: true,
-	})
-	var buf bytes.Buffer
-	tr := obs.NewJSONLTracer(&buf)
-	res.ReplayTrace(tr)
-	res.ReplayTrace(nil) // must be a no-op, not a panic
-	if err := tr.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	var accepts, iters, phases int
-	sc := bufio.NewScanner(&buf)
-	for sc.Scan() {
-		var ev struct {
-			Ev        string  `json:"ev"`
-			Predicted float64 `json:"pred_err"`
-			Actual    float64 `json:"actual_err"`
-			Drift     float64 `json:"drift"`
-		}
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			t.Fatal(err)
-		}
-		switch ev.Ev {
-		case "accept":
-			if got := ev.Actual - ev.Predicted; got-ev.Drift > 1e-12 || ev.Drift-got > 1e-12 {
-				t.Fatalf("replayed drift %v inconsistent with pred/actual %v/%v",
-					ev.Drift, ev.Predicted, ev.Actual)
-			}
-			accepts++
-		case "iter":
-			iters++
-		case "phase":
-			phases++
-		}
-	}
-	if accepts != res.NumIterations || iters != res.NumIterations {
-		t.Fatalf("replay emitted %d accepts / %d iters, want %d",
-			accepts, iters, res.NumIterations)
-	}
-	if phases == 0 {
-		t.Fatal("replay emitted no phase aggregates")
-	}
-}
-
 // TestNilTracerScoringAllocs pins the nil-tracer fast path: the candidate
 // scoring inner loop routed through scoreCandidates with no observability
 // configured must allocate exactly as much as the pre-obs loop body (the
@@ -325,9 +271,8 @@ func TestIncrementalEngineMetrics(t *testing.T) {
 			NumPatterns: 2000,
 			Seed:        7,
 		},
-		Estimator:   EstimatorBatch,
-		Incremental: IncrementalOn,
-		Metrics:     reg,
+		Estimator: EstimatorBatch,
+		Metrics:   reg,
 	})
 	if res.NumIterations < 2 {
 		t.Fatalf("need >= 2 iterations to exercise the engine, got %d", res.NumIterations)

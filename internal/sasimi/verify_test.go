@@ -73,9 +73,9 @@ func TestParallelVerifyTopKBitIdentical(t *testing.T) {
 			t.Fatalf("%s/%s: baseline accepted nothing; differential check is vacuous",
 				tc.bench, tc.metric)
 		}
-		for _, mode := range []IncrementalMode{IncrementalOff, IncrementalOn} {
+		for _, mode := range []IncrementalMode{IncrementalOff, IncrementalAuto} {
 			modeName := "full"
-			if mode == IncrementalOn {
+			if mode == IncrementalAuto {
 				modeName = "inc"
 			}
 			for _, w := range verifyWorkers() {

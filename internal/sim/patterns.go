@@ -1,6 +1,6 @@
 // Package sim provides bit-parallel logic simulation over circuit networks:
-// pattern-set generation (seeded uniform random, exhaustive enumeration, or
-// a caller-supplied distribution), full-network simulation producing
+// pattern-set generation (seeded uniform random, independently biased, or
+// exhaustive enumeration), full-network simulation producing
 // per-node value vectors, and incremental fanout-cone resimulation used by
 // the full-simulation baseline estimator.
 //
@@ -80,25 +80,6 @@ func BiasedPatterns(prob []float64, m int, seed int64) *Patterns {
 	return p
 }
 
-// SampledPatterns draws m patterns by calling next() m times; next must
-// return a slice of numInputs bools (it may reuse the slice). This is the
-// hook for arbitrary, possibly correlated, input distributions.
-func SampledPatterns(numInputs, m int, next func() []bool) *Patterns {
-	p := NewPatterns(numInputs, m)
-	for i := 0; i < m; i++ {
-		row := next()
-		if len(row) != numInputs {
-			panic(fmt.Sprintf("sim: sampler returned %d bits, want %d", len(row), numInputs))
-		}
-		for k, b := range row {
-			if b {
-				p.rows[k].Set(i, true)
-			}
-		}
-	}
-	return p
-}
-
 // ExhaustivePatterns enumerates all 2^numInputs assignments. It panics for
 // numInputs > 26 (67M patterns) to avoid accidental memory blow-ups.
 func ExhaustivePatterns(numInputs int) *Patterns {
@@ -130,35 +111,6 @@ func ExhaustivePatterns(numInputs int) *Patterns {
 			}
 		}
 		p.rows[k].MaskTail()
-	}
-	return p
-}
-
-// MarkovPatterns draws m patterns from a first-order Markov chain over
-// whole input vectors: each pattern equals the previous one except that
-// every bit independently toggles with probability toggleProb. This
-// produces temporally correlated, non-i.i.d. stimuli — the kind of
-// distribution for which the paper argues Monte Carlo simulation is
-// required (analytical signal-probability methods assume independence).
-func MarkovPatterns(numInputs, m int, toggleProb float64, seed int64) *Patterns {
-	if toggleProb < 0 || toggleProb > 1 {
-		panic(fmt.Sprintf("sim: toggle probability %v out of [0,1]", toggleProb))
-	}
-	r := rand.New(rand.NewSource(seed))
-	p := NewPatterns(numInputs, m)
-	cur := make([]bool, numInputs)
-	for k := range cur {
-		cur[k] = r.Intn(2) == 1
-	}
-	for i := 0; i < m; i++ {
-		for k := 0; k < numInputs; k++ {
-			if i > 0 && r.Float64() < toggleProb {
-				cur[k] = !cur[k]
-			}
-			if cur[k] {
-				p.rows[k].Set(i, true)
-			}
-		}
 	}
 	return p
 }

@@ -22,31 +22,6 @@ func (v *Values) Drop(id circuit.NodeID) {
 	}
 }
 
-// ResimulateConeParallel is ResimulateCone with the pattern axis sharded
-// across the pool's workers. Each worker re-evaluates the whole cone in
-// topological order restricted to its word range; a node's word w depends
-// only on its fanins' word w (finalised earlier in the same shard's pass),
-// so every word receives exactly the value the sequential resimulation
-// would compute — bit-identical at any worker count. A nil or
-// single-worker pool falls through to ResimulateCone.
-func ResimulateConeParallel(n *circuit.Network, v *Values, root circuit.NodeID, pool *par.Pool) []circuit.NodeID {
-	if pool.Workers() <= 1 {
-		return ResimulateCone(n, v, root)
-	}
-	inCone := n.TransitiveFanoutCone(root)
-	var list []circuit.NodeID
-	for _, id := range n.TopoOrder() {
-		if inCone[id] && id != root {
-			list = append(list, id)
-		}
-	}
-	pool.Label("sim.resim_cone", obs.PhaseSimulate)
-	resimSharded(n, v, list, pool, nil)
-	statConeResims.Inc()
-	statGateEvals.Add(int64(len(list)))
-	return list
-}
-
 // ResimulateFrom re-evaluates, in place, the union of the structural
 // fanout cones of the seed nodes (seeds included) and reports which nodes'
 // value vectors actually changed. It is the incremental iteration engine's
@@ -107,24 +82,18 @@ func ResimulateFrom(n *circuit.Network, v *Values, seeds []circuit.NodeID, pool 
 }
 
 // resimSharded re-evaluates the topologically ordered node list in place,
-// pattern-sharded over the pool. When diff is non-nil (len(list)), entry i
-// is set if node list[i]'s vector changed in any word. Every worker writes
-// only its shard's words and its shard-local difference flags; flags are
+// pattern-sharded over the pool, and sets diff[i] (len(list)) if node
+// list[i]'s vector changed in any word. Every worker writes only its
+// shard's words and its shard-local difference flags; flags are
 // OR-combined in fixed shard order after the join.
 func resimSharded(n *circuit.Network, v *Values, list []circuit.NodeID, pool *par.Pool, diff []bool) {
-	if len(list) == 0 {
-		return
-	}
 	words := bitvec.Words(v.M)
 	last := words - 1
 	tail := bitvec.TailMask(v.M)
 	shards := par.Shards(v.M, pool.Workers())
-	var shardDiff [][]bool
-	if diff != nil {
-		shardDiff = make([][]bool, len(shards))
-		for i := range shardDiff {
-			shardDiff[i] = make([]bool, len(list))
-		}
+	shardDiff := make([][]bool, len(shards))
+	for i := range shardDiff {
+		shardDiff[i] = make([]bool, len(list))
 	}
 	pool.Do(len(shards), func(_, si int) {
 		sh := shards[si]
@@ -151,7 +120,7 @@ func resimSharded(n *circuit.Network, v *Values, list []circuit.NodeID, pool *pa
 					out[w] = nw
 				}
 			}
-			if changed && shardDiff != nil {
+			if changed {
 				shardDiff[si][li] = true
 			}
 		}

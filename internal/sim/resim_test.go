@@ -102,34 +102,3 @@ func TestResimulateFromMatchesFreshSimulation(t *testing.T) {
 		pool.Close()
 	}
 }
-
-// TestResimulateConeParallelMatchesSequential pins the pattern-sharded
-// cone resimulation against the sequential ResimulateCone.
-func TestResimulateConeParallelMatchesSequential(t *testing.T) {
-	n, err := bench.ByName("cmp8")
-	if err != nil {
-		t.Fatal(err)
-	}
-	patterns := RandomPatterns(n.NumInputs(), 600, 4)
-	pool := par.NewPool(3)
-	defer pool.Close()
-
-	for _, root := range n.LiveNodes() {
-		if !n.Kind(root).IsGate() {
-			continue
-		}
-		seqVals := SimulateParallel(n, patterns, nil)
-		parVals := SimulateParallel(n, patterns, pool)
-		// Perturb the root identically in both tables, then resimulate its
-		// cone both ways.
-		seqVals.Node(root).Not(seqVals.Node(root))
-		parVals.Node(root).Not(parVals.Node(root))
-		ResimulateCone(n, seqVals, root)
-		ResimulateConeParallel(n, parVals, root, pool)
-		for _, id := range n.LiveNodes() {
-			if !seqVals.Node(id).Equal(parVals.Node(id)) {
-				t.Fatalf("root %d: node %d diverges between sequential and parallel cone resim", root, id)
-			}
-		}
-	}
-}

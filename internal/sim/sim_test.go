@@ -161,20 +161,6 @@ func TestBiasedPatternsFrequency(t *testing.T) {
 	}
 }
 
-func TestSampledPatterns(t *testing.T) {
-	i := 0
-	p := SampledPatterns(2, 4, func() []bool {
-		i++
-		return []bool{i%2 == 0, i > 2}
-	})
-	want := [][2]bool{{false, false}, {true, false}, {false, true}, {true, true}}
-	for i, w := range want {
-		if p.Bit(i, 0) != w[0] || p.Bit(i, 1) != w[1] {
-			t.Fatalf("pattern %d wrong", i)
-		}
-	}
-}
-
 func TestResimulateConeMatchesFullSim(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 25; trial++ {
@@ -277,48 +263,4 @@ func TestOutputMatrix(t *testing.T) {
 			t.Fatal("row mismatch")
 		}
 	}
-}
-
-func TestMarkovPatternsCorrelation(t *testing.T) {
-	const m = 20000
-	p := MarkovPatterns(4, m, 0.1, 7)
-	// Adjacent patterns should agree on ~90% of bits; i.i.d. would be 50%.
-	agree := 0
-	for i := 1; i < m; i++ {
-		for k := 0; k < 4; k++ {
-			if p.Bit(i, k) == p.Bit(i-1, k) {
-				agree++
-			}
-		}
-	}
-	frac := float64(agree) / float64(4*(m-1))
-	if frac < 0.85 || frac > 0.95 {
-		t.Fatalf("adjacent agreement %.3f want ~0.90", frac)
-	}
-	// Long-run marginal stays near 0.5.
-	for k := 0; k < 4; k++ {
-		f := float64(p.InputRow(k).Count()) / m
-		if f < 0.4 || f > 0.6 {
-			t.Fatalf("input %d marginal %.3f drifted", k, f)
-		}
-	}
-}
-
-func TestMarkovPatternsDeterministic(t *testing.T) {
-	a := MarkovPatterns(3, 500, 0.2, 11)
-	b := MarkovPatterns(3, 500, 0.2, 11)
-	for k := 0; k < 3; k++ {
-		if !a.InputRow(k).Equal(b.InputRow(k)) {
-			t.Fatal("same seed differs")
-		}
-	}
-}
-
-func TestMarkovPatternsBadProb(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	MarkovPatterns(2, 10, 1.5, 1)
 }

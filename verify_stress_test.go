@@ -30,7 +30,6 @@ func TestParallelVerifyCancellationStress(t *testing.T) {
 		Seed:        11,
 		Workers:     4,
 		VerifyTopK:  4,
-		Incremental: IncrementalOn,
 	}
 
 	// Calibrate: one uncancelled run measures the flow's duration so the
