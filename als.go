@@ -121,14 +121,17 @@ type Options struct {
 	// iteration with exact fanout-cone resimulation before committing —
 	// the mitigation for the estimator's reconvergent-path inaccuracy.
 	VerifyTopK int
-	// Tracer, when non-nil, receives flow events (phase spans, iteration
+	// Tracer, when non-nil, receives the flow's decisions (iteration
 	// summaries, candidate scores, accepted substitutions); see
-	// NewJSONLTracer. nil disables event tracing at zero cost.
+	// NewJSONLTracer. Phase timing is reported through Result.Phases,
+	// Metrics and Timeline instead. nil disables event tracing at zero
+	// cost.
 	Tracer Tracer
 	// Metrics, when non-nil, collects flow metrics: iteration / candidate
-	// counters, the five per-phase timers, and the estimator-drift
-	// histograms split by the exactness certificate. Use NewMetrics for a
-	// private registry or DefaultMetrics for the process-global one.
+	// counters, the five per-phase timers and allocation counters, and
+	// the estimator-drift histograms split by the exactness certificate.
+	// Use NewMetrics for a private registry or DefaultMetrics for the
+	// process-global one.
 	Metrics *Metrics
 	// Timeline, when non-nil, records a causal span timeline of the run:
 	// per-worker busy/idle spans for every parallel dispatch, driver-side
@@ -182,7 +185,8 @@ func NewMetrics() *Metrics { return obs.NewRegistry() }
 func DefaultMetrics() *Metrics { return obs.Default() }
 
 // NewJSONLTracer returns a Tracer that streams events to w as JSON Lines
-// (one object per line, keyed by "ev"). Call Flush when the run ends.
+// (one {"ev","seq","data"} object per line, the encoding /events sends).
+// Call Flush when the run ends.
 func NewJSONLTracer(w io.Writer) *obs.JSONLTracer { return obs.NewJSONLTracer(w) }
 
 // TimelineRecorder is a lock-free causal span recorder (re-exported from

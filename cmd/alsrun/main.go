@@ -12,12 +12,13 @@
 // (per-candidate resimulation) or local (no propagation, the prior-work
 // baseline). With -iters, every accepted substitution is printed.
 //
-// Observability (sasimi flow): -trace streams phase / iteration / accept
-// events as JSON Lines, -metrics snapshots the metrics registry (counters,
-// the five per-phase timers, estimator-drift histograms split by the
-// exactness certificate) as JSON, -pprof serves net/http/pprof plus a
-// Prometheus /metrics endpoint while the flow runs, and -summary prints a
-// phase/drift table at the end. Any of these also implies the summary.
+// Observability (sasimi flow): -trace streams iteration / accept events
+// as JSON Lines, -metrics snapshots the metrics registry (counters, the
+// five per-phase timers, estimator-drift histograms split by the
+// exactness certificate) as JSON, -serve exposes the live observability
+// service (Prometheus /metrics, /events, /flight, /timeline, pprof) while
+// the flow runs, and -summary prints a phase/drift table at the end. Any
+// of these also implies the summary.
 //
 // -timeline FILE attaches the causal span recorder and writes the run's
 // per-worker timeline as Chrome trace-event JSON (open it in Perfetto or
@@ -29,8 +30,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"net/http"
-	_ "net/http/pprof"
 	"os"
 	"strings"
 	"time"
@@ -64,11 +63,10 @@ func main() {
 		outFile      = flag.String("out", "", "write the approximate circuit to this .bench/.blif file")
 		iters        = flag.Bool("iters", false, "print every accepted substitution")
 		checkInv     = flag.Bool("check-invariants", false, "validate structural invariants after every accepted substitution")
-		traceFile    = flag.String("trace", "", "write a JSONL event trace (phases, iterations, accepts) to this file")
+		traceFile    = flag.String("trace", "", "write a JSONL event trace (iterations, accepts) to this file")
 		traceCands   = flag.Bool("trace-cands", false, "include per-candidate scoring events in the -trace stream (large)")
 		metricsFile  = flag.String("metrics", "", "write a JSON metrics snapshot (counters, phase timers, drift histograms) to this file")
 		timelineFile = flag.String("timeline", "", "write the run's causal span timeline (per-worker busy/idle, dispatches, verify/apply) as Chrome trace-event JSON to this file")
-		pprofAddr    = flag.String("pprof", "", "serve net/http/pprof and Prometheus /metrics on this address during the run")
 		serveAddr    = flag.String("serve", "", "serve the full observability surface (labelled /metrics, /metrics.json, /events SSE, /flight, /healthz, pprof) on this address during the run")
 		summary      = flag.Bool("summary", false, "print an end-of-run phase/drift summary table")
 		list         = flag.Bool("list", false, "list built-in benchmark names and exit")
@@ -132,7 +130,7 @@ func main() {
 	// Observability: every sink shares the process-global registry so one
 	// snapshot covers the flow metrics and the always-on sim/CPM substrate
 	// counters.
-	observe := *traceFile != "" || *metricsFile != "" || *pprofAddr != "" || *serveAddr != "" || *summary
+	observe := *traceFile != "" || *metricsFile != "" || *serveAddr != "" || *summary
 	var (
 		tracer    *obs.JSONLTracer
 		traceW    *os.File
@@ -184,18 +182,6 @@ func main() {
 			_ = shutdown(ctx)
 		}()
 		servedRun = run
-	}
-	if *pprofAddr != "" {
-		http.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-			obs.Default().Snapshot().WritePrometheus(w)
-		})
-		go func() {
-			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
-				fmt.Fprintln(os.Stderr, "alsrun: pprof server:", err)
-			}
-		}()
-		fmt.Printf("pprof: http://%s/debug/pprof/ (Prometheus text at /metrics)\n", *pprofAddr)
 	}
 	finishObs := func(phases obs.PhaseReport) {
 		if tlRec != nil && *timelineFile != "" {

@@ -1,11 +1,10 @@
 // Command benchjson converts `go test -bench -benchmem` output into a
-// committed JSON baseline, optionally enriched with the observability
-// layer's per-phase breakdown of a smoke SASIMI flow, and checks a new
-// bench run against a committed baseline.
+// committed JSON baseline and checks a new bench run against a committed
+// baseline.
 //
 // Usage:
 //
-//	go test -run='^$' -bench=. -benchmem -benchtime=1x . | benchjson -phases c880 -o BENCH_pr2.json
+//	go test -run='^$' -bench=. -benchmem -benchtime=1x . | benchjson -o BENCH_pr2.json
 //	go test -run='^$' -bench=. -benchmem -benchtime=1x . | benchjson -against BENCH_pr2.json
 //
 // Without -against, benchjson parses the bench lines on stdin and writes
@@ -29,18 +28,13 @@ import (
 	"sort"
 	"strings"
 
-	"batchals"
 	"batchals/internal/benchmeta"
-	"batchals/internal/obs"
 )
 
 func main() {
 	var (
 		inFile  = flag.String("in", "", "read bench output from this file instead of stdin")
 		outFile = flag.String("o", "", "write the baseline JSON here (default stdout)")
-		phases  = flag.String("phases", "", "also run an instrumented smoke flow on this benchmark circuit and embed its phase breakdown")
-		m       = flag.Int("m", 2000, "pattern count for the -phases smoke flow")
-		thr     = flag.Float64("threshold", 0.01, "ER budget for the -phases smoke flow")
 		against = flag.String("against", "", "compare stdin bench output against this committed baseline instead of writing one")
 		commit  = flag.String("commit", "", "commit hash to record in env (default: $GITHUB_SHA, then git rev-parse HEAD)")
 	)
@@ -76,13 +70,6 @@ func main() {
 		Env:           benchmeta.CaptureEnv(resolveCommit(*commit)),
 		Benchmarks:    benches,
 	}
-	if *phases != "" {
-		pb, err := runPhases(*phases, *m, *thr)
-		if err != nil {
-			fatal(err)
-		}
-		base.Phases = pb
-	}
 
 	out := io.Writer(os.Stdout)
 	if *outFile != "" {
@@ -116,39 +103,6 @@ func resolveCommit(flagVal string) string {
 		return ""
 	}
 	return strings.TrimSpace(string(out))
-}
-
-// runPhases runs one observed SASIMI smoke flow and returns its five-phase
-// wall-time breakdown.
-func runPhases(circuit string, m int, thr float64) (*benchmeta.PhaseBreakdown, error) {
-	golden, err := batchals.Benchmark(circuit)
-	if err != nil {
-		return nil, err
-	}
-	res, err := batchals.Approximate(golden, batchals.Options{
-		Metric:      batchals.ErrorRate,
-		Threshold:   thr,
-		NumPatterns: m,
-		Seed:        1,
-		Metrics:     batchals.NewMetrics(),
-	})
-	if err != nil {
-		return nil, err
-	}
-	pb := &benchmeta.PhaseBreakdown{
-		Circuit:   circuit,
-		M:         m,
-		Threshold: thr,
-		TotalNS:   int64(res.Phases.Total()),
-		PhaseNS:   map[string]int64{},
-		Spans:     map[string]int64{},
-	}
-	for p := obs.Phase(0); p < obs.NumPhases; p++ {
-		st := res.Phases.Stats[p]
-		pb.PhaseNS[p.String()] = int64(st.Time)
-		pb.Spans[p.String()] = st.Count
-	}
-	return pb, nil
 }
 
 // compare checks the new bench results cover every benchmark in the

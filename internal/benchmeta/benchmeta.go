@@ -36,17 +36,6 @@ type Bench struct {
 	Metrics    map[string]float64 `json:"metrics"`
 }
 
-// PhaseBreakdown embeds the obs layer's five-phase accounting of one
-// instrumented smoke flow into the baseline.
-type PhaseBreakdown struct {
-	Circuit   string           `json:"circuit"`
-	M         int              `json:"m"`
-	Threshold float64          `json:"threshold"`
-	TotalNS   int64            `json:"total_ns"`
-	PhaseNS   map[string]int64 `json:"phase_ns"`
-	Spans     map[string]int64 `json:"spans"`
-}
-
 // Env records where a baseline was measured. Two baselines with differing
 // Env fields are still diffable, but timing deltas across differing CPU
 // models or GOMAXPROCS are hardware artefacts, not regressions —
@@ -61,13 +50,14 @@ type Env struct {
 	Commit     string `json:"commit,omitempty"`
 }
 
-// Baseline is the committed BENCH_*.json document.
+// Baseline is the committed BENCH_*.json document. Older documents may
+// carry a "phases" block (a smoke flow's phase breakdown); loaders skip
+// it.
 type Baseline struct {
-	SchemaVersion int             `json:"schema_version,omitempty"` // 0 = legacy v1
-	GeneratedWith string          `json:"generated_with"`
-	Env           *Env            `json:"env,omitempty"`
-	Benchmarks    []Bench         `json:"benchmarks"`
-	Phases        *PhaseBreakdown `json:"phases,omitempty"`
+	SchemaVersion int     `json:"schema_version,omitempty"` // 0 = legacy v1
+	GeneratedWith string  `json:"generated_with"`
+	Env           *Env    `json:"env,omitempty"`
+	Benchmarks    []Bench `json:"benchmarks"`
 }
 
 // Version normalises the schema version: documents written before the

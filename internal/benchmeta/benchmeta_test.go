@@ -90,29 +90,45 @@ func TestValidate(t *testing.T) {
 }
 
 func TestLoadV1Compat(t *testing.T) {
-	// A PR2-era baseline: no schema_version, no env.
-	v1 := `{
+	// PR2-era baselines: no schema_version, no env. The committed ones
+	// also carry a "phases" block that no field reads any more; it must
+	// not stop them loading.
+	docs := []struct{ name, doc string }{
+		{"plain", `{
   "generated_with": "go test -bench",
   "benchmarks": [
     {"name": "BenchmarkParallelEstimate", "iterations": 1, "metrics": {"ns/op": 5e8}}
   ]
-}`
-	path := filepath.Join(t.TempDir(), "v1.json")
-	if err := os.WriteFile(path, []byte(v1), 0o644); err != nil {
-		t.Fatal(err)
+}`},
+		{"phases block", `{
+  "generated_with": "go test -bench",
+  "benchmarks": [
+    {"name": "BenchmarkParallelEstimate", "iterations": 1, "metrics": {"ns/op": 5e8}}
+  ],
+  "phases": {"circuit": "c880", "m": 2000, "threshold": 0.01, "total_ns": 820026560,
+    "phase_ns": {"estimate": 707106090}, "spans": {"estimate": 43}}
+}`},
 	}
-	b, err := Load(path)
-	if err != nil {
-		t.Fatalf("v1 baseline rejected: %v", err)
-	}
-	if b.Version() != 1 {
-		t.Errorf("Version() = %d, want 1 for legacy documents", b.Version())
-	}
-	if b.Env != nil {
-		t.Error("v1 baseline grew an Env")
-	}
-	if b.MinIterations() != 1 {
-		t.Errorf("MinIterations = %d, want 1", b.MinIterations())
+	for _, tc := range docs {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "v1.json")
+			if err := os.WriteFile(path, []byte(tc.doc), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			b, err := Load(path)
+			if err != nil {
+				t.Fatalf("v1 baseline rejected: %v", err)
+			}
+			if b.Version() != 1 {
+				t.Errorf("Version() = %d, want 1 for legacy documents", b.Version())
+			}
+			if b.Env != nil {
+				t.Error("v1 baseline grew an Env")
+			}
+			if b.MinIterations() != 1 {
+				t.Errorf("MinIterations = %d, want 1", b.MinIterations())
+			}
+		})
 	}
 }
 

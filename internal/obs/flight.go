@@ -8,10 +8,10 @@ import (
 )
 
 // FlightRecorder keeps the recent history of a run in bounded ring
-// buffers — the last N phase spans, iterations and accepts — cheap enough
-// to leave attached to every production run and dense enough to
-// reconstruct "what was the flow doing just before it wedged / panicked /
-// blew its budget". It implements Tracer, so it is attached with
+// buffers — the last N iterations and accepts — cheap enough to leave
+// attached to every production run and dense enough to reconstruct "what
+// was the flow doing just before it wedged / panicked / blew its
+// budget". It implements Tracer, so it is attached with
 // Multi(recorder, otherTracers...); per-candidate events are deliberately
 // not recorded (thousands per iteration would wash the rings out in one
 // scoring pass).
@@ -20,7 +20,6 @@ import (
 // while HTTP handlers snapshot.
 type FlightRecorder struct {
 	mu      sync.Mutex
-	phases  ring[PhaseInfo]
 	iters   ring[IterationInfo]
 	accepts ring[AcceptInfo]
 	started time.Time
@@ -37,18 +36,10 @@ func NewFlightRecorder(depth int) *FlightRecorder {
 		depth = DefaultFlightDepth
 	}
 	return &FlightRecorder{
-		phases:  newRing[PhaseInfo](depth),
 		iters:   newRing[IterationInfo](depth),
 		accepts: newRing[AcceptInfo](depth),
 		started: time.Now(),
 	}
-}
-
-// OnPhase records a phase span.
-func (f *FlightRecorder) OnPhase(i PhaseInfo) {
-	f.mu.Lock()
-	f.phases.push(i)
-	f.mu.Unlock()
 }
 
 // OnIteration records an iteration summary.
@@ -78,10 +69,8 @@ func (f *FlightRecorder) OnAccept(i AcceptInfo) {
 type FlightDump struct {
 	Depth           int             `json:"depth"`
 	UptimeNS        int64           `json:"uptime_ns"`
-	TotalPhases     int64           `json:"total_phases"`
 	TotalIterations int64           `json:"total_iterations"`
 	TotalAccepts    int64           `json:"total_accepts"`
-	Phases          []PhaseInfo     `json:"phases"`
 	Iterations      []IterationInfo `json:"iterations"`
 	Accepts         []AcceptInfo    `json:"accepts"`
 }
@@ -91,12 +80,10 @@ func (f *FlightRecorder) Snapshot() FlightDump {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return FlightDump{
-		Depth:           len(f.phases.buf),
+		Depth:           len(f.iters.buf),
 		UptimeNS:        int64(time.Since(f.started)),
-		TotalPhases:     f.phases.total,
 		TotalIterations: f.iters.total,
 		TotalAccepts:    f.accepts.total,
-		Phases:          f.phases.snapshot(),
 		Iterations:      f.iters.snapshot(),
 		Accepts:         f.accepts.snapshot(),
 	}

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestFlightRecorderKeepsRecentHistory(t *testing.T) {
@@ -14,20 +13,17 @@ func TestFlightRecorderKeepsRecentHistory(t *testing.T) {
 		f.OnIteration(IterationInfo{Iter: i, Candidates: i * 10, Accepted: true})
 		f.OnAccept(AcceptInfo{Iter: i, Target: "g", Actual: float64(i) / 100})
 	}
-	f.OnPhase(PhaseInfo{Phase: PhaseSimulate, Iter: 10, Duration: time.Millisecond})
 	f.OnCandidate(CandidateInfo{Iter: 1}) // must be ignored
 
 	d := f.Snapshot()
 	if d.Depth != 4 {
 		t.Fatalf("depth %d, want 4", d.Depth)
 	}
-	if d.TotalIterations != 10 || d.TotalAccepts != 10 || d.TotalPhases != 1 {
-		t.Fatalf("totals %d/%d/%d, want 10/10/1",
-			d.TotalIterations, d.TotalAccepts, d.TotalPhases)
+	if d.TotalIterations != 10 || d.TotalAccepts != 10 {
+		t.Fatalf("totals %d/%d, want 10/10", d.TotalIterations, d.TotalAccepts)
 	}
-	if len(d.Iterations) != 4 || len(d.Accepts) != 4 || len(d.Phases) != 1 {
-		t.Fatalf("retained %d/%d/%d, want 4/4/1",
-			len(d.Iterations), len(d.Accepts), len(d.Phases))
+	if len(d.Iterations) != 4 || len(d.Accepts) != 4 {
+		t.Fatalf("retained %d/%d, want 4/4", len(d.Iterations), len(d.Accepts))
 	}
 	// Oldest-first, ending at the newest event.
 	for i, it := range d.Iterations {
@@ -50,7 +46,6 @@ func TestFlightRecorderWriteJSON(t *testing.T) {
 		M: 10000, ErrCI: Interval{Lo: 0.008, Hi: 0.012, Level: 0.95},
 		DeltaHW: 0.02, CIAdequate: true,
 	})
-	f.OnPhase(PhaseInfo{Phase: PhaseCPMBuild, Duration: time.Millisecond})
 	var buf bytes.Buffer
 	if err := f.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -64,13 +59,6 @@ func TestFlightRecorderWriteJSON(t *testing.T) {
 	}
 	if len(d.Accepts) != 1 || d.Accepts[0].ErrCI.Hi != 0.012 || !d.Accepts[0].CIAdequate {
 		t.Fatalf("accept CI fields lost in round trip: %+v", d.Accepts)
-	}
-	// Phases serialise by name, not index.
-	if !strings.Contains(buf.String(), `"cpm_build"`) {
-		t.Fatalf("dump should name phases:\n%s", buf.String())
-	}
-	if d.Phases[0].Phase != PhaseCPMBuild {
-		t.Fatalf("phase did not round-trip: %v", d.Phases[0].Phase)
 	}
 }
 

@@ -1,7 +1,9 @@
 // Package obs is the flow-wide observability layer: a metrics registry
 // (counters, gauges, fixed-bucket histograms) snapshotable as JSON or
-// Prometheus text, a Tracer event interface the ALS flows drive, per-phase
-// wall-time and allocation accounting for the five flow phases, and
+// Prometheus text, a Tracer interface for the flow's decisions
+// (iterations, scored candidates, accepts) with one JSON encoding shared
+// by every sink, the five flow phases and their per-run report (measured
+// by timeline.Profile, which also records them as spans), and
 // estimator-drift recording split by the CPM-exactness certificate.
 //
 // The package is stdlib-only and imports nothing else from this module, so
@@ -13,21 +15,21 @@
 //     atomic add — cheap enough to leave enabled unconditionally.
 //   - Event tracing and memory accounting are opt-in: a nil Tracer and a
 //     nil Registry in a flow config short-circuit before any argument is
-//     materialised, so the hot candidate-scoring loop allocates exactly
+//     materialised (per-phase allocation deltas are taken only for runs
+//     with a Registry), so the hot candidate-scoring loop allocates exactly
 //     what it did before this layer existed (asserted by
 //     sasimi's TestNilTracerScoringAllocs).
 package obs
 
 import "time"
 
-// Tracer receives flow events. Implementations must be safe for use from
-// the single flow goroutine; they need not be concurrency-safe. Any method
-// may be a no-op. A nil Tracer in a flow config disables event emission
-// entirely (the flow never calls through a nil interface).
+// Tracer receives the flow's decisions. Implementations must be safe for
+// use from the single flow goroutine; they need not be concurrency-safe.
+// Any method may be a no-op. A nil Tracer in a flow config disables event
+// emission entirely (the flow never calls through a nil interface). Phase
+// timing is not a Tracer event: it is recorded once, as timeline spans and
+// the run's PhaseReport.
 type Tracer interface {
-	// OnPhase is called at the end of every timed phase span with its
-	// duration and (when memory tracking is enabled) allocation delta.
-	OnPhase(PhaseInfo)
 	// OnIteration is called once per flow iteration, after candidate
 	// scoring and selection, whether or not a candidate was accepted.
 	OnIteration(IterationInfo)
@@ -37,14 +39,6 @@ type Tracer interface {
 	// OnAccept is called for every accepted substitution, after the
 	// post-apply measurement, with the predicted-vs-actual drift.
 	OnAccept(AcceptInfo)
-}
-
-// PhaseInfo describes one completed phase span.
-type PhaseInfo struct {
-	Phase    Phase         `json:"phase"`
-	Iter     int           `json:"iter"` // 0 for spans outside the iteration loop
-	Duration time.Duration `json:"ns"`
-	Mem      MemDelta      `json:"mem,omitempty"` // zero unless memory tracking is on
 }
 
 // IterationInfo summarises one flow iteration.
@@ -134,12 +128,6 @@ func Multi(ts ...Tracer) Tracer {
 		return live[0]
 	}
 	return live
-}
-
-func (m multiTracer) OnPhase(i PhaseInfo) {
-	for _, t := range m {
-		t.OnPhase(i)
-	}
 }
 
 func (m multiTracer) OnIteration(i IterationInfo) {

@@ -11,18 +11,14 @@ import (
 
 // recordTracer captures events for assertions.
 type recordTracer struct {
-	phases  []PhaseInfo
 	iters   []IterationInfo
 	cands   []CandidateInfo
 	accepts []AcceptInfo
 }
 
-func (r *recordTracer) OnPhase(i PhaseInfo)         { r.phases = append(r.phases, i) }
 func (r *recordTracer) OnIteration(i IterationInfo) { r.iters = append(r.iters, i) }
 func (r *recordTracer) OnCandidate(i CandidateInfo) { r.cands = append(r.cands, i) }
 func (r *recordTracer) OnAccept(i AcceptInfo)       { r.accepts = append(r.accepts, i) }
-
-var allocSink []byte
 
 func TestPhaseNames(t *testing.T) {
 	want := []string{"pattern_gen", "simulate", "cpm_build", "estimate", "verify_apply"}
@@ -34,53 +30,6 @@ func TestPhaseNames(t *testing.T) {
 	if Phase(200).String() != "unknown" {
 		t.Fatal("out-of-range phase must stringify as unknown")
 	}
-}
-
-func TestProfileAggregatesAndEmits(t *testing.T) {
-	rec := &recordTracer{}
-	pr := &Profile{TrackMem: true, Tracer: rec}
-	pr.Iter = 3
-	sp := pr.Begin(PhaseSimulate)
-	// Allocate something measurable; the package-level sink keeps the
-	// slice from being stack-allocated or optimised away.
-	allocSink = make([]byte, 1<<16)
-	time.Sleep(time.Millisecond)
-	pr.End(sp)
-
-	rep := pr.Report()
-	st := rep.Stats[PhaseSimulate]
-	if st.Count != 1 || st.Time <= 0 {
-		t.Fatalf("bad span aggregate: %+v", st)
-	}
-	if st.Mem.Mallocs <= 0 || st.Mem.Bytes < 1<<16 {
-		t.Fatalf("mem delta not tracked: %+v", st.Mem)
-	}
-	if rep.Total() != st.Time {
-		t.Fatalf("total %v != simulate %v", rep.Total(), st.Time)
-	}
-	if len(rec.phases) != 1 || rec.phases[0].Phase != PhaseSimulate || rec.phases[0].Iter != 3 {
-		t.Fatalf("OnPhase not emitted correctly: %+v", rec.phases)
-	}
-
-	reg := NewRegistry()
-	pr.Export(reg, "sasimi")
-	snap := reg.Snapshot()
-	if snap.Counters[`sasimi_phase_ns{phase="simulate"}`] != int64(st.Time) {
-		t.Fatalf("export missing phase ns: %v", snap.Counters)
-	}
-	if snap.Counters[`sasimi_phase_spans{phase="pattern_gen"}`] != 0 {
-		t.Fatal("unused phase should export zero spans")
-	}
-}
-
-func TestNilProfileIsInert(t *testing.T) {
-	var pr *Profile
-	sp := pr.Begin(PhaseEstimate) // must not panic
-	pr.End(sp)
-	if pr.Report().Total() != 0 {
-		t.Fatal("nil profile reported time")
-	}
-	pr.Export(NewRegistry(), "x") // must not panic
 }
 
 func TestDriftRecorderSplitsByCertificate(t *testing.T) {
@@ -110,19 +59,20 @@ func TestDriftRecorderSplitsByCertificate(t *testing.T) {
 func TestJSONLTracerEmitsValidJSONL(t *testing.T) {
 	var buf bytes.Buffer
 	tr := NewJSONLTracer(&buf)
-	tr.OnPhase(PhaseInfo{Phase: PhaseCPMBuild, Iter: 1, Duration: 42,
-		Mem: MemDelta{Bytes: 100, Mallocs: 3}})
 	tr.OnIteration(IterationInfo{Iter: 1, CurErr: 0.01, Candidates: 10, Feasible: 4,
 		Accepted: true, Duration: 1000})
 	tr.OnCandidate(CandidateInfo{Iter: 1, Target: "g1", Sub: "g2"}) // dropped by default
 	tr.EmitCandidates = true
 	tr.OnCandidate(CandidateInfo{Iter: 1, Target: "g1", Sub: "const0", Delta: 0.002, Exact: true})
-	tr.OnAccept(AcceptInfo{Iter: 1, Target: "g1", Sub: "g2", Predicted: 0.012,
-		Actual: 0.013, Drift: 0.001, Exact: false, Area: 99})
+	accept := AcceptInfo{Iter: 1, Target: "g1", Sub: "g2", Predicted: 0.012,
+		Actual: 0.013, Drift: 0.001, Exact: false, Area: 99,
+		M: 2000, ErrCI: Interval{Lo: 0.009, Hi: 0.018, Level: 0.95}, DeltaHW: 0.06}
+	tr.OnAccept(accept)
 	if err := tr.Flush(); err != nil {
 		t.Fatal(err)
 	}
 
+	var lines [][]byte
 	var evs []map[string]any
 	sc := bufio.NewScanner(&buf)
 	for sc.Scan() {
@@ -130,20 +80,27 @@ func TestJSONLTracerEmitsValidJSONL(t *testing.T) {
 		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
 			t.Fatalf("invalid JSONL line %q: %v", sc.Text(), err)
 		}
+		lines = append(lines, append([]byte(nil), sc.Bytes()...))
 		evs = append(evs, ev)
 	}
 	kinds := make([]string, len(evs))
 	for i, ev := range evs {
 		kinds[i] = ev["ev"].(string)
+		if ev["seq"] != float64(i+1) {
+			t.Fatalf("line %d seq %v, want %d", i+1, ev["seq"], i+1)
+		}
 	}
-	if got, want := strings.Join(kinds, ","), "phase,iter,cand,accept"; got != want {
+	if got, want := strings.Join(kinds, ","), "iter,cand,accept"; got != want {
 		t.Fatalf("event kinds %q, want %q", got, want)
 	}
-	if evs[0]["phase"] != "cpm_build" || evs[0]["ns"] != float64(42) {
-		t.Fatalf("phase event wrong: %v", evs[0])
+	// One encoding: a trace line is byte for byte the Event the live
+	// stream marshals, confidence fields included.
+	want, err := json.Marshal(Event{Kind: EventAccept, Seq: 3, Accept: accept})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if evs[3]["drift"] != float64(0.001) || evs[3]["exact"] != false {
-		t.Fatalf("accept event wrong: %v", evs[3])
+	if !bytes.Equal(lines[2], want) {
+		t.Fatalf("accept line\n%s\nis not the stream encoding\n%s", lines[2], want)
 	}
 }
 
@@ -158,10 +115,9 @@ func TestMultiTracer(t *testing.T) {
 	m := Multi(a, b)
 	m.OnIteration(IterationInfo{Iter: 1})
 	m.OnAccept(AcceptInfo{Iter: 1})
-	m.OnPhase(PhaseInfo{})
 	m.OnCandidate(CandidateInfo{})
 	if len(a.iters) != 1 || len(b.iters) != 1 || len(a.accepts) != 1 ||
-		len(b.phases) != 1 || len(b.cands) != 1 {
+		len(b.cands) != 1 {
 		t.Fatal("multi tracer did not fan out")
 	}
 }

@@ -1,12 +1,6 @@
 package obs
 
-import (
-	"fmt"
-	"runtime"
-	"strconv"
-	"strings"
-	"time"
-)
+import "time"
 
 // Phase identifies one of the five phases of an iterative ALS flow, per
 // the paper's flow decomposition: pattern generation, Monte Carlo
@@ -40,29 +34,6 @@ func (p Phase) String() string {
 	return "unknown"
 }
 
-// MarshalJSON renders the phase as its snake_case name, so flight-recorder
-// dumps and stream events are self-describing.
-func (p Phase) MarshalJSON() ([]byte, error) {
-	return []byte(`"` + p.String() + `"`), nil
-}
-
-// UnmarshalJSON parses a phase name (the String form) or a bare index.
-func (p *Phase) UnmarshalJSON(b []byte) error {
-	s := strings.Trim(string(b), `"`)
-	for i, name := range phaseNames {
-		if name == s {
-			*p = Phase(i)
-			return nil
-		}
-	}
-	n, err := strconv.Atoi(s)
-	if err != nil || n < 0 || Phase(n) >= NumPhases {
-		return fmt.Errorf("obs: unknown phase %q", s)
-	}
-	*p = Phase(n)
-	return nil
-}
-
 // MemDelta is the allocation activity across a span, from
 // runtime.MemStats deltas. Bytes and Mallocs are cumulative (they only
 // grow), so deltas are exact regardless of garbage collection.
@@ -78,9 +49,8 @@ type PhaseStat struct {
 	Mem   MemDelta      `json:"mem,omitempty"`
 }
 
-// PhaseReport is the frozen per-phase aggregate of a Profile, attached to
-// a flow Result so phase accounting survives the run without keeping the
-// Profile alive.
+// PhaseReport is the frozen per-phase aggregate of a flow run, measured by
+// timeline.Profile and attached to the run's Result.
 type PhaseReport struct {
 	Stats [NumPhases]PhaseStat
 }
@@ -92,98 +62,4 @@ func (r PhaseReport) Total() time.Duration {
 		t += s.Time
 	}
 	return t
-}
-
-// Profile accumulates per-phase wall time, span counts and (optionally)
-// allocation deltas. It is single-goroutine, like the flow loop that
-// drives it. The zero Profile is ready to use; a nil *Profile is inert
-// (Begin/End become no-ops), so callers can thread one pointer through
-// without nil checks at every site.
-type Profile struct {
-	// TrackMem enables runtime.MemStats deltas per span. ReadMemStats
-	// stops the world briefly, so this is off unless the run is being
-	// observed.
-	TrackMem bool
-	// Tracer, when non-nil, receives an OnPhase event per completed span.
-	Tracer Tracer
-	// Iter labels spans with the current flow iteration.
-	Iter int
-
-	stats [NumPhases]PhaseStat
-}
-
-// Span is an open phase measurement; close it with Profile.End. The zero
-// Span (from a nil Profile) is inert.
-type Span struct {
-	phase   Phase
-	start   time.Time
-	bytes   uint64
-	mallocs uint64
-}
-
-// Begin opens a span for phase p.
-func (pr *Profile) Begin(p Phase) Span {
-	if pr == nil {
-		return Span{}
-	}
-	s := Span{phase: p, start: time.Now()}
-	if pr.TrackMem {
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		s.bytes = ms.TotalAlloc
-		s.mallocs = ms.Mallocs
-	}
-	return s
-}
-
-// End closes a span, folding it into the aggregate and emitting an
-// OnPhase event when a Tracer is attached.
-func (pr *Profile) End(s Span) {
-	if pr == nil || s.start.IsZero() {
-		return
-	}
-	d := time.Since(s.start)
-	st := &pr.stats[s.phase]
-	st.Time += d
-	st.Count++
-	var mem MemDelta
-	if pr.TrackMem {
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		mem = MemDelta{
-			Bytes:   int64(ms.TotalAlloc - s.bytes),
-			Mallocs: int64(ms.Mallocs - s.mallocs),
-		}
-		st.Mem.Bytes += mem.Bytes
-		st.Mem.Mallocs += mem.Mallocs
-	}
-	if pr.Tracer != nil {
-		pr.Tracer.OnPhase(PhaseInfo{Phase: s.phase, Iter: pr.Iter, Duration: d, Mem: mem})
-	}
-}
-
-// Report returns the per-phase aggregates accumulated so far.
-func (pr *Profile) Report() PhaseReport {
-	if pr == nil {
-		return PhaseReport{}
-	}
-	return PhaseReport{Stats: pr.stats}
-}
-
-// Export writes the aggregates into reg as labelled counters
-// (prefix_phase_ns{phase="..."} etc.), so a metrics snapshot carries the
-// phase breakdown alongside the substrate counters.
-func (pr *Profile) Export(reg *Registry, prefix string) {
-	if pr == nil || reg == nil {
-		return
-	}
-	for p := Phase(0); p < NumPhases; p++ {
-		st := pr.stats[p]
-		reg.Counter(prefix + `_phase_ns{phase="` + p.String() + `"}`).Add(int64(st.Time))
-		reg.Counter(prefix + `_phase_spans{phase="` + p.String() + `"}`).Add(st.Count)
-		if pr.TrackMem {
-			reg.Counter(prefix + `_phase_alloc_bytes{phase="` + p.String() + `"}`).Add(st.Mem.Bytes)
-			reg.Counter(prefix + `_phase_mallocs{phase="` + p.String() + `"}`).Add(st.Mem.Mallocs)
-		}
-	}
 }

@@ -10,20 +10,17 @@ import (
 // EventKind discriminates the payload of a stream Event.
 type EventKind uint8
 
-// The stream event kinds, matching the Tracer methods.
+// The event kinds, matching the Tracer methods.
 const (
-	EventPhase EventKind = iota + 1
-	EventIteration
+	EventIteration EventKind = iota + 1
 	EventCandidate
 	EventAccept
 )
 
 // String returns the wire name of the kind (the "ev" field of the JSON
-// encoding, shared with JSONLTracer's vocabulary).
+// encoding).
 func (k EventKind) String() string {
 	switch k {
-	case EventPhase:
-		return "phase"
 	case EventIteration:
 		return "iter"
 	case EventCandidate:
@@ -34,26 +31,27 @@ func (k EventKind) String() string {
 	return "unknown"
 }
 
-// Event is one flow event in flight through a StreamTracer: a flat union
-// (only the payload selected by Kind is meaningful) so events move through
-// channels by value — publishing allocates nothing, which keeps a
-// connected-but-idle subscriber off the flow's hot path entirely.
+// Event is one flow event: a flat union (only the payload selected by Kind
+// is meaningful) so events move through a StreamTracer's channels by
+// value — publishing allocates nothing, which keeps a connected-but-idle
+// subscriber off the flow's hot path entirely. Its JSON encoding is the
+// one every event sink writes: JSONL trace lines and SSE data.
 type Event struct {
 	Kind EventKind
-	// Seq is the tracer-wide publication sequence number (1-based); gaps
+	// Seq is the tracer-wide sequence number (1-based). On a stream, gaps
 	// in a subscriber's view are events dropped on its full buffer.
 	Seq uint64
 	// Run names the originating run, when the tracer was built with one.
 	Run string
 
-	Phase  PhaseInfo
 	Iter   IterationInfo
 	Cand   CandidateInfo
 	Accept AcceptInfo
 }
 
-// MarshalJSON renders the event as a self-describing object mirroring the
-// JSONL trace schema, with seq/run envelope fields added.
+// MarshalJSON renders the event as a self-describing envelope
+// {"ev","seq","run","data"} around the kind's payload (run omitted when
+// empty).
 func (e Event) MarshalJSON() ([]byte, error) {
 	env := struct {
 		Ev  string `json:"ev"`
@@ -62,8 +60,6 @@ func (e Event) MarshalJSON() ([]byte, error) {
 		Pay any    `json:"data"`
 	}{Ev: e.Kind.String(), Seq: e.Seq, Run: e.Run}
 	switch e.Kind {
-	case EventPhase:
-		env.Pay = e.Phase
 	case EventIteration:
 		env.Pay = e.Iter
 	case EventCandidate:
@@ -85,11 +81,10 @@ func (e Event) MarshalJSON() ([]byte, error) {
 // With zero subscribers every Tracer method returns after one atomic
 // load, and a publish to idle subscribers performs no allocation — the
 // serving layer can stay attached to production runs unconditionally.
+// The stream never carries per-candidate events: thousands per iteration
+// would flood every subscriber's buffer (a JSONL trace with
+// EmitCandidates is the way to record them).
 type StreamTracer struct {
-	// EmitCandidates opts into per-candidate events, the same (large)
-	// firehose JSONLTracer gates behind its own EmitCandidates.
-	EmitCandidates bool
-
 	run     string
 	seq     atomic.Uint64
 	dropped atomic.Int64
@@ -181,27 +176,16 @@ func (t *StreamTracer) publish(e Event) {
 	t.mu.RUnlock()
 }
 
-// OnPhase publishes a phase event.
-func (t *StreamTracer) OnPhase(i PhaseInfo) {
-	t.publish(Event{Kind: EventPhase, Phase: i})
-}
-
 // OnIteration publishes an iteration event.
 func (t *StreamTracer) OnIteration(i IterationInfo) {
 	t.publish(Event{Kind: EventIteration, Iter: i})
 }
 
-// WantsCandidates mirrors EmitCandidates for the CandidateFilter
-// capability.
-func (t *StreamTracer) WantsCandidates() bool { return t.EmitCandidates }
+// WantsCandidates declines the candidate firehose (CandidateFilter).
+func (t *StreamTracer) WantsCandidates() bool { return false }
 
-// OnCandidate publishes a candidate event when EmitCandidates is set.
-func (t *StreamTracer) OnCandidate(i CandidateInfo) {
-	if !t.EmitCandidates {
-		return
-	}
-	t.publish(Event{Kind: EventCandidate, Cand: i})
-}
+// OnCandidate is a no-op: the stream does not carry candidates.
+func (t *StreamTracer) OnCandidate(CandidateInfo) {}
 
 // OnAccept publishes an accept event.
 func (t *StreamTracer) OnAccept(i AcceptInfo) {

@@ -13,9 +13,8 @@ func TestStreamTracerDeliversInOrder(t *testing.T) {
 
 	tr.OnIteration(IterationInfo{Iter: 1, Accepted: true})
 	tr.OnAccept(AcceptInfo{Iter: 1, Target: "g3"})
-	tr.OnPhase(PhaseInfo{Phase: PhaseEstimate, Iter: 1})
 
-	want := []EventKind{EventIteration, EventAccept, EventPhase}
+	want := []EventKind{EventIteration, EventAccept}
 	for i, k := range want {
 		e := <-ch
 		if e.Kind != k {
@@ -37,15 +36,13 @@ func TestStreamTracerCandidateGate(t *testing.T) {
 	tr := NewStreamTracer("")
 	ch, cancel := tr.Subscribe(4)
 	defer cancel()
+	if WantsCandidates(tr) {
+		t.Fatal("stream tracer asks for candidate events")
+	}
 	tr.OnCandidate(CandidateInfo{Iter: 1})
 	tr.OnIteration(IterationInfo{Iter: 1})
 	if e := <-ch; e.Kind != EventIteration {
-		t.Fatalf("candidate event leaked without opting in: %v", e.Kind)
-	}
-	tr.EmitCandidates = true
-	tr.OnCandidate(CandidateInfo{Iter: 2, Target: "x"})
-	if e := <-ch; e.Kind != EventCandidate || e.Cand.Target != "x" {
-		t.Fatalf("opted-in candidate event wrong: %+v", e)
+		t.Fatalf("candidate event leaked onto the stream: %v", e.Kind)
 	}
 }
 

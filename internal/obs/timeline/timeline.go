@@ -4,8 +4,9 @@
 // SASIMI flow loop write into, and that exports as Chrome trace-event
 // JSON loadable in Perfetto (chrome://tracing).
 //
-// Where the obs package's Profile answers "how much wall time did each of
-// the five flow phases take in aggregate", the timeline answers the
+// Profile times the five flow phases once and reports each measurement
+// both as the per-phase aggregate (how much wall time each phase took)
+// and as a "phase:<name>" span on the driver lane. The spans answer the
 // question ROADMAP item 2 actually asks: *where on which worker did the
 // wall-clock go, and what was everyone else doing meanwhile*. A span is
 // one contiguous activity — a pool dispatch, one worker's share of it, a
@@ -266,6 +267,24 @@ func (r *Recorder) EndWithParent(a Active, parent int64) int64 {
 		Iter:   r.iter.Load(),
 		T0:     a.t0,
 		T1:     r.Now(),
+	})
+}
+
+// Mark records an instantaneous (zero-length) driver-lane span at the
+// current time, labelled with the current iteration.
+func (r *Recorder) Mark(name string, phase obs.Phase) {
+	if r == nil {
+		return
+	}
+	now := r.Now()
+	r.Emit(0, Span{
+		Name:   name,
+		Phase:  phase,
+		Worker: -1,
+		Shard:  -1,
+		Iter:   r.iter.Load(),
+		T0:     now,
+		T1:     now,
 	})
 }
 

@@ -92,6 +92,13 @@ func TestStartEndDriverSpan(t *testing.T) {
 	if s.T1 < s.T0 {
 		t.Errorf("T1 %d < T0 %d", s.T1, s.T0)
 	}
+
+	// Mark records an instantaneous driver span.
+	r.Mark("accept", obs.PhaseVerifyApply)
+	m := r.Snapshot()[1]
+	if m.Name != "accept" || m.Worker != -1 || m.Iter != 7 || m.Dur() != 0 {
+		t.Errorf("marker = %+v, want a zero-length driver span at iter 7", m)
+	}
 }
 
 func TestReset(t *testing.T) {
@@ -125,6 +132,7 @@ func TestNilRecorderSafe(t *testing.T) {
 	if r.End(a) != 0 {
 		t.Error("nil End should return 0")
 	}
+	r.Mark("x", obs.PhaseSimulate)
 	if r.Snapshot() != nil {
 		t.Error("nil Snapshot should be nil")
 	}

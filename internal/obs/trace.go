@@ -7,10 +7,11 @@ import (
 	"sync"
 )
 
-// JSONLTracer writes flow events as JSON Lines: one self-describing JSON
-// object per line, keyed by "ev" ("phase", "iter", "cand", "accept").
-// Events stream as they happen, so a trace of a crashed or interrupted run
-// is still valid up to its last complete line.
+// JSONLTracer writes flow events as JSON Lines: one Event per line, in
+// the encoding the live stream sends ({"ev","seq","data"}, with seq
+// numbering the lines from 1). Events stream as they happen, so a trace
+// of a crashed or interrupted run is still valid up to its last complete
+// line.
 //
 // Per-candidate events are the bulk of a trace (thousands per iteration on
 // ISCAS-scale circuits) and are dropped unless EmitCandidates is set.
@@ -18,6 +19,7 @@ type JSONLTracer struct {
 	mu             sync.Mutex
 	w              *bufio.Writer
 	enc            *json.Encoder
+	seq            uint64
 	err            error // first write/encode error, sticky
 	errCount       int64
 	errCounter     *Counter // optional registry mirror of errCount
@@ -72,61 +74,9 @@ func (t *JSONLTracer) Flush() error {
 	return t.err
 }
 
-// jsonlPhase mirrors PhaseInfo with stable JSON field names.
-type jsonlPhase struct {
-	Ev      string `json:"ev"`
-	Iter    int    `json:"iter"`
-	Phase   string `json:"phase"`
-	NS      int64  `json:"ns"`
-	Bytes   int64  `json:"alloc_bytes,omitempty"`
-	Mallocs int64  `json:"mallocs,omitempty"`
-}
-
-// OnPhase emits a "phase" event.
-func (t *JSONLTracer) OnPhase(i PhaseInfo) {
-	t.emit(jsonlPhase{
-		Ev:      "phase",
-		Iter:    i.Iter,
-		Phase:   i.Phase.String(),
-		NS:      int64(i.Duration),
-		Bytes:   i.Mem.Bytes,
-		Mallocs: i.Mem.Mallocs,
-	})
-}
-
-type jsonlIter struct {
-	Ev         string  `json:"ev"`
-	Iter       int     `json:"iter"`
-	CurErr     float64 `json:"cur_err"`
-	Candidates int     `json:"cands"`
-	Feasible   int     `json:"feasible"`
-	Accepted   bool    `json:"accepted"`
-	NS         int64   `json:"ns"`
-}
-
 // OnIteration emits an "iter" event.
 func (t *JSONLTracer) OnIteration(i IterationInfo) {
-	t.emit(jsonlIter{
-		Ev:         "iter",
-		Iter:       i.Iter,
-		CurErr:     i.CurErr,
-		Candidates: i.Candidates,
-		Feasible:   i.Feasible,
-		Accepted:   i.Accepted,
-		NS:         int64(i.Duration),
-	})
-}
-
-type jsonlCand struct {
-	Ev       string  `json:"ev"`
-	Iter     int     `json:"iter"`
-	Target   string  `json:"target"`
-	Sub      string  `json:"sub"`
-	Inverted bool    `json:"inv,omitempty"`
-	Delta    float64 `json:"delta"`
-	Gain     float64 `json:"gain"`
-	Score    float64 `json:"score"`
-	Exact    bool    `json:"exact"`
+	t.emit(Event{Kind: EventIteration, Iter: i})
 }
 
 // WantsCandidates mirrors EmitCandidates for the CandidateFilter
@@ -138,68 +88,23 @@ func (t *JSONLTracer) OnCandidate(i CandidateInfo) {
 	if !t.EmitCandidates {
 		return
 	}
-	t.emit(jsonlCand{
-		Ev:       "cand",
-		Iter:     i.Iter,
-		Target:   i.Target,
-		Sub:      i.Sub,
-		Inverted: i.Inverted,
-		Delta:    i.Delta,
-		Gain:     i.Gain,
-		Score:    i.Score,
-		Exact:    i.Exact,
-	})
-}
-
-type jsonlAccept struct {
-	Ev        string  `json:"ev"`
-	Iter      int     `json:"iter"`
-	Target    string  `json:"target"`
-	Sub       string  `json:"sub"`
-	Inverted  bool    `json:"inv,omitempty"`
-	Predicted float64 `json:"pred_err"`
-	Actual    float64 `json:"actual_err"`
-	Drift     float64 `json:"drift"`
-	Exact     bool    `json:"exact"`
-	Area      float64 `json:"area"`
-	// Confidence fields, present when the flow computed them (M > 0).
-	M          int     `json:"m,omitempty"`
-	ErrLo      float64 `json:"err_ci_lo,omitempty"`
-	ErrHi      float64 `json:"err_ci_hi,omitempty"`
-	CILevel    float64 `json:"ci_level,omitempty"`
-	DeltaHW    float64 `json:"delta_hw,omitempty"`
-	Inadequate bool    `json:"ci_inadequate,omitempty"`
+	t.emit(Event{Kind: EventCandidate, Cand: i})
 }
 
 // OnAccept emits an "accept" event.
 func (t *JSONLTracer) OnAccept(i AcceptInfo) {
-	t.emit(jsonlAccept{
-		Ev:         "accept",
-		Iter:       i.Iter,
-		Target:     i.Target,
-		Sub:        i.Sub,
-		Inverted:   i.Inverted,
-		Predicted:  i.Predicted,
-		Actual:     i.Actual,
-		Drift:      i.Drift,
-		Exact:      i.Exact,
-		Area:       i.Area,
-		M:          i.M,
-		ErrLo:      i.ErrCI.Lo,
-		ErrHi:      i.ErrCI.Hi,
-		CILevel:    i.ErrCI.Level,
-		DeltaHW:    i.DeltaHW,
-		Inadequate: i.M > 0 && !i.CIAdequate,
-	})
+	t.emit(Event{Kind: EventAccept, Accept: i})
 }
 
-func (t *JSONLTracer) emit(v any) {
+func (t *JSONLTracer) emit(e Event) {
 	t.mu.Lock()
+	t.seq++
+	e.Seq = t.seq
 	// Encode errors (a full disk, a closed pipe) must not abort a synthesis
 	// run over its telemetry; the trace just ends early, but the failure is
 	// recorded so Err/ErrCount (and the optional registry counter) surface
 	// it instead of silently losing the tail of the trace.
-	if err := t.enc.Encode(v); err != nil {
+	if err := t.enc.Encode(e); err != nil {
 		t.recordErrLocked(err)
 	}
 	t.mu.Unlock()

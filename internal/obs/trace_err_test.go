@@ -48,7 +48,6 @@ func TestJSONLTracerSurfacesWriteErrors(t *testing.T) {
 	// Later events keep failing (bufio's error is sticky) and keep
 	// counting — but never panic and never abort the caller.
 	tr.OnAccept(AcceptInfo{Iter: 2, Target: "g"})
-	tr.OnPhase(PhaseInfo{Phase: PhaseSimulate})
 	_ = tr.Flush()
 	if tr.ErrCount() <= first {
 		t.Fatalf("ErrCount stuck at %d after more failing writes", tr.ErrCount())

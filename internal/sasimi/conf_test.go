@@ -19,7 +19,6 @@ type captureTracer struct {
 	accepts []obs.AcceptInfo
 }
 
-func (c *captureTracer) OnPhase(obs.PhaseInfo)         {}
 func (c *captureTracer) OnIteration(obs.IterationInfo) {}
 func (c *captureTracer) OnCandidate(obs.CandidateInfo) {}
 func (c *captureTracer) OnAccept(i obs.AcceptInfo)     { c.accepts = append(c.accepts, i) }

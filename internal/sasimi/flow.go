@@ -83,14 +83,15 @@ type Config struct {
 	VerifyTopK int
 	// KeepTrace records a per-iteration IterationRecord in the result.
 	KeepTrace bool
-	// Tracer, when non-nil, receives flow events: per-phase spans,
-	// per-iteration summaries, per-candidate scores and accepted
-	// substitutions. A nil Tracer costs nothing — the hot loops never
-	// materialise event arguments.
+	// Tracer, when non-nil, receives the flow's decisions: per-iteration
+	// summaries, per-candidate scores and accepted substitutions. A nil
+	// Tracer costs nothing — the hot loops never materialise event
+	// arguments.
 	Tracer obs.Tracer
 	// Metrics, when non-nil, receives flow metrics: iteration / candidate
-	// / accept counters, the five per-phase timers and the
-	// estimator-drift histograms (split by the exactness certificate).
+	// / accept counters, the five per-phase timers and allocation
+	// counters, and the estimator-drift histograms (split by the
+	// exactness certificate).
 	Metrics *obs.Registry
 	// CheckInvariants re-validates structural invariants after every
 	// accepted substitution: a combinational cycle introduced by the
@@ -102,12 +103,12 @@ type Config struct {
 	// Timeline, when non-nil, records the run's causal span timeline: one
 	// dispatch span plus per-worker spans for every pool fan-out
 	// (simulation, CPM build/refresh, gather, scoring), flow-phase and
-	// iteration spans, and verify/apply/measure spans — exportable as
-	// Chrome trace-event JSON (Recorder.WriteTrace) for Perfetto. Worker
-	// goroutines additionally carry als_dispatch/als_phase pprof labels
-	// while a timeline is attached. A nil Timeline costs nothing (one
-	// predictable branch per dispatch) and the recorded computation is
-	// bit-identical either way.
+	// iteration spans, accept markers, and verify/apply/measure spans —
+	// exportable as Chrome trace-event JSON (Recorder.WriteTrace) for
+	// Perfetto. Worker goroutines additionally carry als_dispatch/als_phase
+	// pprof labels while a timeline is attached. A nil Timeline costs
+	// nothing (one predictable branch per dispatch) and the recorded
+	// computation is bit-identical either way.
 	Timeline *timeline.Recorder
 
 	// verifyIncremental cross-checks the incremental engine against the
@@ -191,9 +192,9 @@ type Result struct {
 	// off.
 	NumIterations int
 	TotalTime     time.Duration
-	// Phases is the per-phase wall-time (and, when a Tracer or Metrics
-	// registry was configured, allocation) breakdown of the whole run
-	// across the five flow phases.
+	// Phases is the per-phase wall-time (and, when a Metrics registry was
+	// configured, allocation) breakdown of the whole run across the five
+	// flow phases.
 	Phases obs.PhaseReport
 }
 
@@ -236,11 +237,11 @@ type runObs struct {
 	dirtyFrac   *obs.Histogram
 
 	// emitCands caches obs.WantsCandidates(tracer): when the attached
-	// tracer declines the candidate firehose (a StreamTracer or JSONLTracer
-	// with EmitCandidates off, a FlightRecorder), the scoring loop skips
-	// building CandidateInfo — including the name lookups — entirely, which
-	// keeps the per-candidate path allocation-identical to the nil-tracer
-	// path even with live subscribers attached.
+	// tracer declines the candidate firehose (a StreamTracer, a
+	// FlightRecorder, a JSONLTracer with EmitCandidates off), the scoring
+	// loop skips building CandidateInfo — including the name lookups —
+	// entirely, which keeps the per-candidate path allocation-identical to
+	// the nil-tracer path even with live subscribers attached.
 	emitCands bool
 }
 
@@ -416,14 +417,10 @@ func RunContext(goCtx context.Context, golden *circuit.Network, cfg Config) (*Re
 		return nil, err
 	}
 
-	// TrackMem (ReadMemStats per phase span) keys off the caller's sinks,
-	// computed before the timeline tracer is merged in: attaching only a
-	// Timeline must not add stop-the-world sampling to the run.
-	observed := cfg.Tracer != nil || cfg.Metrics != nil
-	if cfg.Timeline != nil {
-		cfg.Tracer = obs.Multi(cfg.Tracer, timeline.NewFlowTracer(cfg.Timeline))
-	}
-	prof := &obs.Profile{Tracer: cfg.Tracer, TrackMem: observed}
+	// Per-phase allocation deltas (ReadMemStats per phase span) feed only
+	// the registry's counters and the Mem field of Result.Phases, so only
+	// a metered run pays for them.
+	prof := timeline.NewProfile(cfg.Timeline, cfg.Metrics != nil)
 
 	pool := par.NewPool(cfg.Workers)
 	defer pool.Close()
@@ -493,8 +490,8 @@ loop:
 			break
 		}
 		iterStart := time.Now()
-		prof.Iter = iter
 		cfg.Timeline.SetIter(iter)
+		tli := cfg.Timeline.Start("iteration", obs.PhaseEstimate)
 
 		sp = prof.Begin(obs.PhaseSimulate)
 		if eng == nil || !incremental {
@@ -549,6 +546,7 @@ loop:
 		}
 		if len(cands) == 0 {
 			prof.End(sp)
+			cfg.Timeline.End(tli)
 			o.iteration(iter, curErr, 0, 0, false, time.Since(iterStart))
 			break
 		}
@@ -577,6 +575,7 @@ loop:
 		}
 		if best == -1 {
 			prof.End(sp)
+			cfg.Timeline.End(tli)
 			o.iteration(iter, curErr, len(cands), len(feasible), false, time.Since(iterStart))
 			break // nothing fits in the remaining budget
 		}
@@ -624,6 +623,7 @@ loop:
 			*approx = *backup
 			prof.End(sp)
 			o.rolledBack()
+			cfg.Timeline.End(tli)
 			o.iteration(iter, curErr, len(cands), len(feasible), false, time.Since(iterStart))
 			break
 		}
@@ -635,8 +635,10 @@ loop:
 		res.FinalError = actual
 		targetName := backup.NameOf(chosen.Target)
 		subN := subName(backup, &chosen)
+		cfg.Timeline.Mark("accept", obs.PhaseVerifyApply)
 		o.accepted(iter, targetName, subN, chosen.Inverted, predicted, actual, chosen.Exact, res.FinalArea,
 			chosen.Delta, wrongCount, int64(patterns.NumPatterns()))
+		cfg.Timeline.End(tli)
 		o.iteration(iter, curErr, len(cands), len(feasible), true, time.Since(iterStart))
 		if cfg.KeepTrace {
 			res.Iterations = append(res.Iterations, IterationRecord{

@@ -365,7 +365,7 @@ func TestInvalidInputs(t *testing.T) {
 
 func TestCustomPatterns(t *testing.T) {
 	golden := bench.RCA(6)
-	p := sim.BiasedPatterns(make([]float64, 12), 500, 3) // all-zero inputs
+	p := sim.NewPatterns(12, 500) // all-zero inputs
 	for k := 0; k < 12; k++ {
 		if p.InputRow(k).Any() {
 			t.Fatal("expected all-zero patterns")

@@ -2,7 +2,9 @@ package sasimi
 
 import (
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"batchals/internal/core"
 	"batchals/internal/flow"
@@ -151,6 +153,80 @@ func TestTimelineFlowSpanTaxonomy(t *testing.T) {
 	}
 	if maxIter == 0 && res.NumIterations > 0 {
 		t.Error("no span carries a nonzero iteration label")
+	}
+}
+
+// TestTimelinePhaseSpansAreThePhaseReport pins that phase timing has one
+// source: the driver-lane "phase:<name>" spans are the very measurements
+// behind Result.Phases (same count, same summed duration to the
+// nanosecond), recorded with their true start, so each encloses every
+// other driver-lane span that overlaps it. The iteration span crosses
+// phase boundaries and the accept marker follows its phase, so both are
+// exempt from the nesting check.
+func TestTimelinePhaseSpansAreThePhaseReport(t *testing.T) {
+	rec := timeline.NewRecorder(3, 0)
+	res := runOn(t, "c880", Config{
+		Budget: flow.Budget{
+			Metric:      core.MetricER,
+			Threshold:   0.03,
+			NumPatterns: 2048,
+			Seed:        1,
+		},
+		Workers:    2,
+		VerifyTopK: 2,
+		Timeline:   rec,
+		Metrics:    obs.NewRegistry(),
+	})
+	if res.NumIterations == 0 {
+		t.Fatal("flow made no progress; nothing to compare")
+	}
+	if d := rec.Dropped(); d != 0 {
+		t.Fatalf("recorder dropped %d spans; the span sums would be partial", d)
+	}
+
+	var count [obs.NumPhases]int64
+	var wall [obs.NumPhases]time.Duration
+	var phases, nested []timeline.Span
+	for _, s := range rec.Snapshot() {
+		switch {
+		case s.Worker != -1:
+		case strings.HasPrefix(s.Name, "phase:"):
+			if s.Name != "phase:"+s.Phase.String() {
+				t.Fatalf("span %q tagged with phase %v", s.Name, s.Phase)
+			}
+			count[s.Phase]++
+			wall[s.Phase] += time.Duration(s.Dur())
+			phases = append(phases, s)
+		case s.Name != "iteration" && s.Name != "accept":
+			nested = append(nested, s)
+		}
+	}
+	for p := obs.Phase(0); p < obs.NumPhases; p++ {
+		st := res.Phases.Stats[p]
+		if count[p] != st.Count || wall[p] != st.Time {
+			t.Errorf("phase %v: %d spans / %v on the timeline, Result.Phases has %d / %v",
+				p, count[p], wall[p], st.Count, st.Time)
+		}
+	}
+	if len(nested) == 0 {
+		t.Fatal("no driver-lane spans inside the phases")
+	}
+	outside := 0
+	for _, c := range nested {
+		for _, ph := range phases {
+			overlaps := c.T0 < ph.T1 && ph.T0 < c.T1
+			if overlaps && (c.T0 < ph.T0 || c.T1 > ph.T1) {
+				if outside < 5 {
+					t.Errorf("%s [%d,%d] sticks out of %s [%d,%d]",
+						c.Name, c.T0, c.T1, ph.Name, ph.T0, ph.T1)
+				}
+				outside++
+				break
+			}
+		}
+	}
+	if outside > 0 {
+		t.Errorf("%d of %d driver-lane spans stick out of their phase span", outside, len(nested))
 	}
 }
 

@@ -65,21 +65,6 @@ func RandomPatterns(numInputs, m int, seed int64) *Patterns {
 	return p
 }
 
-// BiasedPatterns draws m patterns where input k is 1 with probability
-// prob[k], modelling a non-uniform independent input distribution.
-func BiasedPatterns(prob []float64, m int, seed int64) *Patterns {
-	r := rand.New(rand.NewSource(seed))
-	p := NewPatterns(len(prob), m)
-	for k := range prob {
-		for i := 0; i < m; i++ {
-			if r.Float64() < prob[k] {
-				p.rows[k].Set(i, true)
-			}
-		}
-	}
-	return p
-}
-
 // ExhaustivePatterns enumerates all 2^numInputs assignments. It panics for
 // numInputs > 26 (67M patterns) to avoid accidental memory blow-ups.
 func ExhaustivePatterns(numInputs int) *Patterns {

@@ -149,18 +149,6 @@ func TestRandomPatternsDeterministic(t *testing.T) {
 	}
 }
 
-func TestBiasedPatternsFrequency(t *testing.T) {
-	p := BiasedPatterns([]float64{0.1, 0.9, 0.5}, 20000, 7)
-	counts := []int{p.InputRow(0).Count(), p.InputRow(1).Count(), p.InputRow(2).Count()}
-	wants := []float64{0.1, 0.9, 0.5}
-	for k, c := range counts {
-		got := float64(c) / 20000
-		if got < wants[k]-0.02 || got > wants[k]+0.02 {
-			t.Fatalf("input %d frequency %.3f want %.1f", k, got, wants[k])
-		}
-	}
-}
-
 func TestResimulateConeMatchesFullSim(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 25; trial++ {

@@ -22,9 +22,10 @@ grep -q "parallel fraction" "$LOG" || { echo "summary is missing the parallel-fr
 # Validate the trace-event JSON: top-level shape, complete events with
 # non-negative microsecond timestamps, thread_name metadata for the
 # driver lane and at least one worker lane, dispatch causality (worker
-# events referencing a parent span), and — at -workers 4 — the verify
-# step actually fanned out: sasimi.verify_topk must appear on worker
-# lanes as causally-parented child spans, not only as a driver span.
+# events referencing a parent span), the verify fan-out (at -workers 4,
+# sasimi.verify_topk must appear on worker lanes as causally-parented
+# child spans, not only as a driver span) and the driver lane's nesting
+# inside its phase spans.
 python3 - "$TRACE" <<'EOF'
 import json, sys
 
@@ -63,8 +64,33 @@ verify_children = [
     and "parent" in ev["args"]
 ]
 assert verify_children, "verify_topk never fanned out to worker lanes"
+
+# Phase timing has one source: the driver lane carries the phase:,
+# iteration and accept spans, and each phase: span, recorded with its true
+# start, encloses every other driver-lane event that overlaps it. The
+# iteration span crosses phases and the accept marker follows its phase,
+# so neither is checked for nesting. EPS absorbs the float rounding of
+# nanosecond stamps written as microseconds.
+EPS = 1e-3
+def end(ev):
+    return ev["ts"] + ev.get("dur", 0)
+driver = [ev for ev in spans if threads.get(ev["tid"]) == "driver"]
+phases = [ev for ev in driver if ev["name"].startswith("phase:")]
+names = {ev["name"] for ev in driver}
+assert phases, "no phase: spans on the driver lane"
+for want in ("iteration", "accept"):
+    assert want in names, f"no {want} span on the driver lane"
+nested = [ev for ev in driver
+          if not ev["name"].startswith("phase:") and ev["name"] not in ("iteration", "accept")]
+outside = [c for c in nested if any(
+    c["ts"] < end(p) and p["ts"] < end(c)
+    and (c["ts"] < p["ts"] - EPS or end(c) > end(p) + EPS) for p in phases)]
+assert not outside, (f"{len(outside)} of {len(nested)} driver-lane events stick out of "
+                     f"a phase: span, first {outside[0]['name']} at ts {outside[0]['ts']}")
+
 print(f"smoke_timeline: {complete} spans across {len(threads)} lanes, "
-      f"{parented} causally parented, {len(verify_children)} parallel verify spans")
+      f"{parented} causally parented, {len(verify_children)} parallel verify spans, "
+      f"{len(nested)} driver spans inside {len(phases)} phase spans")
 EOF
 
 echo "smoke_timeline: OK"
