@@ -158,7 +158,7 @@ func TestIdleStreamSubscriberScoringAllocs(t *testing.T) {
 	cfg := Config{Budget: flow.Budget{Metric: core.MetricER, Threshold: 1}}
 	cfg.fillDefaults()
 	arrival := lib.NodeArrival(net)
-	cands := bruteGather(net, vals, &cfg, arrival, lib.GateDelay(circuit.KindNot))
+	cands := gatherRecords(t, net, vals, &cfg, arrival, lib.GateDelay(circuit.KindNot))
 	if len(cands) == 0 {
 		t.Fatal("no candidates on RCA8")
 	}
@@ -166,7 +166,7 @@ func TestIdleStreamSubscriberScoringAllocs(t *testing.T) {
 	change := bitvec.New(vals.M)
 
 	baseline := testing.AllocsPerRun(20, func() {
-		scoreCandidates(est, cands, vals, 0, cfg.Threshold, scratch, change, nil, 1)
+		scoreCandidates(est, cands, nil, vals, 0, cfg.Threshold, scratch, change, nil, 1)
 	})
 
 	stream := obs.NewStreamTracer("allocs")
@@ -176,7 +176,7 @@ func TestIdleStreamSubscriberScoringAllocs(t *testing.T) {
 	streamCfg.Tracer = stream
 	o := newRunObs(&streamCfg, net)
 	withIdleSub := testing.AllocsPerRun(20, func() {
-		scoreCandidates(est, cands, vals, 0, cfg.Threshold, scratch, change, o, 1)
+		scoreCandidates(est, cands, nil, vals, 0, cfg.Threshold, scratch, change, o, 1)
 	})
 	if withIdleSub > baseline {
 		t.Fatalf("idle-subscriber scoring allocates %v/run, nil-tracer baseline %v/run",

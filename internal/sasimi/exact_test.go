@@ -61,7 +61,8 @@ func TestExactCertificateMatchesExactDelta(t *testing.T) {
 				continue
 			}
 			nExact++
-			sub := c.substituteValue(vals, scratch)
+			id := identityOf(c)
+			sub := id.substituteValue(vals, scratch)
 			want := core.ExactDelta(approx, vals, c.Target, sub, st, core.MetricER)
 			if diff := c.Delta - want; diff > 1e-12 || diff < -1e-12 {
 				t.Errorf("%s: certified candidate (target %s) batch ΔER %.15f != exact %.15f",

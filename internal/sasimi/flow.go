@@ -3,6 +3,7 @@ package sasimi
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"time"
@@ -275,7 +276,7 @@ func newRunObs(cfg *Config, net *circuit.Network) *runObs {
 	return o
 }
 
-func (o *runObs) candidateScored(iter int, c *Candidate) {
+func (o *runObs) candidateScored(iter int, c *cand, e scored) {
 	if o == nil {
 		return
 	}
@@ -285,18 +286,18 @@ func (o *runObs) candidateScored(iter int, c *Candidate) {
 	if o.emitCands {
 		o.tracer.OnCandidate(obs.CandidateInfo{
 			Iter:     iter,
-			Target:   o.net.NameOf(c.Target),
+			Target:   o.net.NameOf(c.target),
 			Sub:      subName(o.net, c),
-			Inverted: c.Inverted,
-			Delta:    c.Delta,
-			Gain:     c.AreaGain,
-			Score:    c.Score,
-			Exact:    c.Exact,
+			Inverted: c.kind == kindInverted,
+			Delta:    e.delta,
+			Gain:     c.gain,
+			Score:    e.score,
+			Exact:    e.exact,
 		})
 	}
 }
 
-func (o *runObs) verified(iter int, c *Candidate, batchDelta, exactDelta float64, wasExact bool) {
+func (o *runObs) verified(batchDelta, exactDelta float64, wasExact bool) {
 	if o == nil {
 		return
 	}
@@ -464,6 +465,7 @@ func RunContext(goCtx context.Context, golden *circuit.Network, cfg Config) (*Re
 	scratch := bitvec.New(patterns.NumPatterns())
 	change := bitvec.New(patterns.NumPatterns())
 	var vscratch verifyScratch
+	var entries []scored // scored-entry buffer, reused iteration after iteration
 
 	// The incremental engine carries net+vals+error-state+CPM across
 	// iterations; the gather cache carries candidate enumeration state.
@@ -517,7 +519,7 @@ loop:
 		arrival := cfg.Library.NodeArrival(approx)
 		invDelay := cfg.Library.GateDelay(circuit.KindNot)
 		env := newGatherEnv(approx, vals, &cfg, arrival, invDelay, adm)
-		var cands []Candidate
+		var cands []cand
 		var gerr error
 		switch {
 		case !incremental:
@@ -552,9 +554,11 @@ loop:
 		}
 
 		// Estimate the increased error of every candidate (the batch step)
-		// and pick the best feasible one by ΔArea/ΔError score.
-		best, feasible := scoreCandidatesMaybeSharded(ictx, est, cands, curErr, cfg.Threshold,
+		// and pick the best feasible one by ΔArea/ΔError score. best indexes
+		// feasible, the scored entries of the candidates within budget.
+		best, feasible := scoreCandidatesMaybeSharded(ictx, est, cands, entries, curErr, cfg.Threshold,
 			scratch, change, pool, o, iter)
+		entries = feasible
 		prof.End(sp)
 		if err := goCtx.Err(); err != nil {
 			runErr = err
@@ -565,7 +569,7 @@ loop:
 		if cfg.VerifyTopK > 0 && cfg.Estimator != EstimatorFull && len(feasible) > 0 {
 			tlv := cfg.Timeline.Start("sasimi.verify_topk", obs.PhaseVerifyApply)
 			var verr error
-			best, verr = verifyTopK(goCtx, approx, vals, st, &cfg, cands, feasible, curErr, scratch, &vscratch, pool, o, iter)
+			best, verr = verifyTopK(goCtx, approx, vals, st, &cfg, cands, feasible, curErr, scratch, &vscratch, pool, o)
 			cfg.Timeline.End(tlv)
 			if verr != nil {
 				prof.End(sp)
@@ -579,15 +583,16 @@ loop:
 			o.iteration(iter, curErr, len(cands), len(feasible), false, time.Since(iterStart))
 			break // nothing fits in the remaining budget
 		}
-		chosen := cands[best]
+		pick := feasible[best]
+		chosen := &cands[pick.idx]
 
 		// Apply the substitution on a backup so an over-budget result can
 		// be rolled back, then measure the actual error (paper §3.2).
 		tla := cfg.Timeline.Start("sasimi.apply", obs.PhaseVerifyApply)
 		backup := approx.Clone()
-		ed := applyCandidate(approx, &chosen)
+		ed := applyCandidate(approx, chosen)
 		if cfg.CheckInvariants {
-			if err := checkAcyclic(approx, backup, &chosen); err != nil {
+			if err := checkAcyclic(approx, backup, chosen); err != nil {
 				prof.End(sp)
 				return nil, err
 			}
@@ -614,7 +619,7 @@ loop:
 			wrongCount = int64(newSt.WrongAny.Count())
 		}
 		cfg.Timeline.End(tlm)
-		predicted := curErr + chosen.Delta
+		predicted := curErr + pick.delta
 		if actual > cfg.Threshold+1e-12 {
 			// The estimate was wrong and the budget is blown: restore the
 			// previous circuit and stop, as the paper's flow does. The
@@ -629,15 +634,16 @@ loop:
 		}
 		prof.End(sp)
 
-		estAccum += chosen.Delta
+		estAccum += pick.delta
 		res.NumIterations++
 		res.FinalArea = cfg.Library.NetworkArea(approx)
 		res.FinalError = actual
-		targetName := backup.NameOf(chosen.Target)
-		subN := subName(backup, &chosen)
+		targetName := backup.NameOf(chosen.target)
+		subN := subName(backup, chosen)
+		inverted := chosen.kind == kindInverted
 		cfg.Timeline.Mark("accept", obs.PhaseVerifyApply)
-		o.accepted(iter, targetName, subN, chosen.Inverted, predicted, actual, chosen.Exact, res.FinalArea,
-			chosen.Delta, wrongCount, int64(patterns.NumPatterns()))
+		o.accepted(iter, targetName, subN, inverted, predicted, actual, pick.exact, res.FinalArea,
+			pick.delta, wrongCount, int64(patterns.NumPatterns()))
 		cfg.Timeline.End(tli)
 		o.iteration(iter, curErr, len(cands), len(feasible), true, time.Since(iterStart))
 		if cfg.KeepTrace {
@@ -645,15 +651,15 @@ loop:
 				Iter:       iter,
 				Target:     targetName,
 				Sub:        subN,
-				Inverted:   chosen.Inverted,
-				EstGain:    chosen.AreaGain,
-				EstDelta:   chosen.Delta,
+				Inverted:   inverted,
+				EstGain:    chosen.gain,
+				EstDelta:   pick.delta,
 				EstAccum:   estAccum,
 				ActualErr:  actual,
 				Area:       res.FinalArea,
 				Candidates: len(cands),
 				Feasible:   len(feasible),
-				Exact:      chosen.Exact,
+				Exact:      pick.exact,
 				Drift:      actual - predicted,
 				IterTime:   time.Since(iterStart),
 			})
@@ -680,7 +686,7 @@ loop:
 // crossCheckIncremental is the verifyIncremental paranoia pass: it rebuilds
 // the candidate list (and, when present, the CPM) from scratch and compares
 // against the incremental results field for field.
-func crossCheckIncremental(env *gatherEnv, pool *par.Pool, cands []Candidate, cpm *core.CPM) error {
+func crossCheckIncremental(env *gatherEnv, pool *par.Pool, cands []cand, cpm *core.CPM) error {
 	net, vals := env.net, env.vals
 	full, err := gather(context.Background(), env, pool, nil)
 	if err != nil {
@@ -690,11 +696,8 @@ func crossCheckIncremental(env *gatherEnv, pool *par.Pool, cands []Candidate, cp
 		return fmt.Errorf("sasimi: incremental gather diverged: %d candidates vs %d full", len(cands), len(full))
 	}
 	for i := range full {
-		a, b := &cands[i], &full[i]
-		if a.Target != b.Target || a.Sub != b.Sub || a.Inverted != b.Inverted ||
-			a.Const != b.Const || a.ConstVal != b.ConstVal ||
-			a.DiffProb != b.DiffProb || a.AreaGain != b.AreaGain {
-			return fmt.Errorf("sasimi: incremental gather diverged at candidate %d: %+v vs full %+v", i, *a, *b)
+		if cands[i] != full[i] {
+			return fmt.Errorf("sasimi: incremental gather diverged at candidate %d: %+v vs full %+v", i, cands[i], full[i])
 		}
 	}
 	if cpm != nil {
@@ -716,13 +719,13 @@ func crossCheckIncremental(env *gatherEnv, pool *par.Pool, cands []Candidate, cp
 // separate code paths). Under Config.CheckInvariants every accepted
 // substitution is re-checked here, turning what would be a TopoOrder
 // panic inside the next simulation into an error that names the cycle.
-func checkAcyclic(approx, backup *circuit.Network, c *Candidate) error {
+func checkAcyclic(approx, backup *circuit.Network, c *cand) error {
 	cyc := analyze.FindCycle(approx)
 	if cyc == nil {
 		return nil
 	}
 	return fmt.Errorf("sasimi: substituting %s <- %s created combinational cycle %s",
-		backup.NameOf(c.Target), subName(backup, c), cycleNames(approx, cyc))
+		backup.NameOf(c.target), subName(backup, c), cycleNames(approx, cyc))
 }
 
 // cycleNames renders a cycle as "a -> b -> c -> a" for error messages.
@@ -737,34 +740,33 @@ func cycleNames(net *circuit.Network, cyc []circuit.NodeID) string {
 	return strings.Join(names, " -> ")
 }
 
-// scoreCandidates runs the batch estimation inner loop: it fills
-// Delta/Exact/Score for every candidate and returns the index of the best
-// feasible candidate (-1 if none fits the remaining budget) plus the list
-// of feasible indices. With o == nil this is exactly the pre-observability
-// hot loop — TestNilTracerScoringAllocs pins that it allocates nothing
-// beyond the estimator's own scratch work. The batch estimator's CPM
-// queries are counted once for the whole pass.
+// scoreCandidates runs the batch estimation inner loop: it estimates every
+// candidate and returns the scored entries of the feasible ones, in list
+// order and appended to buf[:0], plus the index among them of the best
+// one (-1 if none fits the remaining budget). With o == nil this is
+// exactly the pre-observability hot loop — TestNilTracerScoringAllocs
+// pins that it allocates nothing beyond the estimator's own scratch work.
+// The batch estimator's CPM queries are counted once for the whole pass.
 //
 //als:allocfree
-func scoreCandidates(est estimator, cands []Candidate, vals *sim.Values,
-	curErr, threshold float64, scratch, change *bitvec.Vec, o *runObs, iter int) (int, []int) {
+func scoreCandidates(est estimator, cands []cand, buf []scored, vals *sim.Values,
+	curErr, threshold float64, scratch, change *bitvec.Vec, o *runObs, iter int) (int, []scored) {
 
 	best := -1
-	var feasible []int
+	feasible := buf[:0]
 	for i := range cands {
 		c := &cands[i]
 		sub := c.substituteValue(vals, scratch)
-		change.Xor(vals.Node(c.Target), sub)
-		c.Delta = est.delta(c.Target, sub, change)
-		c.Exact = est.exactFor(c.Target)
-		c.Score = score(c.AreaGain, c.Delta, vals.M)
-		o.candidateScored(iter, c)
-		if curErr+c.Delta > threshold+1e-12 {
+		change.Xor(vals.Node(c.target), sub)
+		delta := est.delta(c.target, sub, change)
+		e := scored{idx: int32(i), delta: delta, score: score(c.gain, delta, vals.M), exact: est.exactFor(c.target)}
+		o.candidateScored(iter, c, e)
+		if curErr+delta > threshold+1e-12 {
 			continue // estimated to bust the budget
 		}
-		feasible = append(feasible, i) //als:alloc-ok amortised grow of the returned index list; the pin's baseline absorbs it
-		if best == -1 || c.Score > cands[best].Score {
-			best = i
+		feasible = append(feasible, e) //als:alloc-ok amortised grow of the returned entries; the pin's baseline absorbs it
+		if best == -1 || e.score > feasible[best].score {
+			best = len(feasible) - 1
 		}
 	}
 	if be, ok := est.(*batchEstimator); ok {
@@ -789,14 +791,14 @@ func score(gain, delta float64, m int) float64 {
 	return gain / delta
 }
 
-func subName(n *circuit.Network, c *Candidate) string {
-	if c.Const {
-		if c.ConstVal {
-			return "const1"
-		}
+func subName(n *circuit.Network, c *cand) string {
+	switch c.kind {
+	case kindConst1:
+		return "const1"
+	case kindConst0:
 		return "const0"
 	}
-	return n.NameOf(c.Sub)
+	return n.NameOf(c.sub)
 }
 
 // applyCandidate performs the netlist surgery for an accepted candidate and
@@ -804,32 +806,34 @@ func subName(n *circuit.Network, c *Candidate) string {
 // replacement signal, the nodes rewired onto it (the target's former
 // fanouts, captured before the rewiring), any added node, and the swept
 // region with its live boundary.
-func applyCandidate(net *circuit.Network, c *Candidate) core.Edit {
+func applyCandidate(net *circuit.Network, c *cand) core.Edit {
 	var ed core.Edit
 	var repl circuit.NodeID
-	switch {
-	case c.Const:
-		repl = net.AddConst(c.ConstVal)
+	switch c.kind {
+	case kindConst1, kindConst0:
+		repl = net.AddConst(c.kind == kindConst1)
 		ed.Added = []circuit.NodeID{repl}
-	case c.Inverted:
-		repl = net.AddGate(circuit.KindNot, c.Sub)
+	case kindInverted:
+		repl = net.AddGate(circuit.KindNot, c.sub)
 		ed.Added = []circuit.NodeID{repl}
 	default:
-		repl = c.Sub
+		repl = c.sub
 	}
 	ed.Repl = repl
-	ed.Rewired = append([]circuit.NodeID(nil), net.Fanouts(c.Target)...)
-	net.ReplaceNode(c.Target, repl)
-	ed.Removed, ed.Boundary = net.SweepFromCollect(c.Target)
+	ed.Rewired = append([]circuit.NodeID(nil), net.Fanouts(c.target)...)
+	net.ReplaceNode(c.target, repl)
+	ed.Removed, ed.Boundary = net.SweepFromCollect(c.target)
 	return ed
 }
 
 // EstimateAll exposes the batch estimation step in isolation: it returns
-// every admissible candidate of the network with Delta filled in by the
-// selected estimator, without applying anything. The facade and the
-// examples use it to demonstrate pure batch estimation. Its inputs are
-// checked as RunContext checks them (see Config.Check), and approx must
-// be a valid network with golden's input and output counts.
+// every admissible candidate of the network, in the flow's candidate
+// order, with Delta, Score and Exact filled in by the selected estimator,
+// without applying anything. It scores with no budget, so no candidate is
+// left unestimated. The facade and the examples use it to demonstrate
+// pure batch estimation. Its inputs are checked as RunContext checks them
+// (see Config.Check), and approx must be a valid network with golden's
+// input and output counts.
 func EstimateAll(golden, approx *circuit.Network, cfg Config) ([]Candidate, error) {
 	cfg.fillDefaults()
 	if err := cfg.Check("sasimi", golden); err != nil {
@@ -860,8 +864,8 @@ func EstimateAll(golden, approx *circuit.Network, cfg Config) ([]Candidate, erro
 	est.prepare(ctx)
 
 	arrival := cfg.Library.NodeArrival(approx)
-	env := newGatherEnv(approx, vals, &cfg, arrival, cfg.Library.GateDelay(circuit.KindNot),
-		newAdmission(vals.M, cfg.SimilarityCap))
+	adm := newAdmission(vals.M, cfg.SimilarityCap)
+	env := newGatherEnv(approx, vals, &cfg, arrival, cfg.Library.GateDelay(circuit.KindNot), adm)
 	cands, err := gather(context.Background(), env, pool, nil)
 	if err != nil {
 		return nil, err
@@ -869,6 +873,13 @@ func EstimateAll(golden, approx *circuit.Network, cfg Config) ([]Candidate, erro
 	scratch := bitvec.New(patterns.NumPatterns())
 	change := bitvec.New(patterns.NumPatterns())
 	o := newRunObs(&cfg, approx)
-	scoreCandidatesMaybeSharded(ctx, est, cands, 0, cfg.Threshold, scratch, change, pool, o, 1)
-	return cands, nil
+	_, scores := scoreCandidatesMaybeSharded(ctx, est, cands, make([]scored, 0, len(cands)),
+		0, math.Inf(1), scratch, change, pool, o, 1)
+	out := make([]Candidate, len(cands))
+	for _, e := range scores {
+		c := &out[e.idx]
+		*c = adm.view(&cands[e.idx])
+		c.Delta, c.Score, c.Exact = e.delta, e.score, e.exact
+	}
+	return out, nil
 }

@@ -3,7 +3,6 @@ package sasimi
 import (
 	"cmp"
 	"context"
-	"math"
 	"slices"
 	"sort"
 
@@ -90,7 +89,9 @@ func newGatherEnv(net *circuit.Network, vals *sim.Values, cfg *Config, arrival [
 // for the inverted one) and s ∈ {0, 1} orders the two float forms of the
 // same d, which may differ in the last bit (never at power-of-two M).
 // Distinct d lie 1/M apart, far beyond either form's rounding error, so
-// equal ranks mean equal DiffProbs and rank order is DiffProb order.
+// equal ranks mean equal DiffProbs and rank order is DiffProb order. The
+// candidate list stores the rank in place of the DiffProb (cand.rank), and
+// view recomputes the DiffProb where a caller needs it.
 type admission struct {
 	m                int
 	maxPlain, minInv int
@@ -135,79 +136,73 @@ func formRank(d int, above bool) uint32 {
 	return r
 }
 
-// binBuf is one pool worker's reusable gather scratch: the candidates a
-// bin emits, each one's DiffProb rank alongside, and the keys and rank
-// histogram that sort them. Everything is reused bin after bin, so the
-// scratch grows to the largest bin the worker runs.
+// binBlock is the size, in records, of the blocks a bin buffer grows by
+// (24 KiB). A worker keeps its blocks bin after bin, so its buffer grows
+// once to its largest bin without the copies of an append chain, and a
+// small circuit's gather allocates one block per worker.
+const binBlock = 1024
+
+// binBuf is one pool worker's reusable gather scratch: the candidates the
+// current bin emits, in fixed-size blocks, and the rank histogram that
+// sorts them. Everything is reused bin after bin.
 type binBuf struct {
-	cands []Candidate
-	ranks []uint32
-	keys  []runKey
-	start []int
+	blocks [][]cand
+	n      int // records the current bin has emitted
+	start  []int
 }
 
-// runKey orders candidates of equal rank: descending AreaGain (every
-// admitted gain is positive, and the complemented bits of a positive float
-// ascend as the float descends), then emission index.
-type runKey struct {
-	gain uint64
-	idx  uint32
-}
-
-func compareRunKeys(a, b runKey) int {
-	if a.gain != b.gain {
-		return cmp.Compare(a.gain, b.gain)
+func (b *binBuf) add(c cand) {
+	bi := b.n / binBlock
+	if bi == len(b.blocks) {
+		b.blocks = append(b.blocks, make([]cand, binBlock))
 	}
-	return cmp.Compare(a.idx, b.idx)
+	b.blocks[bi][b.n%binBlock] = c
+	b.n++
 }
 
-func (b *binBuf) add(c Candidate, rank uint32) {
-	b.cands = append(b.cands, c)
-	b.ranks = append(b.ranks, rank)
+// block returns the filled part of the current bin's block bi.
+func (b *binBuf) block(bi int) []cand {
+	return b.blocks[bi][:min(binBlock, b.n-bi*binBlock)]
 }
 
 // sortedRun returns the bin's candidates as an exact-size run in
-// candCompare order and empties the buffer for the next bin.
-//
-// The bin must have emitted in identity order: ascending target, and per
-// target the constants (1 before 0), then the substitutes ascending, plain
-// before inverted. That is the candCompare order among candidates of equal
-// DiffProb and AreaGain, so the emission index stands in for the identity
-// fields. A counting sort by rank, stable in emission order, then leaves
-// only equal-rank candidates to order, by gain and emission index.
-func (b *binBuf) sortedRun(numRanks int) []Candidate {
-	n := len(b.cands)
+// candCompare order and empties the buffer for the next bin. A counting
+// sort by rank places every rank's candidates in their own segment of the
+// run; sorting each segment by candCompare then orders the candidates of
+// equal rank by gain and identity.
+func (b *binBuf) sortedRun(numRanks int) []cand {
+	n := b.n
 	if n == 0 {
 		return nil
 	}
+	numBlocks := (n + binBlock - 1) / binBlock
 	b.start = slices.Grow(b.start[:0], numRanks+1)[:numRanks+1]
 	start := b.start
 	clear(start)
-	for _, r := range b.ranks {
-		start[r+1]++
+	for bi := range numBlocks {
+		for _, c := range b.block(bi) {
+			start[c.rank+1]++
+		}
 	}
 	for r := 1; r <= numRanks; r++ {
 		start[r] += start[r-1]
 	}
-	b.keys = slices.Grow(b.keys[:0], n)[:n]
-	keys := b.keys
-	for i, r := range b.ranks {
-		keys[start[r]] = runKey{gain: ^math.Float64bits(b.cands[i].AreaGain), idx: uint32(i)}
-		start[r]++
+	run := make([]cand, n)
+	for bi := range numBlocks {
+		for _, c := range b.block(bi) {
+			run[start[c.rank]] = c
+			start[c.rank]++
+		}
 	}
-	// start[r] is now the end of rank r's keys.
+	// start[r] is now the end of rank r's segment.
 	lo := 0
 	for _, hi := range start[:numRanks] {
 		if hi-lo > 1 {
-			slices.SortFunc(keys[lo:hi], compareRunKeys)
+			slices.SortFunc(run[lo:hi], func(a, b cand) int { return candCompare(&a, &b) })
 		}
 		lo = hi
 	}
-	run := make([]Candidate, n)
-	for i, k := range keys {
-		run[i] = b.cands[k.idx]
-	}
-	b.cands, b.ranks = b.cands[:0], b.ranks[:0]
+	b.n = 0
 	return run
 }
 
@@ -253,8 +248,8 @@ func (env *gatherEnv) target(t circuit.NodeID, wantDeps bool) targetData {
 	return td
 }
 
-// appendTarget appends every admissible candidate of target t to b, in
-// identity order: keep substitutions that
+// appendTarget appends every admissible candidate of target t to b: keep
+// substitutions that
 //
 //   - do not create a cycle (the substitute is not in the target's
 //     transitive fanout cone),
@@ -269,14 +264,12 @@ func (env *gatherEnv) appendTarget(b *binBuf, td *targetData, t circuit.NodeID) 
 	if td.baseGain <= 0 {
 		return
 	}
-	adm, m, pt := env.adm, env.m, env.pop[t]
+	adm, pt := env.adm, env.pop[t]
 	if pt >= adm.minInv {
-		b.add(Candidate{Target: t, Sub: circuit.InvalidNode, Const: true, ConstVal: true,
-			DiffProb: 1 - float64(pt)/float64(m), AreaGain: td.baseGain}, adm.invRank[pt-adm.minInv])
+		b.add(cand{target: t, sub: circuit.InvalidNode, kind: kindConst1, rank: adm.invRank[pt-adm.minInv], gain: td.baseGain})
 	}
 	if pt <= adm.maxPlain {
-		b.add(Candidate{Target: t, Sub: circuit.InvalidNode, Const: true, ConstVal: false,
-			DiffProb: float64(pt) / float64(m), AreaGain: td.baseGain}, adm.plainRank[pt])
+		b.add(cand{target: t, sub: circuit.InvalidNode, kind: kindConst0, rank: adm.plainRank[pt], gain: td.baseGain})
 	}
 	var tfo []bool
 	if !env.strict {
@@ -292,9 +285,8 @@ func (env *gatherEnv) appendTarget(b *binBuf, td *targetData, t circuit.NodeID) 
 }
 
 // appendPair appends the admissible plain and inverted candidates of the
-// pair (t, s), plain first. The caller has already screened s == t and,
-// unless the arrival times are strict, the cycle check (s in t's fanout
-// cone).
+// pair (t, s). The caller has already screened s == t and, unless the
+// arrival times are strict, the cycle check (s in t's fanout cone).
 //
 // Two exact screens run before the pattern-space XOR. The arrival guard
 // comes first. Then the popcount bound: the Hamming distance d of the two
@@ -320,13 +312,12 @@ func (env *gatherEnv) appendPair(b *binBuf, td *targetData, t, s circuit.NodeID,
 	c := bitvec.XorCount(tv, env.vals.Node(s))
 	if plain && c <= adm.maxPlain {
 		if g := env.pairGain(td, t, s); g > 0 {
-			b.add(Candidate{Target: t, Sub: s, DiffProb: float64(c) / float64(m), AreaGain: g}, adm.plainRank[c])
+			b.add(cand{target: t, sub: s, kind: kindPlain, rank: adm.plainRank[c], gain: g})
 		}
 	}
 	if inv && c >= adm.minInv {
 		if g := env.pairGain(td, t, s) - env.invArea; g > 0 {
-			b.add(Candidate{Target: t, Sub: s, Inverted: true, DiffProb: 1 - float64(c)/float64(m), AreaGain: g},
-				adm.invRank[c-adm.minInv])
+			b.add(cand{target: t, sub: s, kind: kindInverted, rank: adm.invRank[c-adm.minInv], gain: g})
 		}
 	}
 }
@@ -363,24 +354,24 @@ func (env *gatherEnv) pairGain(td *targetData, t, s circuit.NodeID) float64 {
 // non-incremental flow, EstimateAll, the incremental cross-check and the
 // gather cache's first iteration. Targets are bin-packed (uniform cost)
 // onto the pool; each bin appends its candidates into its worker's
-// reusable buffer and turns them into an exact-size sorted run on the
-// worker. The driver then merges the runs. candCompare is a strict total
-// order, so the result — the unique sorted permutation of the candidate
-// multiset — is bit-identical at any worker count and bin shape. A
-// single-worker pool runs the bins inline.
+// reusable block buffer and turns them into an exact-size sorted run on
+// the worker. The driver then merges the runs. candCompare is a strict
+// total order, so the result — the unique sorted permutation of the
+// candidate multiset — is bit-identical at any worker count and bin
+// shape. A single-worker pool runs the bins inline.
 //
 // When data is non-nil, each target's gather state is recorded in
 // data[t] (the slot is owned by the target, so workers write disjointly).
 // A cancelled context aborts the fan-out and returns the context's error.
-func gather(goCtx context.Context, env *gatherEnv, pool *par.Pool, data []targetData) ([]Candidate, error) {
+func gather(goCtx context.Context, env *gatherEnv, pool *par.Pool, data []targetData) ([]cand, error) {
 	targets := liveGateTargets(env.net)
 	costs := make([]float64, len(targets))
 	for i := range costs {
 		costs[i] = 1
 	}
 	var planner par.Planner
-	bins := planAscending(&planner, costs, pool.Workers())
-	runs := make([][]Candidate, len(bins))
+	bins := planner.Plan(costs, par.PlanBins(len(costs), pool.Workers()))
+	runs := make([][]cand, len(bins))
 	bufs := make([]binBuf, pool.Workers())
 	pool.Label("sasimi.gather", obs.PhaseEstimate)
 	if err := pool.DoCtx(goCtx, len(bins), func(w, bi int) {
@@ -400,18 +391,6 @@ func gather(goCtx context.Context, env *gatherEnv, pool *par.Pool, data []target
 	return mergeSorted(runs), nil
 }
 
-// planAscending bin-packs items with the given costs for the pool's
-// workers and orders every bin ascending. Callers list their items in
-// ascending target order, so every bin enumerates its targets ascending
-// and emits its candidates in identity order, as binBuf.sortedRun needs.
-func planAscending(p *par.Planner, costs []float64, workers int) [][]int {
-	bins := p.Plan(costs, par.PlanBins(len(costs), workers))
-	for _, b := range bins {
-		slices.Sort(b)
-	}
-	return bins
-}
-
 // liveGateTargets returns the admissible substitution targets, ascending.
 func liveGateTargets(net *circuit.Network) []circuit.NodeID {
 	targets := make([]circuit.NodeID, 0, net.NumNodes())
@@ -424,61 +403,40 @@ func liveGateTargets(net *circuit.Network) []circuit.NodeID {
 }
 
 // candCompare is the flow's deterministic candidate order as a three-way
-// comparison: most similar first, ties by larger gain, then by candidate
-// identity (target, substitute, constant value, inversion). The trailing
-// identity fields make this a strict total order over distinct candidates
-// — no two different candidates ever compare equal (constants carry Sub
-// == circuit.InvalidNode, so they never tie with pairs on the same
-// target). Totality is what makes sorting deterministic however the
-// candidates are split: the sorted permutation of any candidate multiset
-// is unique, so merging sorted pieces is bit-identical to sorting their
-// concatenation.
-func candCompare(a, b *Candidate) int {
+// comparison: most similar first (ascending rank, which is ascending
+// DiffProb), ties by larger gain, then by candidate identity (target,
+// substitute, kind). The identity fields make this a strict total order
+// over distinct candidates — no two different candidates ever compare
+// equal (constants carry sub == circuit.InvalidNode, so they never tie
+// with pairs on the same target). Totality is what makes sorting
+// deterministic however the candidates are split: the sorted permutation
+// of any candidate multiset is unique, so merging sorted pieces is
+// bit-identical to sorting their concatenation.
+func candCompare(a, b *cand) int {
 	switch {
-	case a.DiffProb != b.DiffProb:
-		if a.DiffProb < b.DiffProb {
+	case a.rank != b.rank:
+		return cmp.Compare(a.rank, b.rank)
+	case a.gain != b.gain:
+		if a.gain > b.gain {
 			return -1
 		}
 		return 1
-	case a.AreaGain != b.AreaGain:
-		if a.AreaGain > b.AreaGain {
-			return -1
-		}
-		return 1
-	case a.Target != b.Target:
-		if a.Target < b.Target {
-			return -1
-		}
-		return 1
-	case a.Sub != b.Sub:
-		if a.Sub < b.Sub {
-			return -1
-		}
-		return 1
-	case a.ConstVal != b.ConstVal:
-		if a.ConstVal {
-			return -1
-		}
-		return 1
-	case a.Inverted != b.Inverted:
-		if !a.Inverted {
-			return -1
-		}
-		return 1
+	case a.target != b.target:
+		return cmp.Compare(a.target, b.target)
+	case a.sub != b.sub:
+		return cmp.Compare(a.sub, b.sub)
 	}
-	return 0
+	return cmp.Compare(a.kind, b.kind)
 }
 
-// candLess reports whether a precedes b in the candCompare order.
-func candLess(a, b *Candidate) bool { return candCompare(a, b) < 0 }
-
-// mergeSorted merges candLess-sorted runs into one sorted slice: a k-way
-// merge through a binary min-heap of run heads. Ties cannot occur (the
-// order is total over distinct candidates), so the result equals sorting
-// the runs' concatenation. With one non-empty run it is returned as is;
-// otherwise the result is a new exact-size slice. runs is not modified.
-func mergeSorted(runs [][]Candidate) []Candidate {
-	var h [][]Candidate // heap of non-empty run remainders, keyed by head
+// mergeSorted merges candCompare-sorted runs into one sorted slice: a
+// k-way merge through a binary min-heap of run heads. Ties cannot occur
+// (the order is total over distinct candidates), so the result equals
+// sorting the runs' concatenation. With one non-empty run it is returned
+// as is; otherwise the result is a new exact-size slice. runs is not
+// modified.
+func mergeSorted(runs [][]cand) []cand {
+	var h [][]cand // heap of non-empty run remainders, keyed by head
 	total := 0
 	for _, r := range runs {
 		if len(r) > 0 {
@@ -495,10 +453,10 @@ func mergeSorted(runs [][]Candidate) []Candidate {
 	siftDown := func(i int) {
 		for {
 			min, l, r := i, 2*i+1, 2*i+2
-			if l < len(h) && candLess(&h[l][0], &h[min][0]) {
+			if l < len(h) && candCompare(&h[l][0], &h[min][0]) < 0 {
 				min = l
 			}
-			if r < len(h) && candLess(&h[r][0], &h[min][0]) {
+			if r < len(h) && candCompare(&h[r][0], &h[min][0]) < 0 {
 				min = r
 			}
 			if min == i {
@@ -511,7 +469,7 @@ func mergeSorted(runs [][]Candidate) []Candidate {
 	for i := len(h)/2 - 1; i >= 0; i-- {
 		siftDown(i)
 	}
-	out := make([]Candidate, 0, total)
+	out := make([]cand, 0, total)
 	for len(h) > 1 {
 		out = append(out, h[0][0])
 		if h[0] = h[0][1:]; len(h[0]) == 0 {

@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"batchals/internal/bench"
 	"batchals/internal/bitvec"
@@ -85,6 +87,42 @@ func bruteGather(net *circuit.Network, vals *sim.Values, cfg *Config, arrival []
 	return cands
 }
 
+// candLess is the reference candidate order, stated over the Candidate
+// view: most similar first (DiffProb as a float), ties by larger gain,
+// then by identity (target, substitute, constant 1 before constant 0,
+// plain before inverted). The production order over stored records,
+// candCompare, must sort every gathered list exactly as this does.
+func candLess(a, b *Candidate) bool {
+	switch {
+	case a.DiffProb != b.DiffProb:
+		return a.DiffProb < b.DiffProb
+	case a.AreaGain != b.AreaGain:
+		return a.AreaGain > b.AreaGain
+	case a.Target != b.Target:
+		return a.Target < b.Target
+	case a.Sub != b.Sub:
+		return a.Sub < b.Sub
+	case a.ConstVal != b.ConstVal:
+		return a.ConstVal
+	}
+	return !a.Inverted && b.Inverted
+}
+
+// identityOf returns the stored record with a Candidate's identity (no
+// rank or gain): enough to materialise its substitute value.
+func identityOf(c *Candidate) cand {
+	r := cand{target: c.Target, sub: c.Sub}
+	switch {
+	case c.Const && c.ConstVal:
+		r.kind = kindConst1
+	case c.Const:
+		r.kind = kindConst0
+	case c.Inverted:
+		r.kind = kindInverted
+	}
+	return r
+}
+
 // gatherFixture simulates net on m seeded random patterns and returns the
 // inputs of one gather under cfg (defaults filled).
 func gatherFixture(net *circuit.Network, m int, cfg *Config) (*sim.Values, []float64, float64) {
@@ -94,7 +132,7 @@ func gatherFixture(net *circuit.Network, m int, cfg *Config) (*sim.Values, []flo
 }
 
 // gatherOn runs the production gather at the given worker count.
-func gatherOn(t *testing.T, env *gatherEnv, workers int) []Candidate {
+func gatherOn(t testing.TB, env *gatherEnv, workers int) []cand {
 	t.Helper()
 	pool := par.NewPool(workers)
 	defer pool.Close()
@@ -105,16 +143,37 @@ func gatherOn(t *testing.T, env *gatherEnv, workers int) []Candidate {
 	return got
 }
 
-// sameCandidates fails the test at the first field-level divergence.
-func sameCandidates(t *testing.T, label string, got, want []Candidate) {
+// gatherRecords runs the production gather for a fixture on one worker.
+func gatherRecords(t testing.TB, net *circuit.Network, vals *sim.Values, cfg *Config, arrival []float64, invDelay float64) []cand {
+	t.Helper()
+	env := newGatherEnv(net, vals, cfg, arrival, invDelay, newAdmission(vals.M, cfg.SimilarityCap))
+	return gatherOn(t, env, 1)
+}
+
+// sameCandidates converts the production records through the view
+// EstimateAll builds and fails the test at the first field-level
+// divergence from the reference.
+func sameCandidates(t *testing.T, label string, adm *admission, got []cand, want []Candidate) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d candidates, reference has %d", label, len(got), len(want))
 	}
 	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("%s: candidate %d diverges:\n got  %+v\n want %+v", label, i, got[i], want[i])
+		if v := adm.view(&got[i]); v != want[i] {
+			t.Fatalf("%s: candidate %d diverges:\n got  %+v (%+v)\n want %+v", label, i, v, got[i], want[i])
 		}
+	}
+}
+
+// TestStoredCandidateLayout pins the size of the stored record, which
+// sets the bytes per candidate of every gathered list, and of the scored
+// entry: at most 24 each (the Candidate view is 56).
+func TestStoredCandidateLayout(t *testing.T) {
+	if got := unsafe.Sizeof(cand{}); got > 24 {
+		t.Fatalf("stored candidate is %d bytes, want at most 24", got)
+	}
+	if got := unsafe.Sizeof(scored{}); got > 24 {
+		t.Fatalf("scored entry is %d bytes, want at most 24", got)
 	}
 }
 
@@ -163,7 +222,7 @@ func TestGatherMatchesBruteForce(t *testing.T) {
 				}
 				for _, workers := range []int{1, 2, 4} {
 					sameCandidates(t, fmt.Sprintf("%s M=%d cap=%v workers=%d", name, m, simCap, workers),
-						gatherOn(t, env, workers), want)
+						env.adm, gatherOn(t, env, workers), want)
 				}
 			}
 		}
@@ -266,7 +325,7 @@ func TestGatherConeWalkFallback(t *testing.T) {
 		t.Fatal("zero-delay inverters must defeat the strict-arrival check")
 	}
 	for _, workers := range []int{1, 2, 4} {
-		sameCandidates(t, fmt.Sprintf("c880 zero-delay NOT workers=%d", workers), gatherOn(t, env, workers), want)
+		sameCandidates(t, fmt.Sprintf("c880 zero-delay NOT workers=%d", workers), env.adm, gatherOn(t, env, workers), want)
 	}
 	env.strict = true // skip the walks although arrival does not cover them
 	if got := gatherOn(t, env, 1); len(got) <= len(want) {
@@ -301,38 +360,52 @@ func TestIncrementalConeWalkFallback(t *testing.T) {
 	}
 }
 
-// TestMergeSortedEqualsSort is the merge's property test: merging sorted
-// runs equals sorting their concatenation, including empty runs, a single
-// run and no runs at all.
+// TestMergeSortedEqualsSort is the merge's property test over stored
+// records: merging sorted runs equals sorting their concatenation,
+// including empty runs, a single run and no runs at all. Identities are
+// drawn from a small space (constants included) so that every identity
+// tie-break is reached, and two skewed trial shapes put every candidate in
+// one rank, and in one rank with one gain, so that identity alone decides
+// across runs.
 func TestMergeSortedEqualsSort(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 300; trial++ {
+	byOrder := func(a, b cand) int { return candCompare(&a, &b) }
+	for trial := 0; trial < 600; trial++ {
+		oneRank, oneGain := trial%3 == 1, trial%3 == 2
 		k := r.Intn(7)
-		runs := make([][]Candidate, k)
-		var all []Candidate
-		id := 0
+		runs := make([][]cand, k)
+		var all []cand
+		seen := map[cand]bool{} // identities drawn so far
 		for i := range runs {
 			n := r.Intn(40)
 			if r.Intn(4) == 0 {
 				n = 0
 			}
 			for j := 0; j < n; j++ {
-				// Few distinct DiffProb/AreaGain values force the identity
-				// tie-breakers; the running id keeps candidates distinct.
-				c := Candidate{
-					Target:   circuit.NodeID(r.Intn(5)),
-					Sub:      circuit.NodeID(id),
-					Inverted: r.Intn(2) == 0,
-					DiffProb: float64(r.Intn(4)) / 8,
-					AreaGain: float64(r.Intn(3)),
+				id := cand{target: circuit.NodeID(r.Intn(5)), sub: circuit.NodeID(r.Intn(13) - 1)}
+				if id.sub == circuit.InvalidNode {
+					id.kind = kindConst1 + candKind(r.Intn(2))
+				} else {
+					id.kind = kindPlain + candKind(r.Intn(2))
 				}
-				id++
+				if seen[id] {
+					continue // candidates are distinct
+				}
+				seen[id] = true
+				c := id
+				c.rank, c.gain = uint32(r.Intn(4)), float64(r.Intn(3))
+				if oneRank || oneGain {
+					c.rank = 7
+				}
+				if oneGain {
+					c.gain = 2
+				}
 				runs[i] = append(runs[i], c)
 			}
-			sort.Slice(runs[i], func(a, b int) bool { return candLess(&runs[i][a], &runs[i][b]) })
+			slices.SortFunc(runs[i], byOrder)
 			all = append(all, runs[i]...)
 		}
-		sort.Slice(all, func(a, b int) bool { return candLess(&all[a], &all[b]) })
+		slices.SortFunc(all, byOrder)
 		got := mergeSorted(runs)
 		if len(all) == 0 {
 			if len(got) != 0 {

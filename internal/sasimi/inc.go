@@ -33,7 +33,7 @@ import (
 //   - dirty targets re-enumerate in full, clean targets evaluate only the
 //     pairs with a dirty substitute.
 //
-// The candidate list itself is maintained by filter-and-merge: candLess
+// The candidate list itself is maintained by filter-and-merge: candCompare
 // is a strict total order, so the sorted permutation of the candidate
 // multiset is unique, and the cache keeps the previous iteration's fully
 // sorted list. After an edit it filters out the entries owned by dirty or
@@ -49,12 +49,12 @@ type gatherCache struct {
 	data        []targetData // indexed by node slot
 	prevArrival []float64
 	// sorted is the full sorted candidate list of the previous gather.
-	// Callers get it, not a copy: scoring writes Delta/Score/Exact in
-	// place, fields the cache never reads.
-	sorted []Candidate
+	// Callers get it, not a copy, and only read it: an iteration's scores
+	// live in scored entries outside the list.
+	sorted []cand
 
 	// Dispatch scratch: the LPT bin-packer and its inputs (work items as
-	// target node ids plus their estimated costs), and one reusable bin
+	// target node ids plus their estimated costs), and one reusable block
 	// buffer per pool worker that each bin appends into before sorting out
 	// its exact-size run.
 	planner par.Planner
@@ -67,7 +67,7 @@ type gatherCache struct {
 // gain figures and dependency set. A cancelled context aborts the fan-out
 // and returns the context's error; the cache is then partially populated
 // and must be discarded.
-func (gc *gatherCache) full(goCtx context.Context, env *gatherEnv, pool *par.Pool) ([]Candidate, error) {
+func (gc *gatherCache) full(goCtx context.Context, env *gatherEnv, pool *par.Pool) ([]cand, error) {
 	gc.data = make([]targetData, env.net.NumSlots())
 	sorted, err := gather(goCtx, env, pool, gc.data)
 	if err != nil {
@@ -83,7 +83,7 @@ func (gc *gatherCache) full(goCtx context.Context, env *gatherEnv, pool *par.Poo
 // nodes whose value vectors differ (from core.Engine.Apply). A cancelled
 // context aborts the fan-out and returns the context's error; the cache is
 // then partially updated and must be discarded.
-func (gc *gatherCache) update(goCtx context.Context, env *gatherEnv, ed *core.Edit, changed []circuit.NodeID, pool *par.Pool) ([]Candidate, error) {
+func (gc *gatherCache) update(goCtx context.Context, env *gatherEnv, ed *core.Edit, changed []circuit.NodeID, pool *par.Pool) ([]cand, error) {
 	n := env.net
 	slots := n.NumSlots()
 	for len(gc.data) < slots {
@@ -192,8 +192,7 @@ func (gc *gatherCache) update(goCtx context.Context, env *gatherEnv, ed *core.Ed
 	// (≈|subs| pair evaluations plus the MFFC walk), a clean one touches
 	// only the dirty substitutes. LPT bins bound the load spread by one
 	// item's cost, and Overcommit bins per worker leave queued bins for
-	// any worker that finishes early to steal. Items are listed in
-	// ascending target order, and planAscending keeps each bin ascending.
+	// any worker that finishes early to steal.
 	targets := liveGateTargets(n)
 	dirtyT := make([]bool, slots)
 	gc.items = gc.items[:0]
@@ -212,9 +211,9 @@ func (gc *gatherCache) update(goCtx context.Context, env *gatherEnv, ed *core.Ed
 		}
 		// Other clean targets: no work, provably unchanged.
 	}
-	bins := planAscending(&gc.planner, gc.costs, pool.Workers())
+	bins := gc.planner.Plan(gc.costs, par.PlanBins(len(gc.costs), pool.Workers()))
 	// The last run is the kept part of the previous list, filled below.
-	runs := make([][]Candidate, len(bins)+1)
+	runs := make([][]cand, len(bins)+1)
 	if len(gc.bufs) < pool.Workers() {
 		gc.bufs = append(gc.bufs, make([]binBuf, pool.Workers()-len(gc.bufs))...)
 	}
@@ -250,10 +249,10 @@ func (gc *gatherCache) update(goCtx context.Context, env *gatherEnv, ed *core.Ed
 	kept := gc.sorted[:0]
 	for i := range gc.sorted {
 		c := &gc.sorted[i]
-		if !n.IsLive(c.Target) || dirtyT[c.Target] {
+		if !n.IsLive(c.target) || dirtyT[c.target] {
 			continue
 		}
-		if !c.Const && drop[c.Sub] {
+		if !c.isConst() && drop[c.sub] {
 			continue
 		}
 		kept = append(kept, *c)

@@ -159,37 +159,36 @@ func TestNilTracerScoringAllocs(t *testing.T) {
 	cfg := Config{Budget: flow.Budget{Metric: core.MetricER, Threshold: 1}}
 	cfg.fillDefaults()
 	arrival := lib.NodeArrival(net)
-	cands := bruteGather(net, vals, &cfg, arrival, lib.GateDelay(circuit.KindNot))
+	cands := gatherRecords(t, net, vals, &cfg, arrival, lib.GateDelay(circuit.KindNot))
 	if len(cands) == 0 {
 		t.Fatal("no candidates on RCA8")
 	}
 	scratch := bitvec.New(vals.M)
 	change := bitvec.New(vals.M)
 
-	// Baseline: the scoring loop exactly as it was before the obs layer.
+	// Baseline: the scoring loop as it would be without the obs layer.
 	baseline := testing.AllocsPerRun(20, func() {
 		best := -1
-		var feasible []int
+		var feasible []scored
 		for i := range cands {
 			c := &cands[i]
 			sub := c.substituteValue(vals, scratch)
-			change.Xor(vals.Node(c.Target), sub)
-			c.Delta = est.delta(c.Target, sub, change)
-			c.Exact = est.exactFor(c.Target)
-			c.Score = score(c.AreaGain, c.Delta, vals.M)
-			if c.Delta > cfg.Threshold+1e-12 {
+			change.Xor(vals.Node(c.target), sub)
+			delta := est.delta(c.target, sub, change)
+			e := scored{idx: int32(i), delta: delta, score: score(c.gain, delta, vals.M), exact: est.exactFor(c.target)}
+			if delta > cfg.Threshold+1e-12 {
 				continue
 			}
-			feasible = append(feasible, i)
-			if best == -1 || c.Score > cands[best].Score {
-				best = i
+			feasible = append(feasible, e)
+			if best == -1 || e.score > feasible[best].score {
+				best = len(feasible) - 1
 			}
 		}
 		_ = feasible
 	})
 
 	withObs := testing.AllocsPerRun(20, func() {
-		scoreCandidates(est, cands, vals, 0, cfg.Threshold, scratch, change, nil, 1)
+		scoreCandidates(est, cands, nil, vals, 0, cfg.Threshold, scratch, change, nil, 1)
 	})
 
 	if withObs > baseline {
@@ -213,7 +212,7 @@ func TestCheckInvariantsNamesCycle(t *testing.T) {
 	n.AddOutput("y", g3)
 
 	backup := n.Clone()
-	c := &Candidate{Target: g2, Sub: g3}
+	c := &cand{target: g2, sub: g3}
 	if err := checkAcyclic(n, backup, c); err != nil {
 		t.Fatalf("acyclic network flagged: %v", err)
 	}

@@ -15,15 +15,16 @@ import (
 // other combination (full estimator mutates the value table during cone
 // resimulation; local estimator is a trivial popcount; single worker is
 // the legacy path whose allocation profile is pinned by
-// TestNilTracerScoringAllocs) runs the sequential loop.
-func scoreCandidatesMaybeSharded(ctx *iterContext, est estimator, cands []Candidate,
+// TestNilTracerScoringAllocs) runs the sequential loop. Both append the
+// feasible entries to buf[:0].
+func scoreCandidatesMaybeSharded(ctx *iterContext, est estimator, cands []cand, buf []scored,
 	curErr, threshold float64, scratch, change *bitvec.Vec, pool *par.Pool,
-	o *runObs, iter int) (int, []int) {
+	o *runObs, iter int) (int, []scored) {
 
 	if _, ok := est.(*batchEstimator); ok && pool.Workers() > 1 && len(cands) > 0 {
-		return scoreCandidatesSharded(ctx, cands, curErr, threshold, pool, o, iter)
+		return scoreCandidatesSharded(ctx, cands, buf, curErr, threshold, pool, o, iter)
 	}
-	return scoreCandidates(est, cands, ctx.vals, curErr, threshold, scratch, change, o, iter)
+	return scoreCandidates(est, cands, buf, ctx.vals, curErr, threshold, scratch, change, o, iter)
 }
 
 // scoreCandidatesSharded evaluates every candidate's batch estimate with
@@ -34,15 +35,17 @@ func scoreCandidatesMaybeSharded(ctx *iterContext, est estimator, cands []Candid
 // Each worker owns one shard: for every candidate it materialises the
 // change mask for its word range only (target XOR substitute, with the
 // constant and inverted cases tail-masked exactly as substituteValue's
-// Fill/Not produce them) and computes the shard's partial — exact integer
-// inc/dec counts for ER, the unnormalised magnitude sum for AEM. Partials
-// land in per-shard slots owned by the task index and are combined in
-// fixed shard order, which reproduces the sequential DeltaER/DeltaAEM
-// values bit for bit (see core.DeltaERPartial / core.DeltaAEMPartial for
-// the word-locality argument). Each shard counts its queries once, after
-// its loop.
-func scoreCandidatesSharded(ctx *iterContext, cands []Candidate,
-	curErr, threshold float64, pool *par.Pool, o *runObs, iter int) (int, []int) {
+// Fill/Not produce them) and computes the shard's partial — for ER the
+// net count inc − dec of the shard's exact integer counts, kept as one
+// int32 (both counts are at most M), for AEM the unnormalised magnitude
+// sum. Partials land in per-shard slots owned by the task index and are
+// combined in fixed shard order, which reproduces the sequential
+// DeltaER/DeltaAEM values bit for bit: float64(inc) − float64(dec) is
+// exact below 2^53 and so equals float64(inc − dec) (see
+// core.DeltaERPartial / core.DeltaAEMPartial for the word-locality
+// argument). Each shard counts its queries once, after its loop.
+func scoreCandidatesSharded(ctx *iterContext, cands []cand, buf []scored,
+	curErr, threshold float64, pool *par.Pool, o *runObs, iter int) (int, []scored) {
 
 	cpm, st, vals := ctx.cpm, ctx.st, ctx.vals
 	m := vals.M
@@ -61,7 +64,7 @@ func scoreCandidatesSharded(ctx *iterContext, cands []Candidate,
 		var targets []circuit.NodeID
 		seen := make([]bool, ctx.net.NumSlots())
 		for i := range cands {
-			if t := cands[i].Target; !seen[t] {
+			if t := cands[i].target; !seen[t] {
 				seen[t] = true
 				targets = append(targets, t)
 			}
@@ -69,15 +72,13 @@ func scoreCandidatesSharded(ctx *iterContext, cands []Candidate,
 		cpm.EnsureAnyProp(targets, pool)
 	}
 
-	erInc := make([][]int64, len(shards))
-	erDec := make([][]int64, len(shards))
+	erNet := make([][]int32, len(shards))
 	aemMag := make([][]float64, len(shards))
 	for si := range shards {
 		if aem {
 			aemMag[si] = make([]float64, len(cands))
 		} else {
-			erInc[si] = make([]int64, len(cands))
-			erDec[si] = make([]int64, len(cands))
+			erNet[si] = make([]int32, len(cands))
 		}
 	}
 
@@ -92,37 +93,34 @@ func scoreCandidatesSharded(ctx *iterContext, cands []Candidate,
 		chg := make([]uint64, words)
 		for ci := range cands {
 			c := &cands[ci]
-			tw := vals.Node(c.Target).WordsSlice()
+			tw := vals.Node(c.target).WordsSlice()
 			var sw []uint64
-			if !c.Const {
-				sw = vals.Node(c.Sub).WordsSlice()
+			if !c.isConst() {
+				sw = vals.Node(c.sub).WordsSlice()
 			}
 			for w := sh.W0; w < sh.W1; w++ {
-				var sub uint64
-				switch {
-				case c.Const:
-					if c.ConstVal {
-						sub = ^uint64(0)
-						if w == last {
-							sub = tail
-						}
-					}
-				case c.Inverted:
+				var sub uint64 // constant 0 keeps the zero word
+				switch c.kind {
+				case kindPlain:
+					sub = sw[w]
+				case kindInverted:
 					sub = ^sw[w]
 					if w == last {
 						sub &= tail
 					}
-				default:
-					sub = sw[w]
+				case kindConst1:
+					sub = ^uint64(0)
+					if w == last {
+						sub = tail
+					}
 				}
 				chg[w] = tw[w] ^ sub
 			}
 			if aem {
-				aemMag[si][ci] = cpm.DeltaAEMPartial(c.Target, chg, st, sh.W0, sh.W1)
+				aemMag[si][ci] = cpm.DeltaAEMPartial(c.target, chg, st, sh.W0, sh.W1)
 			} else {
-				inc, dec := cpm.DeltaERPartial(c.Target, chg, st, sh.W0, sh.W1)
-				erInc[si][ci] = inc
-				erDec[si][ci] = dec
+				inc, dec := cpm.DeltaERPartial(c.target, chg, st, sh.W0, sh.W1)
+				erNet[si][ci] = int32(inc - dec)
 			}
 		}
 		core.CountPartialQueries(ctx.metric, len(cands))
@@ -134,32 +132,31 @@ func scoreCandidatesSharded(ctx *iterContext, cands []Candidate,
 	}
 
 	best := -1
-	var feasible []int
+	feasible := buf[:0]
 	for i := range cands {
 		c := &cands[i]
+		var delta float64
 		if aem {
 			var total float64
 			for si := range shards {
 				total += aemMag[si][i]
 			}
-			c.Delta = total / float64(m)
+			delta = total / float64(m)
 		} else {
-			var inc, dec int64
+			var net int64
 			for si := range shards {
-				inc += erInc[si][i]
-				dec += erDec[si][i]
+				net += int64(erNet[si][i])
 			}
-			c.Delta = (float64(inc) - float64(dec)) / float64(m)
+			delta = float64(net) / float64(m)
 		}
-		c.Exact = cpm.ExactFor(c.Target)
-		c.Score = score(c.AreaGain, c.Delta, m)
-		o.candidateScored(iter, c)
-		if curErr+c.Delta > threshold+1e-12 {
+		e := scored{idx: int32(i), delta: delta, score: score(c.gain, delta, m), exact: cpm.ExactFor(c.target)}
+		o.candidateScored(iter, c, e)
+		if curErr+delta > threshold+1e-12 {
 			continue
 		}
-		feasible = append(feasible, i)
-		if best == -1 || c.Score > cands[best].Score {
-			best = i
+		feasible = append(feasible, e)
+		if best == -1 || e.score > feasible[best].score {
+			best = len(feasible) - 1
 		}
 	}
 	return best, feasible

@@ -2,6 +2,7 @@ package sasimi
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"runtime"
 	"sync"
@@ -154,32 +155,46 @@ func TestParallelEstimateAllBitIdentical(t *testing.T) {
 
 // TestParallelScoringMatchesSequential drives the sharded scoring path
 // directly against scoreCandidates on the same candidate list, for both
-// metrics, asserting Delta/Score/selection equality field by field.
+// metrics, asserting selection and scored-entry equality field by field:
+// once under the budget, and once with no budget, where every candidate
+// has an entry.
 func TestParallelScoringMatchesSequential(t *testing.T) {
 	for _, metric := range []core.Metric{core.MetricER, core.MetricAEM} {
 		net := bench.RCA(8)
 		patterns := sim.RandomPatterns(net.NumInputs(), 1500, 8)
 		golden := sim.Simulate(net, patterns)
-		approx := net.Clone()
-		vals := sim.Simulate(approx, patterns)
-		st := emetric.NewState(sim.OutputMatrix(net, golden), sim.OutputMatrix(approx, vals))
-
 		lib := cell.Default()
 		cfg := Config{Budget: flow.Budget{Metric: metric, Threshold: 0.5}, Workers: 1}
 		cfg.fillDefaults()
 		cfg.Workers = 1
+
+		// One applied substitution leaves the approximation wrong on some
+		// patterns, so the ER estimates' dec counts (patterns a candidate
+		// would correct) are not all zero.
+		approx := net.Clone()
+		first := gatherRecords(t, approx, golden, &cfg, lib.NodeArrival(approx), lib.GateDelay(circuit.KindNot))
+		applyCandidate(approx, &first[len(first)/2])
+		vals := sim.Simulate(approx, patterns)
+		st := emetric.NewState(sim.OutputMatrix(net, golden), sim.OutputMatrix(approx, vals))
+		if !st.WrongAny.Any() {
+			t.Fatal("the approximation is exact on every pattern; the fixture exercises no correction")
+		}
 		arrival := lib.NodeArrival(approx)
-		seqCands := bruteGather(approx, vals, &cfg, arrival, lib.GateDelay(circuit.KindNot))
+		seqCands := gatherRecords(t, approx, vals, &cfg, arrival, lib.GateDelay(circuit.KindNot))
 		if len(seqCands) == 0 {
 			t.Fatal("no candidates")
 		}
+		// The one-worker gather matches the brute-force reference, and the
+		// loop below holds the gather at 2, 4 and 7 workers equal to it.
+		adm := newAdmission(vals.M, cfg.SimilarityCap)
+		sameCandidates(t, "metric="+metric.String(), adm, seqCands,
+			bruteGather(approx, vals, &cfg, arrival, lib.GateDelay(circuit.KindNot)))
 
 		est := newEstimator(EstimatorBatch)
 		ctx := &iterContext{net: approx, vals: vals, st: st, metric: metric}
 		est.prepare(ctx)
 		scratch := bitvec.New(vals.M)
 		change := bitvec.New(vals.M)
-		wantCands := append([]Candidate(nil), seqCands...)
 		seqQueries, shardQueries := obs.Default().Counter("cpm_delta_er_queries_total"),
 			obs.Default().Counter("cpm_partial_er_queries_total")
 		if metric == core.MetricAEM {
@@ -187,15 +202,19 @@ func TestParallelScoringMatchesSequential(t *testing.T) {
 				obs.Default().Counter("cpm_partial_aem_queries_total")
 		}
 		before := seqQueries.Value()
-		wantBest, wantFeasible := scoreCandidates(est, wantCands, vals, 0, cfg.Threshold,
+		wantBest, wantFeasible := scoreCandidates(est, seqCands, nil, vals, 0, cfg.Threshold,
 			scratch, change, nil, 1)
-		if got := seqQueries.Value() - before; got != int64(len(wantCands)) {
-			t.Fatalf("metric=%v: a sequential pass over %d candidates counted %d queries", metric, len(wantCands), got)
+		if got := seqQueries.Value() - before; got != int64(len(seqCands)) {
+			t.Fatalf("metric=%v: a sequential pass over %d candidates counted %d queries", metric, len(seqCands), got)
+		}
+		_, wantAll := scoreCandidates(est, seqCands, nil, vals, 0, math.Inf(1), scratch, change, nil, 1)
+		if len(wantAll) != len(seqCands) {
+			t.Fatalf("metric=%v: with no budget %d of %d candidates were scored", metric, len(wantAll), len(seqCands))
 		}
 
 		for _, workers := range []int{2, 4, 7} {
 			pool := par.NewPool(workers)
-			env := newGatherEnv(approx, vals, &cfg, arrival, lib.GateDelay(circuit.KindNot), newAdmission(vals.M, cfg.SimilarityCap))
+			env := newGatherEnv(approx, vals, &cfg, arrival, lib.GateDelay(circuit.KindNot), adm)
 			gotCands, err := gather(context.Background(), env, pool, nil)
 			if err != nil || !reflect.DeepEqual(gotCands, seqCands) {
 				pool.Close()
@@ -203,21 +222,24 @@ func TestParallelScoringMatchesSequential(t *testing.T) {
 			}
 			pctx := &iterContext{net: approx, vals: vals, st: st, metric: metric, cpm: ctx.cpm, pool: pool}
 			before := shardQueries.Value()
-			gotBest, gotFeasible := scoreCandidatesSharded(pctx, gotCands, 0, cfg.Threshold, pool, nil, 1)
-			pool.Close()
+			gotBest, gotFeasible := scoreCandidatesSharded(pctx, gotCands, nil, 0, cfg.Threshold, pool, nil, 1)
 			if got, want := shardQueries.Value()-before, int64(len(gotCands)*len(par.Shards(vals.M, workers))); got != want {
+				pool.Close()
 				t.Fatalf("metric=%v workers=%d: a sharded pass counted %d queries, want N·S = %d", metric, workers, got, want)
 			}
+			_, gotAll := scoreCandidatesSharded(pctx, gotCands, nil, 0, math.Inf(1), pool, nil, 1)
+			pool.Close()
 			if gotBest != wantBest || !reflect.DeepEqual(gotFeasible, wantFeasible) {
 				t.Fatalf("metric=%v workers=%d: selection diverges (best %d vs %d)",
 					metric, workers, gotBest, wantBest)
 			}
-			if !reflect.DeepEqual(gotCands, wantCands) {
-				for i := range gotCands {
-					if gotCands[i] != wantCands[i] {
-						t.Fatalf("metric=%v workers=%d: candidate %d diverges:\n got  %+v\n want %+v",
-							metric, workers, i, gotCands[i], wantCands[i])
-					}
+			if len(gotAll) != len(wantAll) {
+				t.Fatalf("metric=%v workers=%d: with no budget %d entries, sequential %d", metric, workers, len(gotAll), len(wantAll))
+			}
+			for i := range wantAll {
+				if gotAll[i] != wantAll[i] {
+					t.Fatalf("metric=%v workers=%d: candidate %d's estimate diverges:\n got  %+v\n want %+v",
+						metric, workers, i, gotAll[i], wantAll[i])
 				}
 			}
 		}
@@ -242,7 +264,7 @@ func TestNilTracerShardedScoringAllocs(t *testing.T) {
 	cfg := Config{Budget: flow.Budget{Metric: core.MetricER, Threshold: 1}, Workers: 1}
 	cfg.fillDefaults()
 	arrival := lib.NodeArrival(net)
-	cands := bruteGather(net, vals, &cfg, arrival, lib.GateDelay(circuit.KindNot))
+	cands := gatherRecords(t, net, vals, &cfg, arrival, lib.GateDelay(circuit.KindNot))
 	if len(cands) == 0 {
 		t.Fatal("no candidates on RCA8")
 	}
@@ -250,10 +272,10 @@ func TestNilTracerShardedScoringAllocs(t *testing.T) {
 	change := bitvec.New(vals.M)
 
 	direct := testing.AllocsPerRun(20, func() {
-		scoreCandidates(est, cands, vals, 0, cfg.Threshold, scratch, change, nil, 1)
+		scoreCandidates(est, cands, nil, vals, 0, cfg.Threshold, scratch, change, nil, 1)
 	})
 	dispatched := testing.AllocsPerRun(20, func() {
-		scoreCandidatesMaybeSharded(ctx, est, cands, 0, cfg.Threshold, scratch, change, nil, nil, 1)
+		scoreCandidatesMaybeSharded(ctx, est, cands, nil, 0, cfg.Threshold, scratch, change, nil, nil, 1)
 	})
 	if dispatched > direct {
 		t.Fatalf("Workers=1 dispatch allocates %v/run, direct loop %v/run", dispatched, direct)

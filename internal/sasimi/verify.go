@@ -35,9 +35,9 @@ import (
 // documented on core.DeltaAEMPartial, covering all bundled benchmarks),
 // and the final "after" value is produced by the same single division the
 // serial metric performs. The reduction walks candidates in the same
-// sorted order as the serial loop, so Delta/Score overwrites, drift
-// records and the final argmax selection are identical at every worker
-// count.
+// sorted order as the serial loop, so the scored entries' overwrites,
+// drift records and the final argmax selection are identical at every
+// worker count.
 
 // verifyCandScratch is one candidate's reusable overlay: its fanout cone
 // in topological order, a word-row per cone node (plus row 0 for the
@@ -140,9 +140,9 @@ type verifyScratch struct {
 }
 
 // verifyTopK re-evaluates the K best-scoring feasible candidates with
-// exact cone resimulation and returns the index of the best exactly-scored
-// feasible candidate, or -1 if none survives. The verified candidates'
-// Delta and Score fields are overwritten with exact values; each
+// exact cone resimulation and returns the index in feasible of the best
+// exactly-scored feasible candidate, or -1 if none survives. The verified
+// entries' delta and score are overwritten with exact values; each
 // batch-vs-exact pair is recorded as verification drift, split by the
 // batch estimate's exactness certificate. With a multi-worker pool the
 // (candidate, pattern-shard) grid fans out over the pool — bit-identical
@@ -150,52 +150,58 @@ type verifyScratch struct {
 // verifies serially via core.ExactDelta with per-candidate cancellation
 // checks.
 func verifyTopK(goCtx context.Context, net *circuit.Network, vals *sim.Values,
-	st *emetric.State, cfg *Config, cands []Candidate, feasible []int,
+	st *emetric.State, cfg *Config, cands []cand, feasible []scored,
 	curErr float64, scratch *bitvec.Vec, vs *verifyScratch, pool *par.Pool,
-	o *runObs, iter int) (int, error) {
+	o *runObs) (int, error) {
 
 	k := cfg.VerifyTopK
 	if k > len(feasible) {
 		k = len(feasible)
 	}
-	// Partial selection of the top-k by score.
+	// A full sort.Slice of the feasible entries by descending score. It is
+	// not stable: which of several equal-score candidates lands in the top
+	// k, and in which order they are verified, is whatever pdqsort makes
+	// of this comparator over the entries in list order — part of the
+	// bit-identity contract, so every path sorts this way.
 	sort.Slice(feasible, func(a, b int) bool {
-		return cands[feasible[a]].Score > cands[feasible[b]].Score
+		return feasible[a].score > feasible[b].score
 	})
+	top := feasible[:k]
 	if pool.Workers() > 1 {
-		return verifyTopKParallel(goCtx, net, vals, st, cfg, cands, feasible[:k],
-			curErr, vs, pool, o, iter)
+		return verifyTopKParallel(goCtx, net, vals, st, cfg, cands, top,
+			curErr, vs, pool, o)
 	}
 	best := -1
-	for _, idx := range feasible[:k] {
+	for i := range top {
 		if err := goCtx.Err(); err != nil {
 			return -1, err
 		}
-		c := &cands[idx]
+		e := &top[i]
+		c := &cands[e.idx]
 		sub := c.substituteValue(vals, scratch)
-		batchDelta, wasExact := c.Delta, c.Exact
+		batchDelta, wasExact := e.delta, e.exact
 		if tl := cfg.Timeline; tl != nil {
 			// Per-candidate span + pprof label set: CPU profile samples of
 			// the exact recheck attribute to the candidate being verified.
 			tlc := tl.Start("sasimi.verify_cand", obs.PhaseVerifyApply)
 			pprof.Do(goCtx, pprof.Labels(
 				"als_dispatch", "sasimi.verify_cand",
-				"als_candidate", net.NameOf(c.Target),
+				"als_candidate", net.NameOf(c.target),
 			), func(context.Context) {
-				c.Delta = core.ExactDelta(net, vals, c.Target, sub, st, cfg.Metric)
+				e.delta = core.ExactDelta(net, vals, c.target, sub, st, cfg.Metric)
 			})
 			tl.End(tlc)
 		} else {
-			c.Delta = core.ExactDelta(net, vals, c.Target, sub, st, cfg.Metric)
+			e.delta = core.ExactDelta(net, vals, c.target, sub, st, cfg.Metric)
 		}
-		c.Exact = true
-		c.Score = score(c.AreaGain, c.Delta, vals.M)
-		o.verified(iter, c, batchDelta, c.Delta, wasExact)
-		if curErr+c.Delta > cfg.Threshold+1e-12 {
+		e.exact = true
+		e.score = score(c.gain, e.delta, vals.M)
+		o.verified(batchDelta, e.delta, wasExact)
+		if curErr+e.delta > cfg.Threshold+1e-12 {
 			continue
 		}
-		if best == -1 || c.Score > cands[best].Score {
-			best = idx
+		if best == -1 || e.score > top[best].score {
+			best = i
 		}
 	}
 	return best, nil
@@ -205,10 +211,11 @@ func verifyTopK(goCtx context.Context, net *circuit.Network, vals *sim.Values,
 // over the pool: a setup dispatch builds every candidate's cone overlay,
 // an eval dispatch resimulates each overlay shard and computes the metric
 // partial, and a driver-side reduction in candidate order reproduces the
-// serial loop's decisions exactly.
+// serial loop's decisions exactly, overwriting the entries of top and
+// returning the index in top of the best.
 func verifyTopKParallel(goCtx context.Context, net *circuit.Network, vals *sim.Values,
-	st *emetric.State, cfg *Config, cands []Candidate, top []int, curErr float64,
-	vs *verifyScratch, pool *par.Pool, o *runObs, iter int) (int, error) {
+	st *emetric.State, cfg *Config, cands []cand, top []scored, curErr float64,
+	vs *verifyScratch, pool *par.Pool, o *runObs) (int, error) {
 
 	k := len(top)
 	if k == 0 {
@@ -250,14 +257,14 @@ func verifyTopKParallel(goCtx context.Context, net *circuit.Network, vals *sim.V
 
 	pool.Label("sasimi.verify_topk", obs.PhaseVerifyApply)
 	if err := pool.DoCtx(goCtx, k, func(_, ci int) {
-		vs.cands[ci].prepare(net, order, outputs, cands[top[ci]].Target, slots, words)
+		vs.cands[ci].prepare(net, order, outputs, cands[top[ci].idx].target, slots, words)
 	}); err != nil {
 		return -1, err
 	}
 	pool.Label("sasimi.verify_topk", obs.PhaseVerifyApply)
 	if err := pool.DoCtx(goCtx, k*s, func(w, ti int) {
 		ci, si := ti/s, ti%s
-		vs.evalShard(net, vals, &cands[top[ci]], &vs.cands[ci], vs.shards[si],
+		vs.evalShard(net, vals, &cands[top[ci].idx], &vs.cands[ci], vs.shards[si],
 			&vs.workers[w], cfg.Metric, lastWord, tail, ci*s+si)
 	}); err != nil {
 		return -1, err
@@ -268,9 +275,9 @@ func verifyTopKParallel(goCtx context.Context, net *circuit.Network, vals *sim.V
 	// path (ExactDelta restores the value table), so hoisting it is exact.
 	before := cfg.Metric.Value(st)
 	best := -1
-	for ci, idx := range top {
-		c := &cands[idx]
-		batchDelta, wasExact := c.Delta, c.Exact
+	for ci := range top {
+		e := &top[ci]
+		batchDelta, wasExact := e.delta, e.exact
 		var after float64
 		if cfg.Metric == core.MetricAEM {
 			total := 0.0
@@ -285,15 +292,15 @@ func verifyTopKParallel(goCtx context.Context, net *circuit.Network, vals *sim.V
 			}
 			after = float64(total) / float64(m)
 		}
-		c.Delta = after - before
-		c.Exact = true
-		c.Score = score(c.AreaGain, c.Delta, m)
-		o.verified(iter, c, batchDelta, c.Delta, wasExact)
-		if curErr+c.Delta > cfg.Threshold+1e-12 {
+		e.delta = after - before
+		e.exact = true
+		e.score = score(cands[e.idx].gain, e.delta, m)
+		o.verified(batchDelta, e.delta, wasExact)
+		if curErr+e.delta > cfg.Threshold+1e-12 {
 			continue
 		}
-		if best == -1 || c.Score > cands[best].Score {
-			best = idx
+		if best == -1 || e.score > top[best].score {
+			best = ci
 		}
 	}
 	return best, nil
@@ -308,29 +315,29 @@ func verifyTopKParallel(goCtx context.Context, net *circuit.Network, vals *sim.V
 //
 //als:allocfree
 func (vs *verifyScratch) evalShard(net *circuit.Network, vals *sim.Values,
-	c *Candidate, cs *verifyCandScratch, sh par.Shard, ws *verifyWorkerScratch,
+	c *cand, cs *verifyCandScratch, sh par.Shard, ws *verifyWorkerScratch,
 	metric core.Metric, lastWord int, tail uint64, slot int) {
 
 	hasTail := sh.W1-1 == lastWord
 
 	// Target substitute words — the same bits substituteValue produces.
 	dst := cs.rows[0]
-	switch {
-	case c.Const:
+	switch c.kind {
+	case kindConst1, kindConst0:
 		fill := uint64(0)
-		if c.ConstVal {
+		if c.kind == kindConst1 {
 			fill = ^uint64(0)
 		}
 		for w := sh.W0; w < sh.W1; w++ {
 			dst[w] = fill
 		}
-	case c.Inverted:
-		sw := vals.Node(c.Sub).WordsSlice()
+	case kindInverted:
+		sw := vals.Node(c.sub).WordsSlice()
 		for w := sh.W0; w < sh.W1; w++ {
 			dst[w] = ^sw[w]
 		}
 	default:
-		copy(dst[sh.W0:sh.W1], vals.Node(c.Sub).WordsSlice()[sh.W0:sh.W1])
+		copy(dst[sh.W0:sh.W1], vals.Node(c.sub).WordsSlice()[sh.W0:sh.W1])
 	}
 	if hasTail {
 		dst[lastWord] &= tail

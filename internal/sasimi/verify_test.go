@@ -91,10 +91,11 @@ func TestParallelVerifyTopKBitIdentical(t *testing.T) {
 }
 
 // verifyFixture builds the inputs verifyTopKParallel needs outside a flow:
-// a simulated network, an error state against itself as golden, and a
-// gathered candidate list.
+// a simulated network, an error state against itself as golden, a
+// gathered candidate list, and unscored entries for its first k
+// candidates.
 func verifyFixture(t testing.TB, name string, metric core.Metric, k int) (*circuit.Network,
-	*sim.Values, *emetric.State, *Config, []Candidate, []int) {
+	*sim.Values, *emetric.State, *Config, []cand, []scored) {
 	t.Helper()
 	net, err := bench.ByName(name)
 	if err != nil {
@@ -111,13 +112,13 @@ func verifyFixture(t testing.TB, name string, metric core.Metric, k int) (*circu
 	vals := sim.Simulate(net, patterns)
 	st := emetric.NewState(sim.OutputMatrix(net, vals), sim.OutputMatrix(net, vals))
 	arrival := cfg.Library.NodeArrival(net)
-	cands := bruteGather(net, vals, cfg, arrival, cfg.Library.GateDelay(circuit.KindNot))
+	cands := gatherRecords(t, net, vals, cfg, arrival, cfg.Library.GateDelay(circuit.KindNot))
 	if len(cands) < k {
 		t.Fatalf("fixture %s gathered only %d candidates, need %d", name, len(cands), k)
 	}
-	top := make([]int, k)
+	top := make([]scored, k)
 	for i := range top {
-		top[i] = i
+		top[i].idx = int32(i)
 	}
 	return net, vals, st, cfg, cands, top
 }
@@ -130,23 +131,23 @@ func TestParallelVerifyMatchesExactDelta(t *testing.T) {
 		net, vals, st, cfg, cands, top := verifyFixture(t, "rca8", metric, 8)
 		want := make([]float64, len(top))
 		scratch := bitvec.New(vals.M)
-		for i, idx := range top {
-			c := &cands[idx]
-			want[i] = core.ExactDelta(net, vals, c.Target, c.substituteValue(vals, scratch), st, metric)
+		for i, e := range top {
+			c := &cands[e.idx]
+			want[i] = core.ExactDelta(net, vals, c.target, c.substituteValue(vals, scratch), st, metric)
 		}
 		pool := par.NewPool(4)
 		var vs verifyScratch
 		if _, err := verifyTopKParallel(context.Background(), net, vals, st, cfg,
-			cands, top, 0, &vs, pool, nil, 1); err != nil {
+			cands, top, 0, &vs, pool, nil); err != nil {
 			t.Fatal(err)
 		}
 		pool.Close()
-		for i, idx := range top {
-			if got := cands[idx].Delta; got != want[i] {
-				t.Errorf("%s cand %d: parallel delta %v != ExactDelta %v", metric, idx, got, want[i])
+		for i, e := range top {
+			if e.delta != want[i] {
+				t.Errorf("%s cand %d: parallel delta %v != ExactDelta %v", metric, e.idx, e.delta, want[i])
 			}
-			if !cands[idx].Exact {
-				t.Errorf("%s cand %d: Exact not set", metric, idx)
+			if !e.exact {
+				t.Errorf("%s cand %d: exact not set", metric, e.idx)
 			}
 		}
 	}
@@ -164,11 +165,11 @@ func TestParallelVerifySteadyStateAllocs(t *testing.T) {
 	defer pool.Close()
 	var vs verifyScratch
 	ctx := context.Background()
-	if _, err := verifyTopKParallel(ctx, net, vals, st, cfg, cands, top, 0, &vs, pool, nil, 1); err != nil {
+	if _, err := verifyTopKParallel(ctx, net, vals, st, cfg, cands, top, 0, &vs, pool, nil); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(10, func() {
-		if _, err := verifyTopKParallel(ctx, net, vals, st, cfg, cands, top, 0, &vs, pool, nil, 1); err != nil {
+		if _, err := verifyTopKParallel(ctx, net, vals, st, cfg, cands, top, 0, &vs, pool, nil); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -198,16 +199,16 @@ func TestVerifyEvalShardZeroAlloc(t *testing.T) {
 		vs.uRows[oi] = vals.Node(out.Node).WordsSlice()
 		vs.valRows[oi] = vals.Node(out.Node).WordsSlice()
 	}
-	c := &cands[top[0]]
+	c := &cands[top[0].idx]
 	cs := &vs.cands[0]
 	ws := &vs.workers[0]
 	lastWord := words - 1
 	tail := bitvec.TailMask(vals.M)
 	// Warm all amortised scratch.
-	cs.prepare(net, order, outputs, c.Target, slots, words)
+	cs.prepare(net, order, outputs, c.target, slots, words)
 	vs.evalShard(net, vals, c, cs, shards[0], ws, cfg.Metric, lastWord, tail, 0)
 	allocs := testing.AllocsPerRun(20, func() {
-		cs.prepare(net, order, outputs, c.Target, slots, words)
+		cs.prepare(net, order, outputs, c.target, slots, words)
 		for si := range shards {
 			vs.evalShard(net, vals, c, cs, shards[si], ws, cfg.Metric, lastWord, tail, si)
 		}
