@@ -108,10 +108,10 @@ type Options struct {
 	// Seed makes the whole flow reproducible.
 	Seed int64
 	// Workers sizes the pattern-sharded worker pool running simulation,
-	// CPM construction and batch scoring concurrently. 0 (the default)
-	// uses all CPUs; 1 forces the sequential path. Results are
-	// bit-identical at any worker count, so this is purely a throughput
-	// knob.
+	// CPM construction, batch scoring and exact verification concurrently.
+	// 0 (the default) uses all CPUs; 1 runs the same kernels as one shard.
+	// Results are bit-identical at any worker count, so this is purely a
+	// throughput knob.
 	Workers int
 	// KeepTrace records per-iteration details in Result.Iterations.
 	KeepTrace bool
@@ -144,13 +144,6 @@ type Options struct {
 	// acyclicity) after every accepted substitution, turning latent
 	// netlist-surgery bugs into immediate named-cycle errors.
 	CheckInvariants bool
-	// Incremental selects the incremental iteration engine (the default):
-	// after each accepted substitution the flow resimulates only the
-	// edit's fanout cones and refreshes only the dirty region of the CPM,
-	// instead of rebuilding everything from scratch. Both settings are
-	// bit-identical; IncrementalOff is an escape hatch and the reference
-	// side of the differential tests.
-	Incremental IncrementalMode
 	// Partition, when non-nil, routes the run through the partitioned
 	// flow: the netlist is cut along fanout-free-region boundaries, each
 	// part is approximated independently under a slice of the error
@@ -158,17 +151,6 @@ type Options struct {
 	// only; use Flow.PartitionReport for the per-part breakdown.
 	Partition *PartitionOptions
 }
-
-// IncrementalMode switches the incremental iteration engine (re-exported
-// from internal/sasimi).
-type IncrementalMode = sasimi.IncrementalMode
-
-// Incremental engine modes: Auto (the zero value) enables it, Off forces
-// the per-iteration full rebuild.
-const (
-	IncrementalAuto = sasimi.IncrementalAuto
-	IncrementalOff  = sasimi.IncrementalOff
-)
 
 // Tracer receives flow events (re-exported from internal/obs).
 type Tracer = obs.Tracer

@@ -149,28 +149,3 @@ func TestFacadeApproximateContext(t *testing.T) {
 		t.Fatal("ApproximateContext diverges from Approximate")
 	}
 }
-
-func TestFacadeIncrementalModes(t *testing.T) {
-	golden, err := Benchmark("mul4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := Options{Metric: ErrorRate, Threshold: 0.03, NumPatterns: 1500, Seed: 1, KeepTrace: true}
-	off := base
-	off.Incremental = IncrementalOff
-	a, err := Approximate(golden, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Approximate(golden, off)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.FinalArea != b.FinalArea || a.FinalError != b.FinalError || a.NumIterations != b.NumIterations {
-		t.Fatalf("incremental (%v/%v/%d) and full rebuild (%v/%v/%d) diverge",
-			a.FinalArea, a.FinalError, a.NumIterations, b.FinalArea, b.FinalError, b.NumIterations)
-	}
-	if a.Approx.Dump() != b.Approx.Dump() {
-		t.Fatal("incremental and full rebuild produced different circuits")
-	}
-}

@@ -54,8 +54,7 @@ func main() {
 		verifyTopK   = flag.Int("verify", 0, "re-check the K best candidates per iteration exactly (0 = off)")
 		patterns     = flag.Int("m", 10000, "Monte Carlo pattern count")
 		seed         = flag.Int64("seed", 0, "random seed")
-		workers      = flag.Int("workers", 0, "worker pool size for the sasimi flow (0 = all CPUs, 1 = sequential; results are bit-identical at any count)")
-		incremental  = flag.Bool("incremental", true, "carry simulation/CPM state across sasimi iterations (cone resimulation + dirty-region CPM refresh); false rebuilds from scratch each iteration — results are bit-identical either way")
+		workers      = flag.Int("workers", 0, "worker pool size for the sasimi flow (0 = all CPUs, 1 = one pattern shard on the calling goroutine; results are bit-identical at any count)")
 		partCells    = flag.Int("partition-cells", 0, "run the partitioned sasimi flow with this target part size in gates (0 = monolithic; ER metric only)")
 		partMaxCut   = flag.Int("partition-maxcut", 0, "cut width below which a part boundary is accepted immediately (0 = default 64)")
 		partPolicy   = flag.String("partition-policy", "", "error-budget split across parts: observability (default) or uniform")
@@ -96,9 +95,6 @@ func main() {
 		KeepTrace:       *iters,
 		VerifyTopK:      *verifyTopK,
 		CheckInvariants: *checkInv,
-	}
-	if !*incremental {
-		opts.Incremental = batchals.IncrementalOff
 	}
 	if *partCells > 0 {
 		opts.Partition = &batchals.PartitionOptions{

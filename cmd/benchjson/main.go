@@ -1,21 +1,15 @@
 // Command benchjson converts `go test -bench -benchmem` output into a
-// committed JSON baseline and checks a new bench run against a committed
-// baseline.
+// committed JSON baseline.
 //
 // Usage:
 //
 //	go test -run='^$' -bench=. -benchmem -benchtime=1x . | benchjson -o BENCH_pr2.json
-//	go test -run='^$' -bench=. -benchmem -benchtime=1x . | benchjson -against BENCH_pr2.json
 //
-// Without -against, benchjson parses the bench lines on stdin and writes
-// the baseline JSON to -o (default stdout) in the benchmeta schema
-// (schema_version 2: environment metadata — go version, GOMAXPROCS, CPU
-// model, commit — alongside the benchmarks). With -against, it instead
-// verifies that every benchmark recorded in the baseline still appears in
-// the new run (so CI fails when a paper experiment's benchmark silently
-// disappears) and prints an ns/op comparison; it does not gate on timing,
-// which is hardware-dependent — that is cmd/benchdiff's job, with
-// noise-aware thresholds.
+// benchjson parses the bench lines on stdin and writes the baseline JSON
+// to -o (default stdout) in the benchmeta schema (schema_version 2:
+// environment metadata — go version, GOMAXPROCS, CPU model, commit —
+// alongside the benchmarks). Comparing a run against a baseline is
+// cmd/benchdiff's job.
 package main
 
 import (
@@ -25,7 +19,6 @@ import (
 	"io"
 	"os"
 	"os/exec"
-	"sort"
 	"strings"
 
 	"batchals/internal/benchmeta"
@@ -35,7 +28,6 @@ func main() {
 	var (
 		inFile  = flag.String("in", "", "read bench output from this file instead of stdin")
 		outFile = flag.String("o", "", "write the baseline JSON here (default stdout)")
-		against = flag.String("against", "", "compare stdin bench output against this committed baseline instead of writing one")
 		commit  = flag.String("commit", "", "commit hash to record in env (default: $GITHUB_SHA, then git rev-parse HEAD)")
 	)
 	flag.Parse()
@@ -55,13 +47,6 @@ func main() {
 	}
 	if len(benches) == 0 {
 		fatal(fmt.Errorf("no benchmark lines found in input"))
-	}
-
-	if *against != "" {
-		if err := compare(*against, benches); err != nil {
-			fatal(err)
-		}
-		return
 	}
 
 	base := benchmeta.Baseline{
@@ -103,49 +88,6 @@ func resolveCommit(flagVal string) string {
 		return ""
 	}
 	return strings.TrimSpace(string(out))
-}
-
-// compare checks the new bench results cover every benchmark in the
-// committed baseline and prints an informational ns/op comparison.
-func compare(baselinePath string, fresh []benchmeta.Bench) error {
-	base, err := benchmeta.Load(baselinePath)
-	if err != nil {
-		return err
-	}
-	got := map[string]benchmeta.Bench{}
-	for _, b := range fresh {
-		got[b.Name] = b
-	}
-	var missing []string
-	names := make([]string, 0, len(base.Benchmarks))
-	for _, b := range base.Benchmarks {
-		names = append(names, b.Name)
-	}
-	sort.Strings(names)
-	byName := map[string]benchmeta.Bench{}
-	for _, b := range base.Benchmarks {
-		byName[b.Name] = b
-	}
-	for _, name := range names {
-		nb, ok := got[name]
-		if !ok {
-			missing = append(missing, name)
-			continue
-		}
-		ob := byName[name]
-		if o, n := ob.Metrics["ns/op"], nb.Metrics["ns/op"]; o > 0 && n > 0 {
-			fmt.Printf("%-32s ns/op %12.0f -> %12.0f (%+.1f%%)\n",
-				name, o, n, 100*(n-o)/o)
-		} else {
-			fmt.Printf("%-32s present\n", name)
-		}
-	}
-	if len(missing) > 0 {
-		return fmt.Errorf("baseline benchmarks missing from this run: %s",
-			strings.Join(missing, ", "))
-	}
-	fmt.Printf("all %d baseline benchmarks present\n", len(names))
-	return nil
 }
 
 func fatal(err error) {

@@ -130,6 +130,5 @@ func (f *Flow) config() sasimi.Config {
 		Metrics:         o.Metrics,
 		Timeline:        o.Timeline,
 		CheckInvariants: o.CheckInvariants,
-		Incremental:     o.Incremental,
 	}
 }

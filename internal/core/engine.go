@@ -32,8 +32,7 @@ type Engine struct {
 	Vals *sim.Values
 	St   *emetric.State
 
-	golden *bitvec.Matrix
-	pool   *par.Pool
+	pool *par.Pool
 
 	cpm            *CPM
 	pendingEdit    Edit
@@ -46,17 +45,17 @@ type Engine struct {
 }
 
 // NewEngine fully simulates the network on the pattern set and builds the
-// error state against the golden output matrix. The CPM is not built until
-// the first CPM() call, so estimators that never need it pay nothing.
+// error state against the golden output matrix. A nil golden takes the
+// network's own outputs as the golden reference, for an engine over an
+// unedited copy of the golden circuit. The CPM is not built until the
+// first CPM() call, so estimators that never need it pay nothing.
 func NewEngine(n *circuit.Network, golden *bitvec.Matrix, p *sim.Patterns, pool *par.Pool) *Engine {
 	vals := sim.SimulateParallel(n, p, pool)
-	return &Engine{
-		Net:    n,
-		Vals:   vals,
-		St:     emetric.NewState(golden, sim.OutputMatrix(n, vals)),
-		golden: golden,
-		pool:   pool,
+	out := sim.OutputMatrix(n, vals)
+	if golden == nil {
+		golden = out.Clone()
 	}
+	return &Engine{Net: n, Vals: vals, St: emetric.NewState(golden, out), pool: pool}
 }
 
 // Apply folds one accepted network edit into the engine's state: the

@@ -42,19 +42,15 @@ func CountPartialQueries(metric Metric, n int) {
 // word ends up the result of exactly the operation sequence the sequential
 // builder would apply to it — independent of worker count and schedule.
 // Shard-local Any early-exits skip only folds that are no-ops for the
-// shard's words. A nil or single-worker pool falls through to Build.
+// shard's words. A nil or single-worker pool runs the same fold as one
+// shard.
 func BuildParallel(n *circuit.Network, vals *sim.Values, pool *par.Pool) *CPM {
-	if pool.Workers() <= 1 {
-		return Build(n, vals)
-	}
 	start := time.Now()
-	m := vals.M
-	numOut := n.NumOutputs()
 	c := &CPM{
 		net:     n,
 		vals:    vals,
-		m:       m,
-		o:       numOut,
+		m:       vals.M,
+		o:       n.NumOutputs(),
 		p:       make([][]*bitvec.Vec, n.NumSlots()),
 		anyProp: make([]atomic.Pointer[bitvec.Vec], n.NumSlots()),
 	}
@@ -63,24 +59,39 @@ func BuildParallel(n *circuit.Network, vals *sim.Values, pool *par.Pool) *CPM {
 	for o, out := range n.Outputs() {
 		c.p[out.Node][o].Fill()
 	}
+	pool.Label("cpm.build", obs.PhaseCPMBuild)
+	c.fold(order, pool)
+	c.buildTime = time.Since(start)
+	statCPMBuilds.Inc()
+	statCPMBuildNS.Add(int64(c.buildTime))
+	return c
+}
+
+// fold applies Eq. (2) to rows, which are in topological order and hold
+// their base cases, walking them in reverse: each row ORs in, for every
+// distinct fanout, the fanout's row masked by the edge's Boolean
+// difference. A fanout row not in rows is read as it stands. The pattern
+// axis is sharded over the pool as BuildParallel describes. BuildParallel
+// folds every row, Refresh its dirty region.
+func (c *CPM) fold(rows []circuit.NodeID, pool *par.Pool) {
+	n, vals := c.net, c.vals
 	// Fanout lists are shared read-only by every worker; resolve them once
 	// so workers do not race the network's internal caches.
-	fanouts := make([][]circuit.NodeID, n.NumSlots())
-	for _, id := range order {
-		fanouts[id] = uniqueFanouts(n, id)
+	fanouts := make([][]circuit.NodeID, len(rows))
+	for i, id := range rows {
+		fanouts[i] = uniqueFanouts(n, id)
 	}
-	lastWord := bitvec.Words(m) - 1
-	tail := bitvec.TailMask(m)
-	shards := par.Shards(m, pool.Workers())
-	pool.Label("cpm.build", obs.PhaseCPMBuild)
+	lastWord := bitvec.Words(c.m) - 1
+	tail := bitvec.TailMask(c.m)
+	shards := par.Shards(c.m, pool.Workers())
 	pool.Do(len(shards), func(_, si int) {
 		sh := shards[si]
-		d := make([]uint64, bitvec.Words(m))
+		d := make([]uint64, bitvec.Words(c.m))
 		var one, zero []uint64
-		for idx := len(order) - 1; idx >= 0; idx-- {
-			id := order[idx]
+		for i := len(rows) - 1; i >= 0; i-- {
+			id := rows[i]
 			prow := c.p[id]
-			for _, nf := range fanouts[id] {
+			for _, nf := range fanouts[i] {
 				kind := n.Kind(nf)
 				fanins := n.Fanins(nf)
 				if cap(one) < len(fanins) {
@@ -109,7 +120,7 @@ func BuildParallel(n *circuit.Network, vals *sim.Values, pool *par.Pool) *CPM {
 					continue
 				}
 				frow := c.p[nf]
-				for o := 0; o < numOut; o++ {
+				for o := 0; o < c.o; o++ {
 					if !frow[o].AnyWords(sh.W0, sh.W1) {
 						continue
 					}
@@ -122,10 +133,6 @@ func BuildParallel(n *circuit.Network, vals *sim.Values, pool *par.Pool) *CPM {
 			}
 		}
 	})
-	c.buildTime = time.Since(start)
-	statCPMBuilds.Inc()
-	statCPMBuildNS.Add(int64(c.buildTime))
-	return c
 }
 
 // EnsureAnyProp warms the AnyProp cache for the given nodes, spread over

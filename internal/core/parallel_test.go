@@ -30,6 +30,8 @@ func cpmsEqual(t *testing.T, n *circuit.Network, a, b *CPM) {
 	}
 }
 
+// TestBuildParallelBitIdentical holds the sharded fold to the sequential
+// Build at every worker count, one included.
 func TestBuildParallelBitIdentical(t *testing.T) {
 	r := rand.New(rand.NewSource(301))
 	for _, m := range []int{64, 65, 200, 1000} {
@@ -48,7 +50,9 @@ func TestBuildParallelBitIdentical(t *testing.T) {
 	}
 }
 
-func TestBuildParallelNilPoolFallsBack(t *testing.T) {
+// TestBuildParallelNilPoolMatchesBuild holds the sharded fold on a nil
+// pool, which runs it as one shard inline, to the sequential Build.
+func TestBuildParallelNilPoolMatchesBuild(t *testing.T) {
 	r := rand.New(rand.NewSource(33))
 	n := randomDAG(t, r, 6, 30)
 	vals := sim.Simulate(n, sim.RandomPatterns(6, 256, 5))

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -93,11 +94,10 @@ type RefreshStats struct {
 // every fanout row are unchanged, so recomputation would reproduce them
 // bit for bit.
 //
-// The recompute zeroes the dirty rows, refills their base cases and re-runs
-// Build's reverse-topological fold restricted to dirty rows, reading clean
-// fanout rows as-is. The pattern axis is sharded over the pool exactly as
-// in BuildParallel; the fold is word-local, so every word receives the
-// sequential builder's operation sequence regardless of worker count.
+// The recompute zeroes the dirty rows, refills their base cases and runs
+// BuildParallel's fold over the dirty rows, reading clean fanout rows
+// as-is; the fold is word-local, so every word receives the sequential
+// builder's operation sequence regardless of worker count.
 //
 // Lazy caches are invalidated conservatively: AnyProp per dirty or removed
 // row, the exactness certificate entirely (the structure changed), and the
@@ -160,7 +160,7 @@ func (c *CPM) Refresh(ed Edit, changed []circuit.NodeID, pool *par.Pool) Refresh
 	// finalised fanout flags closes the set.
 	order := n.TopoOrder()
 	dirty := make([]bool, n.NumSlots())
-	var dirtyList []circuit.NodeID // reverse topological order
+	var dirtyList []circuit.NodeID // collected in reverse topological order
 	for idx := len(order) - 1; idx >= 0; idx-- {
 		id := order[idx]
 		d := head[id]
@@ -200,67 +200,12 @@ func (c *CPM) Refresh(ed Edit, changed []circuit.NodeID, pool *par.Pool) Refresh
 		}
 	}
 
-	// Restricted fold: Build's reverse-topological recursion over the dirty
-	// rows only, pattern-sharded as in BuildParallel. dirtyList is already
-	// in reverse topological order, so a dirty fanout row is final before
-	// any dirty fanin row reads it; clean fanout rows are correct as-is.
-	fanouts := make([][]circuit.NodeID, len(dirtyList))
-	for i, id := range dirtyList {
-		fanouts[i] = uniqueFanouts(n, id)
-	}
-	vals := c.vals
-	lastWord := bitvec.Words(c.m) - 1
-	tail := bitvec.TailMask(c.m)
-	shards := par.Shards(c.m, pool.Workers())
+	// Restricted fold over the dirty rows in topological order: the fold
+	// walks them backwards, so a dirty fanout row is final before any
+	// dirty fanin row reads it; clean fanout rows are correct as-is.
+	slices.Reverse(dirtyList)
 	pool.Label("cpm.refresh", obs.PhaseCPMBuild)
-	pool.Do(len(shards), func(_, si int) {
-		sh := shards[si]
-		d := make([]uint64, bitvec.Words(c.m))
-		var one, zero []uint64
-		for i, id := range dirtyList {
-			prow := c.p[id]
-			for _, nf := range fanouts[i] {
-				kind := n.Kind(nf)
-				fanins := n.Fanins(nf)
-				if cap(one) < len(fanins) {
-					one = make([]uint64, len(fanins))
-					zero = make([]uint64, len(fanins))
-				}
-				ob, zb := one[:len(fanins)], zero[:len(fanins)]
-				dAny := false
-				for w := sh.W0; w < sh.W1; w++ {
-					for j, f := range fanins {
-						if f == id {
-							ob[j], zb[j] = ^uint64(0), 0
-						} else {
-							fv := vals.Node(f).WordsSlice()[w]
-							ob[j], zb[j] = fv, fv
-						}
-					}
-					dw := kind.EvalWord(ob) ^ kind.EvalWord(zb)
-					if w == lastWord {
-						dw &= tail
-					}
-					d[w] = dw
-					dAny = dAny || dw != 0
-				}
-				if !dAny {
-					continue
-				}
-				frow := c.p[nf]
-				for o := 0; o < c.o; o++ {
-					if !frow[o].AnyWords(sh.W0, sh.W1) {
-						continue
-					}
-					fo := frow[o].WordsSlice()
-					po := prow[o].WordsSlice()
-					for w := sh.W0; w < sh.W1; w++ {
-						po[w] |= fo[w] & d[w]
-					}
-				}
-			}
-		}
-	})
+	c.fold(dirtyList, pool)
 
 	// Cache invalidation: only dirty rows can have stale AnyProp entries
 	// (removed rows were cleared above); the certificate and AEM columns

@@ -4,15 +4,16 @@
 //
 // The design contract, relied on by internal/sim, internal/core and
 // internal/sasimi, is *bit-identical determinism*: a computation sharded
-// across any number of workers must produce exactly the result of the
-// sequential code path. The pool guarantees the scheduling half of that
-// contract — every task writes only to slots owned by its task index, and
-// Do establishes a happens-before edge between all task bodies and its
-// return — while Shards guarantees the data half: shards are contiguous,
-// word-aligned, non-overlapping ranges of the pattern space, so concurrent
-// writers touch disjoint uint64 words and per-shard partial results can be
-// combined in fixed shard order. See DESIGN.md §10 for the full
-// determinism argument.
+// across any number of workers, one included, must produce exactly the
+// result of its sequential reference (sim.Simulate, core.Build, the
+// DeltaER/DeltaAEM queries, core.ExactDelta). The pool guarantees the
+// scheduling half of that contract — every task writes only to slots
+// owned by its task index, and Do establishes a happens-before edge
+// between all task bodies and its return — while Shards guarantees the
+// data half: shards are contiguous, word-aligned, non-overlapping ranges
+// of the pattern space, so concurrent writers touch disjoint uint64 words
+// and per-shard partial results can be combined in fixed shard order. See
+// DESIGN.md §10 for the full determinism argument.
 package par
 
 import (
@@ -42,8 +43,8 @@ const maxWorkerCounters = 64
 
 // Pool is a reusable fixed-size worker pool. Workers are started once at
 // construction and fed task batches through Do; a pool with one worker
-// (or a nil pool) degenerates to inline sequential execution, which is the
-// legacy single-core path.
+// (or a nil pool) runs each batch inline on the calling goroutine, so the
+// sharded kernels run there as one shard.
 //
 // A Pool is driven from one goroutine at a time: Do blocks until the
 // whole batch completes, and concurrent Do calls are not supported.

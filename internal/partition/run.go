@@ -52,7 +52,7 @@ type Report struct {
 
 // Run executes the partition-and-conquer flow: plan, extract, allocate,
 // per-part SASIMI flows (parallel across parts on cfg.Workers pool
-// workers, each part itself running the sequential pattern path), budget
+// workers, each part running its kernels as one pattern shard), budget
 // reclamation rounds, merge, and the global re-measurement acceptance
 // gate with its revert-worst repair loop. Results are deterministic at
 // any worker count: parts are independent and merged in a fixed order.
@@ -121,7 +121,7 @@ func Run(ctx context.Context, golden *circuit.Network, cfg sasimi.Config, opt Op
 
 	alloc := NewAllocator(cfg.Threshold, WeightsFor(opt.BudgetPolicy, golden, plan))
 
-	// Per-part flows: each part runs the sequential pattern path
+	// Per-part flows: each part runs its kernels as one pattern shard
 	// (Workers: 1) while the outer pool parallelises across parts — the
 	// partition lanes the timeline shows. Per-part observability sinks
 	// stay nil: the timeline recorder and metrics registry are
@@ -144,7 +144,6 @@ func Run(ctx context.Context, golden *circuit.Network, cfg sasimi.Config, opt Op
 			},
 			Estimator:       cfg.Estimator,
 			Workers:         1,
-			Incremental:     cfg.Incremental,
 			Patterns:        ex.Patterns,
 			SimilarityCap:   cfg.SimilarityCap,
 			VerifyTopK:      cfg.VerifyTopK,

@@ -8,7 +8,6 @@ import (
 	"batchals/internal/cell"
 	"batchals/internal/circuit"
 	"batchals/internal/core"
-	"batchals/internal/emetric"
 	"batchals/internal/flow"
 	"batchals/internal/obs"
 	"batchals/internal/sim"
@@ -147,12 +146,8 @@ func TestTracerOnlyRunsComputeAdequacy(t *testing.T) {
 func TestIdleStreamSubscriberScoringAllocs(t *testing.T) {
 	net := bench.RCA(8)
 	patterns := sim.RandomPatterns(net.NumInputs(), 1024, 3)
-	vals := sim.Simulate(net, patterns)
-	out := sim.OutputMatrix(net, vals)
-	st := emetric.NewState(out, out)
-	est := newEstimator(EstimatorBatch)
-	ctx := &iterContext{net: net, vals: vals, st: st, metric: core.MetricER}
-	est.prepare(ctx)
+	ctx, est := batchFixture(net, sim.OutputMatrix(net, sim.Simulate(net, patterns)), patterns, core.MetricER)
+	vals := ctx.vals
 
 	lib := cell.Default()
 	cfg := Config{Budget: flow.Budget{Metric: core.MetricER, Threshold: 1}}
@@ -181,6 +176,14 @@ func TestIdleStreamSubscriberScoringAllocs(t *testing.T) {
 	if withIdleSub > baseline {
 		t.Fatalf("idle-subscriber scoring allocates %v/run, nil-tracer baseline %v/run",
 			withIdleSub, baseline)
+	}
+	// The batch flow scores through the sharded scorer: the idle
+	// subscriber costs it nothing either.
+	shardedNil := shardedScoringAllocs(ctx, cands, cfg.Threshold, 1, nil)
+	shardedIdle := shardedScoringAllocs(ctx, cands, cfg.Threshold, 1, o)
+	if shardedIdle > shardedNil {
+		t.Fatalf("idle-subscriber sharded scoring allocates %v/run, nil-tracer %v/run",
+			shardedIdle, shardedNil)
 	}
 	select {
 	case ev := <-events:

@@ -28,7 +28,6 @@ import (
 	"batchals/internal/circuit"
 	"batchals/internal/core"
 	"batchals/internal/emetric"
-	"batchals/internal/par"
 	"batchals/internal/sim"
 )
 
@@ -62,10 +61,9 @@ type iterContext struct {
 	st     *emetric.State
 	metric core.Metric
 	cpm    *core.CPM // non-nil for EstimatorBatch
-	pool   *par.Pool // nil or single-worker selects the sequential paths
-	// engine, when non-nil, owns the CPM across iterations: prepare asks it
-	// for the matrix (an incremental refresh after an accepted edit) instead
-	// of rebuilding from scratch.
+	// engine owns vals, st and the CPM across iterations: the batch
+	// estimator's prepare asks it for the matrix (a dirty-region refresh
+	// after an accepted edit).
 	engine *core.Engine
 	// goCtx carries the flow's cancellation into the pattern-sharded
 	// scoring dispatch; nil means not cancellable.
@@ -87,11 +85,7 @@ type estimator interface {
 type batchEstimator struct{ ctx *iterContext }
 
 func (e *batchEstimator) prepare(ctx *iterContext) {
-	if ctx.engine != nil {
-		ctx.cpm = ctx.engine.CPM()
-	} else {
-		ctx.cpm = core.BuildParallel(ctx.net, ctx.vals, ctx.pool)
-	}
+	ctx.cpm = ctx.engine.CPM()
 	e.ctx = ctx
 }
 

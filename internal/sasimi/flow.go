@@ -12,42 +12,12 @@ import (
 	"batchals/internal/bitvec"
 	"batchals/internal/circuit"
 	"batchals/internal/core"
-	"batchals/internal/emetric"
 	"batchals/internal/flow"
 	"batchals/internal/obs"
 	"batchals/internal/obs/timeline"
 	"batchals/internal/par"
 	"batchals/internal/sim"
 )
-
-// IncrementalMode selects whether the flow carries simulation, error-state
-// and CPM results across iterations (cone-scoped resimulation plus
-// dirty-region CPM refresh) or rebuilds everything from scratch each
-// iteration. Both paths are bit-identical — the incremental engine is
-// purely a throughput knob, pinned by the differential suite — so the
-// default is on; IncrementalOff exists as an escape hatch and as the
-// reference side of the differential tests.
-type IncrementalMode int
-
-const (
-	// IncrementalAuto (the zero value) enables the incremental engine.
-	IncrementalAuto IncrementalMode = iota
-	// IncrementalOff forces the per-iteration full rebuild.
-	IncrementalOff
-)
-
-// String names the mode.
-func (m IncrementalMode) String() string {
-	switch m {
-	case IncrementalAuto:
-		return "auto"
-	case IncrementalOff:
-		return "off"
-	}
-	return "unknown"
-}
-
-func (m IncrementalMode) enabled() bool { return m != IncrementalOff }
 
 // Config parameterises one flow run. Zero values are filled with sensible
 // defaults by Run; only Threshold must be set by the caller. The error
@@ -59,15 +29,13 @@ type Config struct {
 	// Estimator chooses the per-candidate error estimation method.
 	Estimator EstimatorKind
 	// Workers sets the size of the pattern-sharded worker pool that runs
-	// simulation, CPM construction, candidate gathering and batch scoring
-	// concurrently. 0 (the default) selects runtime.NumCPU(); 1 forces the
-	// legacy sequential path. Results are bit-identical at any worker
-	// count — see DESIGN.md §10 for the determinism argument — so Workers
-	// is purely a throughput knob.
+	// simulation, CPM construction, candidate gathering, batch scoring and
+	// exact verification concurrently. 0 (the default) selects
+	// runtime.NumCPU(); 1 runs the same sharded kernels as one shard on
+	// the calling goroutine. Results are bit-identical at any worker count
+	// — see DESIGN.md §10 for the determinism argument — so Workers is
+	// purely a throughput knob.
 	Workers int
-	// Incremental selects the cross-iteration incremental engine (default
-	// on; see IncrementalMode).
-	Incremental IncrementalMode
 	// Patterns, when non-nil, overrides NumPatterns/Seed with a
 	// caller-provided (possibly non-uniform) pattern set.
 	Patterns *sim.Patterns
@@ -112,11 +80,13 @@ type Config struct {
 	// computation is bit-identical either way.
 	Timeline *timeline.Recorder
 
-	// verifyIncremental cross-checks the incremental engine against the
-	// full-rebuild computation every iteration: the incremental candidate
-	// list and (for the batch estimator) the refreshed CPM are compared
-	// against freshly rebuilt ones, and any divergence aborts the run with
-	// an error. Test-only paranoia hook — quadratically expensive.
+	// verifyIncremental cross-checks the incremental engine against a
+	// rebuild from scratch every iteration: the cached candidate list and
+	// (for the batch estimator) the refreshed CPM against a fresh gather
+	// and build, and after every accepted edit the engine's value table
+	// and error state against a fresh core.NewEngine of the edited
+	// network. Any divergence aborts the run with an error. Test-only
+	// paranoia hook — quadratically expensive.
 	verifyIncremental bool
 }
 
@@ -445,12 +415,15 @@ func RunContext(goCtx context.Context, golden *circuit.Network, cfg Config) (*Re
 	}
 	prof.End(sp)
 
+	// The engine carries net+vals+error-state+CPM across iterations. It
+	// starts on an unedited copy of golden, so its first simulation also
+	// yields the golden outputs.
 	sp = prof.Begin(obs.PhaseSimulate)
-	goldenVals := sim.SimulateParallel(golden, patterns, pool)
-	goldenOut := sim.OutputMatrix(golden, goldenVals)
+	approx := golden.Clone()
+	eng := core.NewEngine(approx, nil, patterns, pool)
+	goldenOut := eng.St.U
 	prof.End(sp)
 
-	approx := golden.Clone()
 	est := newEstimator(cfg.Estimator)
 	o := newRunObs(&cfg, approx)
 
@@ -465,17 +438,13 @@ func RunContext(goCtx context.Context, golden *circuit.Network, cfg Config) (*Re
 	scratch := bitvec.New(patterns.NumPatterns())
 	change := bitvec.New(patterns.NumPatterns())
 	var vscratch verifyScratch
+	var sscratch scoreScratch
 	var entries []scored // scored-entry buffer, reused iteration after iteration
 
-	// The incremental engine carries net+vals+error-state+CPM across
-	// iterations; the gather cache carries candidate enumeration state.
-	// After an accept, pendingEdit/pendingChanged describe the surgery for
-	// the next iteration's cache update. With the engine off, a fresh
-	// Engine per iteration reproduces the legacy rebuild-from-scratch
-	// sequence operation for operation.
-	incremental := cfg.Incremental.enabled()
+	// The gather cache carries candidate enumeration state across
+	// iterations. After an accept, pendingEdit/pendingChanged describe the
+	// surgery for the next iteration's cache update.
 	var (
-		eng            *core.Engine
 		cache          *gatherCache
 		pendingEdit    *core.Edit
 		pendingChanged []circuit.NodeID
@@ -495,17 +464,12 @@ loop:
 		cfg.Timeline.SetIter(iter)
 		tli := cfg.Timeline.Start("iteration", obs.PhaseEstimate)
 
-		sp = prof.Begin(obs.PhaseSimulate)
-		if eng == nil || !incremental {
-			eng = core.NewEngine(approx, goldenOut, patterns, pool)
-		}
 		vals, st := eng.Vals, eng.St
-		prof.End(sp)
 		curErr := cfg.Metric.Value(st)
 		res.FinalError = curErr
 
 		ictx := &iterContext{net: approx, vals: vals, st: st, metric: cfg.Metric,
-			pool: pool, engine: eng, goCtx: goCtx}
+			engine: eng, goCtx: goCtx}
 		sp = prof.Begin(obs.PhaseCPMBuild)
 		est.prepare(ictx)
 		prof.End(sp)
@@ -521,13 +485,10 @@ loop:
 		env := newGatherEnv(approx, vals, &cfg, arrival, invDelay, adm)
 		var cands []cand
 		var gerr error
-		switch {
-		case !incremental:
-			cands, gerr = gather(goCtx, env, pool, nil)
-		case cache == nil:
+		if cache == nil {
 			cache = &gatherCache{}
 			cands, gerr = cache.full(goCtx, env, pool)
-		default:
+		} else {
 			cands, gerr = cache.update(goCtx, env, pendingEdit, pendingChanged, pool)
 		}
 		if gerr != nil {
@@ -540,7 +501,7 @@ loop:
 			runErr = err
 			break loop
 		}
-		if cfg.verifyIncremental && incremental {
+		if cfg.verifyIncremental {
 			if err := crossCheckIncremental(env, pool, cands, ictx.cpm); err != nil {
 				prof.End(sp)
 				return nil, err
@@ -557,7 +518,7 @@ loop:
 		// and pick the best feasible one by ΔArea/ΔError score. best indexes
 		// feasible, the scored entries of the candidates within budget.
 		best, feasible := scoreCandidatesMaybeSharded(ictx, est, cands, entries, curErr, cfg.Threshold,
-			scratch, change, pool, o, iter)
+			scratch, change, &sscratch, pool, o, iter)
 		entries = feasible
 		prof.End(sp)
 		if err := goCtx.Err(); err != nil {
@@ -569,7 +530,7 @@ loop:
 		if cfg.VerifyTopK > 0 && cfg.Estimator != EstimatorFull && len(feasible) > 0 {
 			tlv := cfg.Timeline.Start("sasimi.verify_topk", obs.PhaseVerifyApply)
 			var verr error
-			best, verr = verifyTopK(goCtx, approx, vals, st, &cfg, cands, feasible, curErr, scratch, &vscratch, pool, o)
+			best, verr = verifyTopK(goCtx, approx, vals, st, &cfg, cands, feasible, curErr, &vscratch, pool, o)
 			cfg.Timeline.End(tlv)
 			if verr != nil {
 				prof.End(sp)
@@ -599,26 +560,22 @@ loop:
 		}
 		cfg.Timeline.End(tla)
 
-		// Measure the actual error on the same pattern set. Incrementally:
-		// resimulate only the edit's fanout cones in place and refresh the
-		// error state — bit-identical to the full resimulation by
-		// construction. The full path rebuilds everything next iteration.
+		// Measure the actual error on the same pattern set: resimulate only
+		// the edit's fanout cones in place and refresh the error state —
+		// bit-identical to a full resimulation by construction.
 		tlm := cfg.Timeline.Start("sasimi.measure", obs.PhaseVerifyApply)
-		var actual float64
-		var wrongCount int64
-		if incremental {
-			resimmed, valsChanged := eng.Apply(ed)
-			o.resimmed(len(resimmed))
-			pendingEdit, pendingChanged = &ed, valsChanged
-			actual = cfg.Metric.Value(eng.St)
-			wrongCount = int64(eng.St.WrongAny.Count())
-		} else {
-			newVals := sim.SimulateParallel(approx, patterns, pool)
-			newSt := emetric.NewState(goldenOut, sim.OutputMatrix(approx, newVals))
-			actual = cfg.Metric.Value(newSt)
-			wrongCount = int64(newSt.WrongAny.Count())
-		}
+		resimmed, valsChanged := eng.Apply(ed)
+		o.resimmed(len(resimmed))
+		pendingEdit, pendingChanged = &ed, valsChanged
+		actual := cfg.Metric.Value(eng.St)
+		wrongCount := int64(eng.St.WrongAny.Count())
 		cfg.Timeline.End(tlm)
+		if cfg.verifyIncremental {
+			if err := crossCheckEngine(eng, goldenOut, patterns, pool); err != nil {
+				prof.End(sp)
+				return nil, err
+			}
+		}
 		predicted := curErr + pick.delta
 		if actual > cfg.Threshold+1e-12 {
 			// The estimate was wrong and the budget is blown: restore the
@@ -683,9 +640,10 @@ loop:
 	return res, nil
 }
 
-// crossCheckIncremental is the verifyIncremental paranoia pass: it rebuilds
-// the candidate list (and, when present, the CPM) from scratch and compares
-// against the incremental results field for field.
+// crossCheckIncremental is the verifyIncremental paranoia pass over an
+// iteration's estimation inputs: it rebuilds the candidate list (and, when
+// present, the CPM) from scratch and compares against the incremental
+// results field for field.
 func crossCheckIncremental(env *gatherEnv, pool *par.Pool, cands []cand, cpm *core.CPM) error {
 	net, vals := env.net, env.vals
 	full, err := gather(context.Background(), env, pool, nil)
@@ -709,6 +667,28 @@ func crossCheckIncremental(env *gatherEnv, pool *par.Pool, cands []cand, cpm *co
 				}
 			}
 		}
+	}
+	return nil
+}
+
+// crossCheckEngine is the verifyIncremental paranoia pass after an
+// accepted edit: a fresh core.NewEngine of the edited network must agree
+// with the engine's in-place state — every live node's value vector and
+// the error state's V, W and WrongAny.
+func crossCheckEngine(eng *core.Engine, goldenOut *bitvec.Matrix, patterns *sim.Patterns, pool *par.Pool) error {
+	fresh := core.NewEngine(eng.Net, goldenOut, patterns, pool)
+	for _, id := range eng.Net.LiveNodes() {
+		if !eng.Vals.Node(id).Equal(fresh.Vals.Node(id)) {
+			return fmt.Errorf("sasimi: incremental value table diverged at node %d", id)
+		}
+	}
+	for o := 0; o < fresh.St.V.Rows(); o++ {
+		if !eng.St.V.Row(o).Equal(fresh.St.V.Row(o)) || !eng.St.W.Row(o).Equal(fresh.St.W.Row(o)) {
+			return fmt.Errorf("sasimi: incremental error state diverged at output %d", o)
+		}
+	}
+	if !eng.St.WrongAny.Equal(fresh.St.WrongAny) {
+		return fmt.Errorf("sasimi: incremental WrongAny diverged")
 	}
 	return nil
 }
@@ -856,11 +836,11 @@ func EstimateAll(golden, approx *circuit.Network, cfg Config) ([]Candidate, erro
 		patterns = sim.RandomPatterns(golden.NumInputs(), cfg.NumPatterns, cfg.Seed)
 	}
 	goldenVals := sim.SimulateParallel(golden, patterns, pool)
-	vals := sim.SimulateParallel(approx, patterns, pool)
-	st := emetric.NewState(sim.OutputMatrix(golden, goldenVals), sim.OutputMatrix(approx, vals))
+	eng := core.NewEngine(approx, sim.OutputMatrix(golden, goldenVals), patterns, pool)
+	vals := eng.Vals
 
 	est := newEstimator(cfg.Estimator)
-	ctx := &iterContext{net: approx, vals: vals, st: st, metric: cfg.Metric, pool: pool}
+	ctx := &iterContext{net: approx, vals: vals, st: eng.St, metric: cfg.Metric, engine: eng}
 	est.prepare(ctx)
 
 	arrival := cfg.Library.NodeArrival(approx)
@@ -874,7 +854,7 @@ func EstimateAll(golden, approx *circuit.Network, cfg Config) ([]Candidate, erro
 	change := bitvec.New(patterns.NumPatterns())
 	o := newRunObs(&cfg, approx)
 	_, scores := scoreCandidatesMaybeSharded(ctx, est, cands, make([]scored, 0, len(cands)),
-		0, math.Inf(1), scratch, change, pool, o, 1)
+		0, math.Inf(1), scratch, change, &scoreScratch{}, pool, o, 1)
 	out := make([]Candidate, len(cands))
 	for _, e := range scores {
 		c := &out[e.idx]

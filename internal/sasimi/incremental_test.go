@@ -12,17 +12,17 @@ import (
 	"batchals/internal/flow"
 )
 
-// differentialCase is one cell of the incremental-vs-full grid.
+// differentialCase is one cell of the incremental cross-check grid.
 type differentialCase struct {
 	bench     string
 	metric    core.Metric
 	threshold float64
 }
 
-// differentialGrid pins the tentpole contract: the incremental engine
-// (cone-scoped resimulation + dirty-region CPM refresh + gather cache) is
-// bit-identical to the per-iteration full rebuild on every benchmark, both
-// metrics and every worker count.
+// differentialGrid pins the incremental engine's contract: its state
+// (cone-scoped resimulation + dirty-region CPM refresh + gather cache)
+// equals a rebuild from scratch at every iteration, on every benchmark,
+// both metrics and every worker count.
 var differentialGrid = []differentialCase{
 	{"rca8", core.MetricER, 0.08},
 	{"rca8", core.MetricAEM, 4.0},
@@ -42,7 +42,9 @@ func diffWorkers() []int {
 	return ws
 }
 
-func runIncCase(t *testing.T, tc differentialCase, workers int, mode IncrementalMode) *Result {
+// runIncCase runs one grid cell with the verifyIncremental cross-check on,
+// so every iteration is also held to a rebuild from scratch.
+func runIncCase(t *testing.T, tc differentialCase, workers int) *Result {
 	t.Helper()
 	golden, err := bench.ByName(tc.bench)
 	if err != nil {
@@ -55,11 +57,11 @@ func runIncCase(t *testing.T, tc differentialCase, workers int, mode Incremental
 			NumPatterns: 1000,
 			Seed:        11,
 		},
-		Estimator:       EstimatorBatch,
-		Workers:         workers,
-		Incremental:     mode,
-		KeepTrace:       true,
-		CheckInvariants: true,
+		Estimator:         EstimatorBatch,
+		Workers:           workers,
+		KeepTrace:         true,
+		CheckInvariants:   true,
+		verifyIncremental: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -67,22 +69,25 @@ func runIncCase(t *testing.T, tc differentialCase, workers int, mode Incremental
 	return res
 }
 
-func compareResults(t *testing.T, label string, inc, full *Result) {
+// compareResults holds got to want: the same accept sequence with the
+// same estimates, the same final error and area, and structurally the
+// same final circuit.
+func compareResults(t *testing.T, label string, got, want *Result) {
 	t.Helper()
-	if inc.NumIterations != full.NumIterations {
-		t.Fatalf("%s: iterations %d (incremental) vs %d (full)", label, inc.NumIterations, full.NumIterations)
+	if got.NumIterations != want.NumIterations {
+		t.Fatalf("%s: iterations %d vs %d", label, got.NumIterations, want.NumIterations)
 	}
-	if inc.FinalError != full.FinalError {
-		t.Fatalf("%s: final error %v vs %v", label, inc.FinalError, full.FinalError)
+	if got.FinalError != want.FinalError {
+		t.Fatalf("%s: final error %v vs %v", label, got.FinalError, want.FinalError)
 	}
-	if inc.FinalArea != full.FinalArea {
-		t.Fatalf("%s: final area %v vs %v", label, inc.FinalArea, full.FinalArea)
+	if got.FinalArea != want.FinalArea {
+		t.Fatalf("%s: final area %v vs %v", label, got.FinalArea, want.FinalArea)
 	}
-	if len(inc.Iterations) != len(full.Iterations) {
-		t.Fatalf("%s: trace length %d vs %d", label, len(inc.Iterations), len(full.Iterations))
+	if len(got.Iterations) != len(want.Iterations) {
+		t.Fatalf("%s: trace length %d vs %d", label, len(got.Iterations), len(want.Iterations))
 	}
-	for i := range inc.Iterations {
-		a, b := &inc.Iterations[i], &full.Iterations[i]
+	for i := range got.Iterations {
+		a, b := &got.Iterations[i], &want.Iterations[i]
 		if a.Target != b.Target || a.Sub != b.Sub || a.Inverted != b.Inverted {
 			t.Fatalf("%s iter %d: accept %s<-%s(inv=%v) vs %s<-%s(inv=%v)",
 				label, a.Iter, a.Target, a.Sub, a.Inverted, b.Target, b.Sub, b.Inverted)
@@ -96,24 +101,27 @@ func compareResults(t *testing.T, label string, inc, full *Result) {
 				label, a.Iter, a.Candidates, a.Feasible, b.Candidates, b.Feasible)
 		}
 	}
-	if inc.Approx.Dump() != full.Approx.Dump() {
+	if got.Approx.Dump() != want.Approx.Dump() {
 		t.Fatalf("%s: structurally different final circuits", label)
 	}
 }
 
-// TestIncrementalMatchesFullRebuild is the differential suite: every
-// benchmark × metric × worker-count cell must produce the identical accept
-// sequence, final error and final circuit with the engine on and off.
+// TestIncrementalMatchesFullRebuild is the cross-check grid: every
+// benchmark × metric × worker-count cell runs with verifyIncremental on,
+// so after every accepted edit the engine's value table and error state,
+// and at every iteration its candidate list and CPM, must equal a rebuild
+// from scratch; and every cell must produce its one-worker result — the
+// same accept sequence, final error and final circuit.
 func TestIncrementalMatchesFullRebuild(t *testing.T) {
 	for _, tc := range differentialGrid {
-		full := runIncCase(t, tc, 1, IncrementalOff)
+		var want *Result
 		for _, w := range diffWorkers() {
-			inc := runIncCase(t, tc, w, IncrementalAuto)
-			label := tc.bench + "/" + tc.metric.String() + "/w" + itoa(w)
-			compareResults(t, label, inc, full)
-			// The full-rebuild path must itself be worker-invariant.
-			fullW := runIncCase(t, tc, w, IncrementalOff)
-			compareResults(t, label+"/full", fullW, full)
+			got := runIncCase(t, tc, w)
+			if want == nil {
+				want = got
+				continue
+			}
+			compareResults(t, tc.bench+"/"+tc.metric.String()+"/w"+itoa(w), got, want)
 		}
 	}
 }
@@ -134,8 +142,9 @@ func itoa(n int) string {
 
 // TestVerifyIncrementalCrossCheck runs a flow with the internal
 // verifyIncremental hook enabled: every iteration the incremental candidate
-// list and CPM are compared field-for-field against rebuilt-from-scratch
-// versions, failing the run on any divergence. The c880 row runs at
+// list and CPM, and after every accept the engine's value table and error
+// state, are compared against rebuilt-from-scratch versions, failing the
+// run on any divergence. The c880 row runs at
 // M = 10000, where the two float forms of a DiffProb differ for many
 // counts, with two workers, so the cache update's LPT bins mix dirty and
 // clean targets.
@@ -175,15 +184,6 @@ func TestVerifyIncrementalCrossCheck(t *testing.T) {
 			t.Fatalf("%s metric %v M=%d: %d iterations, want at least %d",
 				tc.golden.Name, tc.metric, tc.m, res.NumIterations, tc.minIters)
 		}
-	}
-}
-
-// TestIncrementalDefaultOn pins the API contract: the zero value of
-// IncrementalMode enables the engine and IncrementalOff disables it.
-func TestIncrementalDefaultOn(t *testing.T) {
-	var zero IncrementalMode
-	if !zero.enabled() || IncrementalOff.enabled() {
-		t.Fatal("IncrementalMode.enabled() wiring is wrong")
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"batchals/internal/cell"
 	"batchals/internal/circuit"
 	"batchals/internal/core"
-	"batchals/internal/emetric"
 	"batchals/internal/flow"
 	"batchals/internal/obs"
 	"batchals/internal/sim"
@@ -148,12 +147,8 @@ func TestFlowEmitsObservability(t *testing.T) {
 func TestNilTracerScoringAllocs(t *testing.T) {
 	net := bench.RCA(8)
 	patterns := sim.RandomPatterns(net.NumInputs(), 1024, 3)
-	vals := sim.Simulate(net, patterns)
-	out := sim.OutputMatrix(net, vals)
-	st := emetric.NewState(out, out)
-	est := newEstimator(EstimatorBatch)
-	ctx := &iterContext{net: net, vals: vals, st: st, metric: core.MetricER}
-	est.prepare(ctx)
+	ctx, est := batchFixture(net, sim.OutputMatrix(net, sim.Simulate(net, patterns)), patterns, core.MetricER)
+	vals := ctx.vals
 
 	lib := cell.Default()
 	cfg := Config{Budget: flow.Budget{Metric: core.MetricER, Threshold: 1}}
@@ -193,6 +188,15 @@ func TestNilTracerScoringAllocs(t *testing.T) {
 
 	if withObs > baseline {
 		t.Fatalf("nil-tracer scoring allocates %v/run, pre-obs baseline %v/run", withObs, baseline)
+	}
+
+	// The batch flow scores through the sharded scorer: with no
+	// observability, its repeated pass allocates nothing per candidate.
+	half := shardedScoringAllocs(ctx, cands[:len(cands)/2], cfg.Threshold, 1, nil)
+	full := shardedScoringAllocs(ctx, cands, cfg.Threshold, 1, nil)
+	if full > half {
+		t.Fatalf("nil-tracer sharded scoring allocates %v/run over %d candidates, %v/run over %d",
+			full, len(cands), half, len(cands)/2)
 	}
 }
 
@@ -293,23 +297,5 @@ func TestIncrementalEngineMetrics(t *testing.T) {
 	}
 	if h.Min <= 0 || h.Max > 1 {
 		t.Fatalf("dirty fractions outside (0,1]: min %v max %v", h.Min, h.Max)
-	}
-
-	// The full-rebuild path must not record any of them.
-	regOff := obs.NewRegistry()
-	runOn(t, "mul4", Config{
-		Budget: flow.Budget{
-			Metric:      core.MetricER,
-			Threshold:   0.05,
-			NumPatterns: 2000,
-			Seed:        7,
-		},
-		Estimator:   EstimatorBatch,
-		Incremental: IncrementalOff,
-		Metrics:     regOff,
-	})
-	snapOff := regOff.Snapshot()
-	if snapOff.Counters["sasimi_resim_nodes_total"] != 0 || snapOff.Counters["sasimi_cpm_refresh_rows_total"] != 0 {
-		t.Fatalf("full-rebuild run recorded incremental metrics: %v", snapOff.Counters)
 	}
 }

@@ -10,21 +10,33 @@ import (
 	"batchals/internal/par"
 )
 
-// scoreCandidatesMaybeSharded dispatches candidate scoring: the batch
-// estimator on a multi-worker pool takes the pattern-sharded path, every
-// other combination (full estimator mutates the value table during cone
-// resimulation; local estimator is a trivial popcount; single worker is
-// the legacy path whose allocation profile is pinned by
-// TestNilTracerScoringAllocs) runs the sequential loop. Both append the
+// scoreCandidatesMaybeSharded dispatches candidate scoring on the
+// estimator: the batch estimator takes the pattern-sharded path at every
+// worker count (one shard on a single-worker pool), the full estimator
+// (which mutates the value table during cone resimulation) and the local
+// estimator (a trivial popcount) run the sequential loop. Both append the
 // feasible entries to buf[:0].
 func scoreCandidatesMaybeSharded(ctx *iterContext, est estimator, cands []cand, buf []scored,
-	curErr, threshold float64, scratch, change *bitvec.Vec, pool *par.Pool,
+	curErr, threshold float64, scratch, change *bitvec.Vec, ss *scoreScratch, pool *par.Pool,
 	o *runObs, iter int) (int, []scored) {
 
-	if _, ok := est.(*batchEstimator); ok && pool.Workers() > 1 && len(cands) > 0 {
-		return scoreCandidatesSharded(ctx, cands, buf, curErr, threshold, pool, o, iter)
+	if _, ok := est.(*batchEstimator); ok && len(cands) > 0 {
+		return scoreCandidatesSharded(ctx, cands, buf, curErr, threshold, ss, pool, o, iter)
 	}
 	return scoreCandidates(est, cands, buf, ctx.vals, curErr, threshold, scratch, change, o, iter)
+}
+
+// scoreScratch is the flow-owned scratch of the sharded scorer. It
+// persists across iterations, so a pass allocates nothing that grows with
+// the candidate list once the buffers have grown to it.
+type scoreScratch struct {
+	lastM, lastWorkers int
+	shards             []par.Shard
+	seen               []bool // target marks by node slot, cleared after each use
+	targets            []circuit.NodeID
+	erNet              [][]int32   // per shard: each candidate's net ER count
+	aemMag             [][]float64 // per shard: each candidate's magnitude sum
+	chg                [][]uint64  // per shard: change-mask words
 }
 
 // scoreCandidatesSharded evaluates every candidate's batch estimate with
@@ -45,42 +57,52 @@ func scoreCandidatesMaybeSharded(ctx *iterContext, est estimator, cands []cand, 
 // core.DeltaERPartial / core.DeltaAEMPartial for the word-locality
 // argument). Each shard counts its queries once, after its loop.
 func scoreCandidatesSharded(ctx *iterContext, cands []cand, buf []scored,
-	curErr, threshold float64, pool *par.Pool, o *runObs, iter int) (int, []scored) {
+	curErr, threshold float64, ss *scoreScratch, pool *par.Pool, o *runObs, iter int) (int, []scored) {
 
 	cpm, st, vals := ctx.cpm, ctx.st, ctx.vals
 	m := vals.M
 	words := bitvec.Words(m)
-	shards := par.Shards(m, pool.Workers())
+	if ss.lastM != m || ss.lastWorkers != pool.Workers() {
+		ss.shards = par.Shards(m, pool.Workers())
+		ss.lastM, ss.lastWorkers = m, pool.Workers()
+	}
+	shards := ss.shards
 	aem := ctx.metric == core.MetricAEM
 
 	// Warm the CPM's shared lazy caches before the scoring fan-out. The AEM
 	// column memo is plain and must be filled from this goroutine; AnyProp
 	// fills are atomic and pure, so the distinct targets' rows are filled
-	// on the pool, each once. seen is indexed by node slot.
+	// on the pool, each once.
 	pool.Label("sasimi.score", obs.PhaseEstimate)
 	if aem {
 		cpm.EnsureAEMColumns(st)
 	} else {
-		var targets []circuit.NodeID
-		seen := make([]bool, ctx.net.NumSlots())
+		ss.seen = grow(ss.seen, ctx.net.NumSlots())
+		ss.targets = ss.targets[:0]
 		for i := range cands {
-			if t := cands[i].target; !seen[t] {
-				seen[t] = true
-				targets = append(targets, t)
+			if t := cands[i].target; !ss.seen[t] {
+				ss.seen[t] = true
+				ss.targets = append(ss.targets, t)
 			}
 		}
-		cpm.EnsureAnyProp(targets, pool)
+		for _, t := range ss.targets {
+			ss.seen[t] = false
+		}
+		cpm.EnsureAnyProp(ss.targets, pool)
 	}
 
-	erNet := make([][]int32, len(shards))
-	aemMag := make([][]float64, len(shards))
+	ss.erNet = grow(ss.erNet, len(shards))
+	ss.aemMag = grow(ss.aemMag, len(shards))
+	ss.chg = grow(ss.chg, len(shards))
 	for si := range shards {
 		if aem {
-			aemMag[si] = make([]float64, len(cands))
+			ss.aemMag[si] = grow(ss.aemMag[si], len(cands))
 		} else {
-			erNet[si] = make([]int32, len(cands))
+			ss.erNet[si] = grow(ss.erNet[si], len(cands))
 		}
+		ss.chg[si] = grow(ss.chg[si], words)
 	}
+	erNet, aemMag := ss.erNet, ss.aemMag
 
 	goCtx := ctx.goCtx
 	if goCtx == nil {
@@ -90,7 +112,7 @@ func scoreCandidatesSharded(ctx *iterContext, cands []cand, buf []scored,
 	tail := bitvec.TailMask(m)
 	err := pool.DoCtx(goCtx, len(shards), func(_, si int) {
 		sh := shards[si]
-		chg := make([]uint64, words)
+		chg := ss.chg[si]
 		for ci := range cands {
 			c := &cands[ci]
 			tw := vals.Node(c.target).WordsSlice()
@@ -160,4 +182,14 @@ func scoreCandidatesSharded(ctx *iterContext, cands []cand, buf []scored,
 		}
 	}
 	return best, feasible
+}
+
+// grow returns s resized to n elements, reusing its capacity. Elements
+// kept from earlier use keep their values; callers overwrite what they
+// read.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return append(s[:cap(s)], make([]T, n-cap(s))...)
+	}
+	return s[:n]
 }

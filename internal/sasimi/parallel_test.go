@@ -13,7 +13,6 @@ import (
 	"batchals/internal/cell"
 	"batchals/internal/circuit"
 	"batchals/internal/core"
-	"batchals/internal/emetric"
 	"batchals/internal/flow"
 	"batchals/internal/obs"
 	"batchals/internal/par"
@@ -155,9 +154,9 @@ func TestParallelEstimateAllBitIdentical(t *testing.T) {
 
 // TestParallelScoringMatchesSequential drives the sharded scoring path
 // directly against scoreCandidates on the same candidate list, for both
-// metrics, asserting selection and scored-entry equality field by field:
-// once under the budget, and once with no budget, where every candidate
-// has an entry.
+// metrics and at 1, 2, 4 and 7 workers, asserting selection and
+// scored-entry equality field by field: once under the budget, and once
+// with no budget, where every candidate has an entry.
 func TestParallelScoringMatchesSequential(t *testing.T) {
 	for _, metric := range []core.Metric{core.MetricER, core.MetricAEM} {
 		net := bench.RCA(8)
@@ -174,8 +173,8 @@ func TestParallelScoringMatchesSequential(t *testing.T) {
 		approx := net.Clone()
 		first := gatherRecords(t, approx, golden, &cfg, lib.NodeArrival(approx), lib.GateDelay(circuit.KindNot))
 		applyCandidate(approx, &first[len(first)/2])
-		vals := sim.Simulate(approx, patterns)
-		st := emetric.NewState(sim.OutputMatrix(net, golden), sim.OutputMatrix(approx, vals))
+		ctx, est := batchFixture(approx, sim.OutputMatrix(net, golden), patterns, metric)
+		vals, st := ctx.vals, ctx.st
 		if !st.WrongAny.Any() {
 			t.Fatal("the approximation is exact on every pattern; the fixture exercises no correction")
 		}
@@ -190,9 +189,6 @@ func TestParallelScoringMatchesSequential(t *testing.T) {
 		sameCandidates(t, "metric="+metric.String(), adm, seqCands,
 			bruteGather(approx, vals, &cfg, arrival, lib.GateDelay(circuit.KindNot)))
 
-		est := newEstimator(EstimatorBatch)
-		ctx := &iterContext{net: approx, vals: vals, st: st, metric: metric}
-		est.prepare(ctx)
 		scratch := bitvec.New(vals.M)
 		change := bitvec.New(vals.M)
 		seqQueries, shardQueries := obs.Default().Counter("cpm_delta_er_queries_total"),
@@ -212,7 +208,7 @@ func TestParallelScoringMatchesSequential(t *testing.T) {
 			t.Fatalf("metric=%v: with no budget %d of %d candidates were scored", metric, len(wantAll), len(seqCands))
 		}
 
-		for _, workers := range []int{2, 4, 7} {
+		for _, workers := range []int{1, 2, 4, 7} {
 			pool := par.NewPool(workers)
 			env := newGatherEnv(approx, vals, &cfg, arrival, lib.GateDelay(circuit.KindNot), adm)
 			gotCands, err := gather(context.Background(), env, pool, nil)
@@ -220,14 +216,14 @@ func TestParallelScoringMatchesSequential(t *testing.T) {
 				pool.Close()
 				t.Fatalf("metric=%v workers=%d: gathered candidates diverge (err %v)", metric, workers, err)
 			}
-			pctx := &iterContext{net: approx, vals: vals, st: st, metric: metric, cpm: ctx.cpm, pool: pool}
+			var ss scoreScratch
 			before := shardQueries.Value()
-			gotBest, gotFeasible := scoreCandidatesSharded(pctx, gotCands, nil, 0, cfg.Threshold, pool, nil, 1)
+			gotBest, gotFeasible := scoreCandidatesSharded(ctx, gotCands, nil, 0, cfg.Threshold, &ss, pool, nil, 1)
 			if got, want := shardQueries.Value()-before, int64(len(gotCands)*len(par.Shards(vals.M, workers))); got != want {
 				pool.Close()
 				t.Fatalf("metric=%v workers=%d: a sharded pass counted %d queries, want N·S = %d", metric, workers, got, want)
 			}
-			_, gotAll := scoreCandidatesSharded(pctx, gotCands, nil, 0, math.Inf(1), pool, nil, 1)
+			_, gotAll := scoreCandidatesSharded(ctx, gotCands, nil, 0, math.Inf(1), &ss, pool, nil, 1)
 			pool.Close()
 			if gotBest != wantBest || !reflect.DeepEqual(gotFeasible, wantFeasible) {
 				t.Fatalf("metric=%v workers=%d: selection diverges (best %d vs %d)",
@@ -246,39 +242,59 @@ func TestParallelScoringMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestNilTracerShardedScoringAllocs pins that the Workers=1 flow path
-// still takes the legacy scoring loop whose allocation profile
-// TestNilTracerScoringAllocs baselines: the dispatch wrapper itself must
-// add nothing on top.
+// batchFixture returns a prepared batch estimator and its context for net
+// against the golden output matrix on patterns, as a flow's first
+// iteration sees them: value table, error state and CPM from a fresh
+// core.Engine.
+func batchFixture(net *circuit.Network, golden *bitvec.Matrix, patterns *sim.Patterns,
+	metric core.Metric) (*iterContext, estimator) {
+
+	eng := core.NewEngine(net, golden, patterns, nil)
+	ctx := &iterContext{net: net, vals: eng.Vals, st: eng.St, metric: metric, engine: eng}
+	est := newEstimator(EstimatorBatch)
+	est.prepare(ctx)
+	return ctx, est
+}
+
+// shardedScoringAllocs returns the allocations of a repeated sharded
+// scoring pass over cands on a pool of the given size, with the scratch
+// and the entry buffer grown by a first pass, as the flow reuses them
+// across iterations.
+func shardedScoringAllocs(ctx *iterContext, cands []cand, threshold float64, workers int, o *runObs) float64 {
+	pool := par.NewPool(workers)
+	defer pool.Close()
+	var ss scoreScratch
+	buf := make([]scored, 0, len(cands))
+	scoreCandidatesSharded(ctx, cands, buf, 0, threshold, &ss, pool, o, 1)
+	return testing.AllocsPerRun(20, func() {
+		scoreCandidatesSharded(ctx, cands, buf, 0, threshold, &ss, pool, o, 1)
+	})
+}
+
+// TestNilTracerShardedScoringAllocs pins the sharded scorer's reuse of its
+// flow-owned scratch: at 1 and at 2 workers, a repeated pass allocates a
+// count that does not grow with the candidate list — the per-shard
+// partials, change words and target marks are reused, not reallocated.
 func TestNilTracerShardedScoringAllocs(t *testing.T) {
 	net := bench.RCA(8)
 	patterns := sim.RandomPatterns(net.NumInputs(), 1024, 3)
-	vals := sim.Simulate(net, patterns)
-	out := sim.OutputMatrix(net, vals)
-	st := emetric.NewState(out, out)
-	est := newEstimator(EstimatorBatch)
-	ctx := &iterContext{net: net, vals: vals, st: st, metric: core.MetricER}
-	est.prepare(ctx)
-
 	lib := cell.Default()
-	cfg := Config{Budget: flow.Budget{Metric: core.MetricER, Threshold: 1}, Workers: 1}
-	cfg.fillDefaults()
-	arrival := lib.NodeArrival(net)
-	cands := gatherRecords(t, net, vals, &cfg, arrival, lib.GateDelay(circuit.KindNot))
-	if len(cands) == 0 {
-		t.Fatal("no candidates on RCA8")
-	}
-	scratch := bitvec.New(vals.M)
-	change := bitvec.New(vals.M)
-
-	direct := testing.AllocsPerRun(20, func() {
-		scoreCandidates(est, cands, nil, vals, 0, cfg.Threshold, scratch, change, nil, 1)
-	})
-	dispatched := testing.AllocsPerRun(20, func() {
-		scoreCandidatesMaybeSharded(ctx, est, cands, nil, 0, cfg.Threshold, scratch, change, nil, nil, 1)
-	})
-	if dispatched > direct {
-		t.Fatalf("Workers=1 dispatch allocates %v/run, direct loop %v/run", dispatched, direct)
+	for _, metric := range []core.Metric{core.MetricER, core.MetricAEM} {
+		ctx, _ := batchFixture(net, sim.OutputMatrix(net, sim.Simulate(net, patterns)), patterns, metric)
+		cfg := Config{Budget: flow.Budget{Metric: metric, Threshold: 1}}
+		cfg.fillDefaults()
+		cands := gatherRecords(t, net, ctx.vals, &cfg, lib.NodeArrival(net), lib.GateDelay(circuit.KindNot))
+		if len(cands) < 2 {
+			t.Fatalf("%d candidates on RCA8, need two list sizes", len(cands))
+		}
+		for _, workers := range []int{1, 2} {
+			half := shardedScoringAllocs(ctx, cands[:len(cands)/2], cfg.Threshold, workers, nil)
+			full := shardedScoringAllocs(ctx, cands, cfg.Threshold, workers, nil)
+			if full > half {
+				t.Fatalf("metric=%v workers=%d: a pass over %d candidates allocates %v/run, over %d %v/run",
+					metric, workers, len(cands), full, len(cands)/2, half)
+			}
+		}
 	}
 }
 

@@ -98,10 +98,8 @@ func TestTimelineFlowSpanTaxonomy(t *testing.T) {
 			}
 		}
 	}
-	// The verify step is parallel at Workers=4: its dispatches must fan
-	// out as per-worker child spans (Worker >= 0, causally parented on a
-	// dispatch) instead of the serial path's per-candidate verify_cand
-	// spans.
+	// The verify step's dispatches must fan out as per-worker child spans
+	// (Worker >= 0, causally parented on a dispatch).
 	var verifyWorkerSpans, verifyDispatches int
 	for _, s := range byName["sasimi.verify_topk"] {
 		if s.Worker >= 0 {
@@ -118,9 +116,6 @@ func TestTimelineFlowSpanTaxonomy(t *testing.T) {
 	}
 	if verifyWorkerSpans == 0 {
 		t.Error("no per-worker verify_topk child spans recorded at workers=4")
-	}
-	if len(byName["sasimi.verify_cand"]) != 0 {
-		t.Error("serial per-candidate verify_cand spans recorded on the parallel path")
 	}
 
 	// Dispatch spans (driver lane, task-counted) must carry busy time, and
@@ -227,40 +222,6 @@ func TestTimelinePhaseSpansAreThePhaseReport(t *testing.T) {
 	}
 	if outside > 0 {
 		t.Errorf("%d of %d driver-lane spans stick out of their phase span", outside, len(nested))
-	}
-}
-
-// TestTimelineSerialVerifyCandSpans pins the single-worker taxonomy: with
-// no pool parallelism the verifier takes the ExactDelta path and still
-// emits the per-candidate "sasimi.verify_cand" spans the CPU-profile
-// labelling relies on.
-func TestTimelineSerialVerifyCandSpans(t *testing.T) {
-	rec := timeline.NewRecorder(2, 0)
-	res := runOn(t, "mul4", Config{
-		Budget: flow.Budget{
-			Metric:      core.MetricER,
-			Threshold:   0.05,
-			NumPatterns: 2000,
-			Seed:        7,
-		},
-		Workers:    1,
-		VerifyTopK: 3,
-		Timeline:   rec,
-	})
-	if res.NumIterations == 0 {
-		t.Fatal("flow made no progress; nothing to profile")
-	}
-	var cands int
-	for _, s := range rec.Snapshot() {
-		if s.Name == "sasimi.verify_cand" {
-			cands++
-			if s.Phase != obs.PhaseVerifyApply {
-				t.Errorf("verify_cand span phase = %v, want %v", s.Phase, obs.PhaseVerifyApply)
-			}
-		}
-	}
-	if cands == 0 {
-		t.Error("no per-candidate verify_cand spans at workers=1")
 	}
 }
 

@@ -3,7 +3,6 @@ package sasimi
 import (
 	"context"
 	"math/bits"
-	"runtime/pprof"
 	"sort"
 
 	"batchals/internal/bitvec"
@@ -15,29 +14,27 @@ import (
 	"batchals/internal/sim"
 )
 
-// This file parallelises the exact top-K verification step — the span the
-// timeline profiler identified as the flow's dominant serial tail
-// (EXPERIMENTS.md "Timeline attribution"). The serial path verifies one
-// candidate at a time by mutating the shared value table, resimulating the
-// target's fanout cone in place and restoring it (core.ExactDelta); that
-// mutation is what forbids concurrency. The parallel path instead gives
-// every candidate a private overlay — one word-row per cone node — and
+// This file implements the exact top-K verification step. core.ExactDelta
+// verifies one candidate at a time by mutating the shared value table,
+// resimulating the target's fanout cone in place and restoring it; that
+// mutation forbids concurrency. The verifier instead gives every
+// candidate a private overlay — one word-row per cone node — and
 // evaluates (candidate, pattern-shard) pairs as independent pool tasks:
 // cone evaluation is word-local (pattern word w of a node depends only on
 // word w of its fanins), so a task that touches only its shard's word
 // range [W0,W1) never races another shard of the same candidate, and
-// candidates never share overlay rows at all.
+// candidates never share overlay rows at all. A single-worker pool runs
+// the same grid with one shard per candidate.
 //
-// Bit-identity with the serial path follows the same argument as the
+// Bit-identity with core.ExactDelta follows the same argument as the
 // sharded batch scorer (scoreCandidatesSharded): ER partials are exact
 // integer pattern counts, AEM per-pattern contributions are integer-valued
 // magnitudes whose float sums are exact below 2^53 (the convention
 // documented on core.DeltaAEMPartial, covering all bundled benchmarks),
 // and the final "after" value is produced by the same single division the
-// serial metric performs. The reduction walks candidates in the same
-// sorted order as the serial loop, so the scored entries' overwrites,
-// drift records and the final argmax selection are identical at every
-// worker count.
+// sequential metric performs. The reduction walks candidates in sorted
+// order, so the scored entries' overwrites, drift records and the final
+// argmax selection are identical at every worker count.
 
 // verifyCandScratch is one candidate's reusable overlay: its fanout cone
 // in topological order, a word-row per cone node (plus row 0 for the
@@ -144,15 +141,11 @@ type verifyScratch struct {
 // exactly-scored feasible candidate, or -1 if none survives. The verified
 // entries' delta and score are overwritten with exact values; each
 // batch-vs-exact pair is recorded as verification drift, split by the
-// batch estimate's exactness certificate. With a multi-worker pool the
-// (candidate, pattern-shard) grid fans out over the pool — bit-identical
-// to the serial path (see the file comment); a nil or single-worker pool
-// verifies serially via core.ExactDelta with per-candidate cancellation
-// checks.
+// batch estimate's exactness certificate. The (candidate, pattern-shard)
+// grid fans out over the pool (see the file comment).
 func verifyTopK(goCtx context.Context, net *circuit.Network, vals *sim.Values,
 	st *emetric.State, cfg *Config, cands []cand, feasible []scored,
-	curErr float64, scratch *bitvec.Vec, vs *verifyScratch, pool *par.Pool,
-	o *runObs) (int, error) {
+	curErr float64, vs *verifyScratch, pool *par.Pool, o *runObs) (int, error) {
 
 	k := cfg.VerifyTopK
 	if k > len(feasible) {
@@ -162,57 +155,19 @@ func verifyTopK(goCtx context.Context, net *circuit.Network, vals *sim.Values,
 	// not stable: which of several equal-score candidates lands in the top
 	// k, and in which order they are verified, is whatever pdqsort makes
 	// of this comparator over the entries in list order — part of the
-	// bit-identity contract, so every path sorts this way.
+	// bit-identity contract.
 	sort.Slice(feasible, func(a, b int) bool {
 		return feasible[a].score > feasible[b].score
 	})
-	top := feasible[:k]
-	if pool.Workers() > 1 {
-		return verifyTopKParallel(goCtx, net, vals, st, cfg, cands, top,
-			curErr, vs, pool, o)
-	}
-	best := -1
-	for i := range top {
-		if err := goCtx.Err(); err != nil {
-			return -1, err
-		}
-		e := &top[i]
-		c := &cands[e.idx]
-		sub := c.substituteValue(vals, scratch)
-		batchDelta, wasExact := e.delta, e.exact
-		if tl := cfg.Timeline; tl != nil {
-			// Per-candidate span + pprof label set: CPU profile samples of
-			// the exact recheck attribute to the candidate being verified.
-			tlc := tl.Start("sasimi.verify_cand", obs.PhaseVerifyApply)
-			pprof.Do(goCtx, pprof.Labels(
-				"als_dispatch", "sasimi.verify_cand",
-				"als_candidate", net.NameOf(c.target),
-			), func(context.Context) {
-				e.delta = core.ExactDelta(net, vals, c.target, sub, st, cfg.Metric)
-			})
-			tl.End(tlc)
-		} else {
-			e.delta = core.ExactDelta(net, vals, c.target, sub, st, cfg.Metric)
-		}
-		e.exact = true
-		e.score = score(c.gain, e.delta, vals.M)
-		o.verified(batchDelta, e.delta, wasExact)
-		if curErr+e.delta > cfg.Threshold+1e-12 {
-			continue
-		}
-		if best == -1 || e.score > top[best].score {
-			best = i
-		}
-	}
-	return best, nil
+	return verifyTopKParallel(goCtx, net, vals, st, cfg, cands, feasible[:k], curErr, vs, pool, o)
 }
 
 // verifyTopKParallel fans the (candidate, pattern-shard) grid of top out
 // over the pool: a setup dispatch builds every candidate's cone overlay,
 // an eval dispatch resimulates each overlay shard and computes the metric
-// partial, and a driver-side reduction in candidate order reproduces the
-// serial loop's decisions exactly, overwriting the entries of top and
-// returning the index in top of the best.
+// partial, and a driver-side reduction in candidate order makes the
+// decisions, overwriting the entries of top and returning the index in
+// top of the best.
 func verifyTopKParallel(goCtx context.Context, net *circuit.Network, vals *sim.Values,
 	st *emetric.State, cfg *Config, cands []cand, top []scored, curErr float64,
 	vs *verifyScratch, pool *par.Pool, o *runObs) (int, error) {
@@ -246,10 +201,10 @@ func verifyTopKParallel(goCtx context.Context, net *circuit.Network, vals *sim.V
 	for len(vs.workers) < pool.Workers() {
 		vs.workers = append(vs.workers, verifyWorkerScratch{}) //als:alloc-ok amortised scratch grow
 	}
-	vs.erWrong = growInt64(vs.erWrong, k*s)
-	vs.aemSum = growFloat64(vs.aemSum, k*s)
-	vs.uRows = growRows(vs.uRows, numOut)
-	vs.valRows = growRows(vs.valRows, numOut)
+	vs.erWrong = grow(vs.erWrong, k*s)
+	vs.aemSum = grow(vs.aemSum, k*s)
+	vs.uRows = grow(vs.uRows, numOut)
+	vs.valRows = grow(vs.valRows, numOut)
 	for oi, out := range outputs {
 		vs.uRows[oi] = st.U.Row(oi).WordsSlice()
 		vs.valRows[oi] = vals.Node(out.Node).WordsSlice()
@@ -270,9 +225,9 @@ func verifyTopKParallel(goCtx context.Context, net *circuit.Network, vals *sim.V
 		return -1, err
 	}
 
-	// Reduction: same candidate order, same overwrites, same screening and
-	// argmax as the serial loop. before is loop-invariant in the serial
-	// path (ExactDelta restores the value table), so hoisting it is exact.
+	// Reduction in candidate order. before is the same for every candidate
+	// (core.ExactDelta restores the value table between candidates), so it
+	// is computed once.
 	before := cfg.Metric.Value(st)
 	best := -1
 	for ci := range top {
@@ -310,8 +265,8 @@ func verifyTopKParallel(goCtx context.Context, net *circuit.Network, vals *sim.V
 // candidate's substitute words for the shard, evaluate the cone overlay in
 // topological order over the shard's word range, and fold the shard's
 // metric partial into slot. Tail bits of the final word are masked exactly
-// where the serial resimulation masks them, so no garbage bit can inflate
-// a wrong-pattern count.
+// where core.ExactDelta's resimulation masks them, so no garbage bit can
+// inflate a wrong-pattern count.
 //
 //als:allocfree
 func (vs *verifyScratch) evalShard(net *circuit.Network, vals *sim.Values,
@@ -374,7 +329,7 @@ func (vs *verifyScratch) evalShard(net *circuit.Network, vals *sim.Values,
 
 	// Metric partial. ER: popcount of the per-word OR over outputs of
 	// U xor V — an exact integer. AEM: per wrong pattern (ascending, as
-	// the serial AvgErrorMagnitude iterates), assemble golden/approx
+	// emetric's AvgErrorMagnitude iterates), assemble golden/approx
 	// output words with row 0 as LSB and sum |a-g| — integer-valued
 	// contributions, exact under float addition below 2^53.
 	var wrongCount int64
@@ -414,36 +369,4 @@ func (vs *verifyScratch) evalShard(net *circuit.Network, vals *sim.Values,
 	}
 	vs.erWrong[slot] = wrongCount
 	vs.aemSum[slot] = aem
-}
-
-// growInt64 returns s resized to n zeroed elements, reusing capacity.
-func growInt64(s []int64, n int) []int64 {
-	for cap(s) < n {
-		s = append(s[:cap(s)], 0) //als:alloc-ok amortised scratch grow
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	return s
-}
-
-// growFloat64 returns s resized to n zeroed elements, reusing capacity.
-func growFloat64(s []float64, n int) []float64 {
-	for cap(s) < n {
-		s = append(s[:cap(s)], 0) //als:alloc-ok amortised scratch grow
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	return s
-}
-
-// growRows returns s resized to n elements, reusing capacity.
-func growRows(s [][]uint64, n int) [][]uint64 {
-	for cap(s) < n {
-		s = append(s[:cap(s)], nil) //als:alloc-ok amortised scratch grow
-	}
-	return s[:n]
 }

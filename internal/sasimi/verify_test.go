@@ -16,9 +16,9 @@ import (
 )
 
 // verifyWorkers is the sweep of the parallel-verify differential suite:
-// 1 (the serial ExactDelta reference), the powers-of-two the pool shards
-// cleanly over, a prime that forces ragged pattern shards, and the host's
-// CPU count.
+// 1 (the one-shard overlay, the baseline), the powers-of-two the pool
+// shards cleanly over, a prime that forces ragged pattern shards, and the
+// host's CPU count.
 func verifyWorkers() []int {
 	ws := []int{1, 2, 4, 7}
 	if n := runtime.NumCPU(); n != 1 && n != 2 && n != 4 && n != 7 {
@@ -27,7 +27,7 @@ func verifyWorkers() []int {
 	return ws
 }
 
-func runVerifyCase(t *testing.T, tc differentialCase, workers int, mode IncrementalMode) *Result {
+func runVerifyCase(t *testing.T, tc differentialCase, workers int) *Result {
 	t.Helper()
 	golden, err := bench.ByName(tc.bench)
 	if err != nil {
@@ -42,7 +42,6 @@ func runVerifyCase(t *testing.T, tc differentialCase, workers int, mode Incremen
 		},
 		Estimator:       EstimatorBatch,
 		Workers:         workers,
-		Incremental:     mode,
 		VerifyTopK:      4,
 		KeepTrace:       true,
 		CheckInvariants: true,
@@ -55,14 +54,15 @@ func runVerifyCase(t *testing.T, tc differentialCase, workers int, mode Incremen
 
 // TestParallelVerifyTopKBitIdentical is the bit-identity contract of the
 // parallel verifier: with VerifyTopK engaged, every (circuit, metric,
-// worker count, incremental mode) cell must reproduce the serial
-// single-worker baseline exactly — same accept sequence with the same
+// worker count) cell must reproduce the one-worker baseline, where the
+// overlay runs as one shard, exactly — same accept sequence with the same
 // exact deltas, same iteration trace, same final error/area, structurally
-// identical final netlist.
+// identical final netlist. TestParallelVerifyMatchesExactDelta holds the
+// overlay itself to core.ExactDelta.
 func TestParallelVerifyTopKBitIdentical(t *testing.T) {
 	accepted := false
 	for _, tc := range differentialGrid {
-		baseline := runVerifyCase(t, tc, 1, IncrementalOff)
+		baseline := runVerifyCase(t, tc, 1)
 		// par16 is a parity tree: no pair of internal signals is similar,
 		// so it legitimately accepts nothing — the differential then pins
 		// that no worker count invents an accept. The other circuits must
@@ -73,16 +73,9 @@ func TestParallelVerifyTopKBitIdentical(t *testing.T) {
 			t.Fatalf("%s/%s: baseline accepted nothing; differential check is vacuous",
 				tc.bench, tc.metric)
 		}
-		for _, mode := range []IncrementalMode{IncrementalOff, IncrementalAuto} {
-			modeName := "full"
-			if mode == IncrementalAuto {
-				modeName = "inc"
-			}
-			for _, w := range verifyWorkers() {
-				got := runVerifyCase(t, tc, w, mode)
-				label := tc.bench + "/" + tc.metric.String() + "/" + modeName + "/w" + itoa(w)
-				compareResults(t, label, got, baseline)
-			}
+		for _, w := range verifyWorkers()[1:] {
+			got := runVerifyCase(t, tc, w)
+			compareResults(t, tc.bench+"/"+tc.metric.String()+"/w"+itoa(w), got, baseline)
 		}
 	}
 	if !accepted {
@@ -124,30 +117,33 @@ func verifyFixture(t testing.TB, name string, metric core.Metric, k int) (*circu
 }
 
 // TestParallelVerifyMatchesExactDelta cross-checks the overlay kernel
-// against core.ExactDelta candidate by candidate, for both metrics, at a
-// worker count that produces multiple pattern shards.
+// against core.ExactDelta candidate by candidate, for both metrics, on one
+// worker (one pattern shard per candidate) and on a worker count that
+// produces multiple pattern shards.
 func TestParallelVerifyMatchesExactDelta(t *testing.T) {
 	for _, metric := range []core.Metric{core.MetricER, core.MetricAEM} {
-		net, vals, st, cfg, cands, top := verifyFixture(t, "rca8", metric, 8)
-		want := make([]float64, len(top))
-		scratch := bitvec.New(vals.M)
-		for i, e := range top {
-			c := &cands[e.idx]
-			want[i] = core.ExactDelta(net, vals, c.target, c.substituteValue(vals, scratch), st, metric)
-		}
-		pool := par.NewPool(4)
-		var vs verifyScratch
-		if _, err := verifyTopKParallel(context.Background(), net, vals, st, cfg,
-			cands, top, 0, &vs, pool, nil); err != nil {
-			t.Fatal(err)
-		}
-		pool.Close()
-		for i, e := range top {
-			if e.delta != want[i] {
-				t.Errorf("%s cand %d: parallel delta %v != ExactDelta %v", metric, e.idx, e.delta, want[i])
+		for _, workers := range []int{1, 4} {
+			net, vals, st, cfg, cands, top := verifyFixture(t, "rca8", metric, 8)
+			want := make([]float64, len(top))
+			scratch := bitvec.New(vals.M)
+			for i, e := range top {
+				c := &cands[e.idx]
+				want[i] = core.ExactDelta(net, vals, c.target, c.substituteValue(vals, scratch), st, metric)
 			}
-			if !e.exact {
-				t.Errorf("%s cand %d: exact not set", metric, e.idx)
+			pool := par.NewPool(workers)
+			var vs verifyScratch
+			if _, err := verifyTopKParallel(context.Background(), net, vals, st, cfg,
+				cands, top, 0, &vs, pool, nil); err != nil {
+				t.Fatal(err)
+			}
+			pool.Close()
+			for i, e := range top {
+				if e.delta != want[i] {
+					t.Errorf("%s w%d cand %d: overlay delta %v != ExactDelta %v", metric, workers, e.idx, e.delta, want[i])
+				}
+				if !e.exact {
+					t.Errorf("%s w%d cand %d: exact not set", metric, workers, e.idx)
+				}
 			}
 		}
 	}

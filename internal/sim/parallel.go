@@ -17,13 +17,10 @@ import (
 // order restricted to its word-aligned shard of every value vector: writes
 // of different workers land in disjoint uint64 words of shared vectors,
 // and each gate word is computed by exactly the same EvalWord call as in
-// the sequential path — the result does not depend on the worker count or
-// the schedule. A nil or single-worker pool falls through to Simulate,
-// the legacy path.
+// Simulate — the result does not depend on the worker count or the
+// schedule. A nil or single-worker pool runs the same kernel as one
+// shard.
 func SimulateParallel(n *circuit.Network, p *Patterns, pool *par.Pool) *Values {
-	if pool.Workers() <= 1 {
-		return Simulate(n, p)
-	}
 	if p.NumInputs() != n.NumInputs() {
 		panic("sim: pattern set input count mismatch")
 	}
@@ -33,24 +30,48 @@ func SimulateParallel(n *circuit.Network, p *Patterns, pool *par.Pool) *Values {
 	for k, in := range n.Inputs() {
 		v.vecs[in] = p.InputRow(k).Clone()
 	}
-	// Resolve the topological order and allocate every gate vector before
-	// the fan-out: workers share the order slice and the vector table
-	// read-only, and write only their own word ranges.
+	// Allocate every gate vector before the fan-out: workers share the
+	// order and the vector table read-only, and write only their own word
+	// ranges.
 	order := n.TopoOrder()
 	gates := 0
 	for _, id := range order {
-		if n.Kind(id) == circuit.KindInput {
-			continue
+		if n.Kind(id) != circuit.KindInput {
+			gates++
+			v.vecs[id] = bitvec.New(m)
 		}
-		gates++
-		v.vecs[id] = bitvec.New(m)
 	}
-	shards := par.Shards(m, pool.Workers())
 	pool.Label("sim.simulate", obs.PhaseSimulate)
+	evalSharded(n, v, order, pool, nil)
+	statSimulations.Inc()
+	statGateEvals.Add(int64(gates))
+	statSimNS.Add(int64(time.Since(start)))
+	return v
+}
+
+// evalSharded re-evaluates the gates of list, which is in topological
+// order and whose gate vectors exist, in place, pattern-sharded over the
+// pool; primary inputs in list are skipped. Word w of a gate is EvalWord
+// over word w of its fanins, with the bits past M cleared in the last
+// word, so every word gets Simulate's value at any worker count. With diff
+// non-nil (len(list)), diff[i] is set iff list[i]'s vector changed in some
+// word. Every worker writes only its shard's words and its shard's
+// difference flags, which are OR-combined after the join.
+func evalSharded(n *circuit.Network, v *Values, list []circuit.NodeID, pool *par.Pool, diff []bool) {
+	last := bitvec.Words(v.M) - 1
+	tail := bitvec.TailMask(v.M)
+	shards := par.Shards(v.M, pool.Workers())
+	var shardDiff [][]bool
+	if diff != nil {
+		shardDiff = make([][]bool, len(shards))
+		for i := range shardDiff {
+			shardDiff[i] = make([]bool, len(list))
+		}
+	}
 	pool.Do(len(shards), func(_, si int) {
 		sh := shards[si]
 		buf := make([]uint64, 8)
-		for _, id := range order {
+		for li, id := range list {
 			kind := n.Kind(id)
 			if kind == circuit.KindInput {
 				continue
@@ -60,28 +81,31 @@ func SimulateParallel(n *circuit.Network, p *Patterns, pool *par.Pool) *Values {
 				buf = make([]uint64, len(fanins))
 			}
 			b := buf[:len(fanins)]
-			ow := v.vecs[id].WordsSlice()
+			out := v.vecs[id].WordsSlice()
+			changed := false
 			for w := sh.W0; w < sh.W1; w++ {
 				for j, f := range fanins {
 					b[j] = v.vecs[f].WordsSlice()[w]
 				}
-				ow[w] = kind.EvalWord(b)
+				nw := kind.EvalWord(b)
+				if w == last {
+					nw &= tail
+				}
+				if out[w] != nw {
+					changed = true
+					out[w] = nw
+				}
+			}
+			if changed && shardDiff != nil {
+				shardDiff[si][li] = true
 			}
 		}
 	})
-	// Tail bits beyond M may be set by EvalWord in the final word (input
-	// rows are masked, but e.g. a NOT of a masked word sets them); clear
-	// them once after the join, as the sequential path does per gate.
-	tail := bitvec.TailMask(m)
-	if tail != ^uint64(0) {
-		for _, id := range order {
-			if n.Kind(id) != circuit.KindInput {
-				v.vecs[id].MaskTail()
+	for si := range shardDiff {
+		for li, d := range shardDiff[si] {
+			if d {
+				diff[li] = true
 			}
 		}
 	}
-	statSimulations.Inc()
-	statGateEvals.Add(int64(gates))
-	statSimNS.Add(int64(time.Since(start)))
-	return v
 }

@@ -21,6 +21,8 @@ func vecsEqual(t *testing.T, n *circuit.Network, a, b *Values) {
 	}
 }
 
+// TestSimulateParallelBitIdentical holds the sharded evaluator to the
+// sequential Simulate at every worker count, one included.
 func TestSimulateParallelBitIdentical(t *testing.T) {
 	r := rand.New(rand.NewSource(91))
 	// Pattern counts straddle word boundaries to exercise tail masking and
@@ -40,7 +42,10 @@ func TestSimulateParallelBitIdentical(t *testing.T) {
 	}
 }
 
-func TestSimulateParallelNilPoolFallsBack(t *testing.T) {
+// TestSimulateParallelNilPoolMatchesSimulate holds the sharded evaluator
+// on a nil pool, which runs it as one shard inline, to the sequential
+// Simulate.
+func TestSimulateParallelNilPoolMatchesSimulate(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
 	n := randomNetwork(t, r, 6, 30)
 	p := RandomPatterns(6, 300, 3)

@@ -70,7 +70,7 @@ func ResimulateFrom(n *circuit.Network, v *Values, seeds []circuit.NodeID, pool 
 	}
 	diff := make([]bool, len(list))
 	pool.Label("sim.resim_from", obs.PhaseSimulate)
-	resimSharded(n, v, list, pool, diff)
+	evalSharded(n, v, list, pool, diff)
 	for i, id := range list {
 		if diff[i] {
 			changed = append(changed, id)
@@ -79,57 +79,4 @@ func ResimulateFrom(n *circuit.Network, v *Values, seeds []circuit.NodeID, pool 
 	statConeResims.Inc()
 	statGateEvals.Add(int64(len(list)))
 	return list, changed
-}
-
-// resimSharded re-evaluates the topologically ordered node list in place,
-// pattern-sharded over the pool, and sets diff[i] (len(list)) if node
-// list[i]'s vector changed in any word. Every worker writes only its
-// shard's words and its shard-local difference flags; flags are
-// OR-combined in fixed shard order after the join.
-func resimSharded(n *circuit.Network, v *Values, list []circuit.NodeID, pool *par.Pool, diff []bool) {
-	words := bitvec.Words(v.M)
-	last := words - 1
-	tail := bitvec.TailMask(v.M)
-	shards := par.Shards(v.M, pool.Workers())
-	shardDiff := make([][]bool, len(shards))
-	for i := range shardDiff {
-		shardDiff[i] = make([]bool, len(list))
-	}
-	pool.Do(len(shards), func(_, si int) {
-		sh := shards[si]
-		buf := make([]uint64, 8)
-		for li, id := range list {
-			kind := n.Kind(id)
-			fanins := n.Fanins(id)
-			if cap(buf) < len(fanins) {
-				buf = make([]uint64, len(fanins))
-			}
-			b := buf[:len(fanins)]
-			out := v.vecs[id].WordsSlice()
-			changed := false
-			for w := sh.W0; w < sh.W1; w++ {
-				for j, f := range fanins {
-					b[j] = v.vecs[f].WordsSlice()[w]
-				}
-				nw := kind.EvalWord(b)
-				if w == last {
-					nw &= tail
-				}
-				if out[w] != nw {
-					changed = true
-					out[w] = nw
-				}
-			}
-			if changed {
-				shardDiff[si][li] = true
-			}
-		}
-	})
-	for si := range shardDiff {
-		for li, d := range shardDiff[si] {
-			if d {
-				diff[li] = true
-			}
-		}
-	}
 }
