@@ -115,7 +115,10 @@ type Options struct {
 	Workers int
 	// KeepTrace records per-iteration details in Result.Iterations.
 	KeepTrace bool
-	// MaxIterations caps accepted transformations (0 = unlimited).
+	// MaxIterations caps accepted transformations (0 = unlimited). A
+	// partitioned run (Partition set) applies the cap to every part's flow
+	// separately, so the run as a whole can accept up to parts ×
+	// MaxIterations transformations.
 	MaxIterations int
 	// VerifyTopK, when positive, re-checks the K best candidates of each
 	// iteration with exact fanout-cone resimulation before committing —

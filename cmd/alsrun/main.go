@@ -230,6 +230,11 @@ func main() {
 		if err := obs.WriteSummary(os.Stdout, phases, snapshot); err != nil {
 			fatal(err)
 		}
+		if rescored, ok := snapshot.Counters["sasimi_score_rescored_total"]; ok {
+			reused := snapshot.Counters["sasimi_score_reused_total"]
+			fmt.Printf("scoring: %d candidates rescored, %d reused their carried pattern sum (%.1f%%)\n",
+				rescored, reused, 100*float64(reused)/float64(max(rescored+reused, 1)))
+		}
 	}
 
 	fmt.Printf("circuit: %s (%d inputs, %d outputs, area %.0f, delay %.0f)\n",

@@ -14,6 +14,9 @@ import (
 // the global error budget (parts run in parallel across Options.Workers),
 // and the merged result is re-measured globally before being accepted.
 // Partitioned runs support the ErrorRate metric only.
+//
+// Options.MaxIterations caps each part's flow, not the partitioned run:
+// the run can accept up to parts × MaxIterations transformations.
 type PartitionOptions struct {
 	// TargetCells is the soft lower bound on gates per part (default 2000).
 	TargetCells int

@@ -39,6 +39,23 @@ func (m *Matrix) Row(r int) *Vec {
 	return m.vecs[r]
 }
 
+// ShareRows returns a matrix whose rows are m's row vectors, shared, not
+// copied: writes through either matrix's rows show in both, while SetRow
+// on one leaves the other alone.
+func (m *Matrix) ShareRows() *Matrix {
+	return &Matrix{rows: m.rows, bits: m.bits, vecs: append([]*Vec(nil), m.vecs...)}
+}
+
+// SetRow replaces row r by v, which must hold the matrix's bit count; v is
+// shared, not copied.
+func (m *Matrix) SetRow(r int, v *Vec) {
+	if v.Len() != m.bits {
+		panic(fmt.Sprintf("bitvec: SetRow of %d bits into a %d-bit matrix", v.Len(), m.bits))
+	}
+	m.Row(r)
+	m.vecs[r] = v
+}
+
 // Get reports bit c of row r.
 func (m *Matrix) Get(r, c int) bool { return m.Row(r).Get(c) }
 

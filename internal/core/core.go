@@ -91,6 +91,11 @@ type CPM struct {
 	erInc, erDec, erTmp *bitvec.Vec
 	aemReached          []aemReach
 
+	// Refresh's fold scratch, reused from one refresh to the next: per
+	// shard, one scratch row and a changed flag per node slot (see fold).
+	foldRows  [][]uint64
+	foldMarks [][]bool
+
 	// cert caches the lazily-built exactness certificate (see Certificate);
 	// atomic for the same reason as anyProp: the certificate depends only
 	// on the immutable network structure.

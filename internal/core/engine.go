@@ -27,10 +27,19 @@ import (
 // edits too tangled to refresh) and an incremental refresh. The Net, Vals
 // and St fields are the live objects; callers may read them freely but
 // must route all mutation through Apply.
+//
+// Apply also keeps the error state it replaced: Prev holds the previous
+// V, W and WrongAny (U is shared with St), and Diff marks the patterns
+// whose output word the edit changed. A scorer that summed a per-pattern
+// quantity against Prev needs to revisit only Diff's patterns to bring
+// the sum up to St (see sasimi's carried pattern sums). Both are nil
+// before the first Apply.
 type Engine struct {
 	Net  *circuit.Network
 	Vals *sim.Values
 	St   *emetric.State
+	Prev *emetric.State
+	Diff *bitvec.Vec
 
 	pool *par.Pool
 
@@ -61,7 +70,8 @@ func NewEngine(n *circuit.Network, golden *bitvec.Matrix, p *sim.Patterns, pool 
 // Apply folds one accepted network edit into the engine's state: the
 // structural fanout cones of the edit's seeds are resimulated in place,
 // removed nodes' value vectors are released, the error state is refreshed
-// from the new output driver vectors, and the edit is queued for the next
+// from the new output driver vectors (the replaced one moves to Prev, and
+// Diff records where they differ), and the edit is queued for the next
 // CPM() call's dirty-region refresh. It returns the nodes resimulated and
 // the subset whose value vectors actually changed (deterministic at any
 // worker count).
@@ -70,10 +80,36 @@ func (e *Engine) Apply(ed Edit) (resimmed, changed []circuit.NodeID) {
 	for _, id := range ed.Removed {
 		e.Vals.Drop(id)
 	}
-	for o, out := range e.Net.Outputs() {
-		e.St.V.Row(o).CopyFrom(e.Vals.Node(out.Node))
+	// The replaced error state becomes Prev. It shares with St every V and
+	// W row the edit left alone; an output whose vector changed gets fresh
+	// rows in St (W = U XOR V, as State.Refresh computes it) and keeps its
+	// old ones in Prev, so no row is copied or written in place.
+	if e.Prev == nil {
+		e.Prev = &emetric.State{M: e.St.M, U: e.St.U}
+		e.Diff = bitvec.New(e.St.M)
 	}
-	e.St.Refresh()
+	e.Prev.V, e.Prev.W, e.Prev.WrongAny = e.St.V.ShareRows(), e.St.W.ShareRows(), e.St.WrongAny
+	diff := e.Diff.WordsSlice()
+	clear(diff)
+	outChanged := false
+	for o, out := range e.Net.Outputs() {
+		v, old := e.Vals.Node(out.Node), e.St.V.Row(o)
+		if v.Equal(old) {
+			continue
+		}
+		v = v.Clone()
+		w := bitvec.New(e.St.M)
+		w.Xor(e.St.U.Row(o), v)
+		e.St.V.SetRow(o, v)
+		e.St.W.SetRow(o, w)
+		for i, x := range old.WordsSlice() {
+			diff[i] |= x ^ v.WordsSlice()[i]
+		}
+		outChanged = true
+	}
+	if outChanged {
+		e.St.WrongAny = e.St.W.OrAll()
+	}
 	if e.cpm != nil {
 		if e.hasPending {
 			// Two edits accumulated without a CPM read between them;

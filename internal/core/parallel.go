@@ -60,20 +60,30 @@ func BuildParallel(n *circuit.Network, vals *sim.Values, pool *par.Pool) *CPM {
 		c.p[out.Node][o].Fill()
 	}
 	pool.Label("cpm.build", obs.PhaseCPMBuild)
-	c.fold(order, pool)
+	c.fold(order, nil, pool)
 	c.buildTime = time.Since(start)
 	statCPMBuilds.Inc()
 	statCPMBuildNS.Add(int64(c.buildTime))
 	return c
 }
 
-// fold applies Eq. (2) to rows, which are in topological order and hold
-// their base cases, walking them in reverse: each row ORs in, for every
-// distinct fanout, the fanout's row masked by the edge's Boolean
-// difference. A fanout row not in rows is read as it stands. The pattern
-// axis is sharded over the pool as BuildParallel describes. BuildParallel
-// folds every row, Refresh its dirty region.
-func (c *CPM) fold(rows []circuit.NodeID, pool *par.Pool) {
+// fold applies Eq. (2) to rows, which are in topological order, walking
+// them in reverse: each row ORs in, for every distinct fanout, the
+// fanout's row masked by the edge's Boolean difference. A fanout row not
+// in rows is read as it stands. The pattern axis is sharded over the pool
+// as BuildParallel describes.
+//
+// BuildParallel passes flags == nil: every row already holds its base
+// case and is folded in place. Refresh passes its per-slot marks (see
+// rowHead and friends); each row is then recomputed into a scratch row
+// holding its base case and compared with its stored words, which are
+// overwritten only where they differ. A row that is not head-dirty is
+// skipped in a shard when none of its fanout rows changed in that shard's
+// words: its base case, fanout list and Boolean differences are
+// unchanged, and the fold is word-local, so its words there would come
+// out as they are. The result is, per shard, whether each row's words
+// changed there, by node slot; nil for a build.
+func (c *CPM) fold(rows []circuit.NodeID, flags []uint8, pool *par.Pool) [][]bool {
 	n, vals := c.net, c.vals
 	// Fanout lists are shared read-only by every worker; resolve them once
 	// so workers do not race the network's internal caches.
@@ -81,16 +91,53 @@ func (c *CPM) fold(rows []circuit.NodeID, pool *par.Pool) {
 	for i, id := range rows {
 		fanouts[i] = uniqueFanouts(n, id)
 	}
-	lastWord := bitvec.Words(c.m) - 1
+	words := bitvec.Words(c.m)
+	lastWord := words - 1
 	tail := bitvec.TailMask(c.m)
 	shards := par.Shards(c.m, pool.Workers())
+	refresh := flags != nil
+	var scratchRows [][]uint64
+	var changed [][]bool
+	if refresh {
+		scratchRows, changed = c.refreshScratch(len(shards))
+	}
+	outputs := n.Outputs()
 	pool.Do(len(shards), func(_, si int) {
 		sh := shards[si]
-		d := make([]uint64, bitvec.Words(c.m))
+		// Each shard writes its own buffers: shards of a short pattern
+		// axis share cache lines.
+		d := make([]uint64, words)
+		var scratch []uint64
+		var chg []bool
+		if refresh {
+			scratch, chg = scratchRows[si], changed[si]
+		}
 		var one, zero []uint64
 		for i := len(rows) - 1; i >= 0; i-- {
 			id := rows[i]
 			prow := c.p[id]
+			if refresh {
+				if flags[id]&rowHead == 0 && !anyChanged(fanouts[i], chg) {
+					continue
+				}
+				for o := 0; o < c.o; o++ {
+					clear(scratch[o*words+sh.W0 : o*words+sh.W1])
+				}
+				if flags[id]&rowDrives != 0 {
+					for o, out := range outputs {
+						if out.Node != id {
+							continue
+						}
+						so := scratch[o*words : (o+1)*words]
+						for w := sh.W0; w < sh.W1; w++ {
+							so[w] = ^uint64(0)
+						}
+						if sh.W1 == words {
+							so[lastWord] = tail
+						}
+					}
+				}
+			}
 			for _, nf := range fanouts[i] {
 				kind := n.Kind(nf)
 				fanins := n.Fanins(nf)
@@ -126,13 +173,56 @@ func (c *CPM) fold(rows []circuit.NodeID, pool *par.Pool) {
 					}
 					fo := frow[o].WordsSlice()
 					po := prow[o].WordsSlice()
+					if refresh {
+						po = scratch[o*words : (o+1)*words]
+					}
 					for w := sh.W0; w < sh.W1; w++ {
 						po[w] |= fo[w] & d[w]
 					}
 				}
 			}
+			if refresh {
+				for o := 0; o < c.o; o++ {
+					po := prow[o].WordsSlice()
+					so := scratch[o*words : (o+1)*words]
+					for w := sh.W0; w < sh.W1; w++ {
+						if po[w] != so[w] {
+							po[w] = so[w]
+							chg[id] = true
+						}
+					}
+				}
+			}
 		}
 	})
+	return changed
+}
+
+// anyChanged reports whether any of ids is marked in changed.
+func anyChanged(ids []circuit.NodeID, changed []bool) bool {
+	for _, id := range ids {
+		if changed[id] {
+			return true
+		}
+	}
+	return false
+}
+
+// refreshScratch returns the fold's refresh scratch, kept on the CPM from
+// one refresh to the next: per shard, one row of words (c.o vectors of M
+// bits, laid end to end) and a changed flag per node slot, all clear.
+func (c *CPM) refreshScratch(shards int) ([][]uint64, [][]bool) {
+	slots := c.net.NumSlots()
+	for len(c.foldRows) < shards {
+		c.foldRows = append(c.foldRows, make([]uint64, c.o*bitvec.Words(c.m)))
+		c.foldMarks = append(c.foldMarks, nil)
+	}
+	for si := range c.foldMarks[:shards] {
+		if len(c.foldMarks[si]) < slots {
+			c.foldMarks[si] = append(c.foldMarks[si], make([]bool, slots-len(c.foldMarks[si]))...)
+		}
+	}
+	return c.foldRows[:shards], c.foldMarks[:shards]
 }
 
 // EnsureAnyProp warms the AnyProp cache for the given nodes, spread over
@@ -191,6 +281,93 @@ func (c *CPM) DeltaERPartial(nx circuit.NodeID, chg []uint64, st *emetric.State,
 		dec += int64(bits.OnesCount64(dw))
 	}
 	return inc, dec
+}
+
+// DeltaERCorrection returns how much DeltaERPartial's net count inc − dec
+// for a flip at nx moves when the error state moves from prev to cur,
+// provided nx's propagation row (and so its AnyProp) is the same under
+// both. mc[k] holds word ws[k] of the change mask restricted to D, the
+// patterns whose output word differs between the two states. A pattern
+// outside D has the same W column and WrongAny bit under both states, so
+// its term is the same under both, and the count over D's words is the
+// whole difference, exactly. The query is not counted.
+//
+//als:allocfree
+func (c *CPM) DeltaERCorrection(nx circuit.NodeID, mc []uint64, ws []int32, cur, prev *emetric.State) int64 {
+	ap := c.AnyProp(nx).WordsSlice()
+	row := c.p[nx]
+	var net int64
+	for k, w := range ws {
+		if cw := mc[k]; cw != 0 {
+			net += c.erWord(cw, int(w), ap, row, cur) - c.erWord(cw, int(w), ap, row, prev)
+		}
+	}
+	return net
+}
+
+// erWord is Algorithm 1 on word w of a change mask cw under st: the
+// patterns that become wrong (all outputs right before, the flip reaches
+// one) minus those that become right (the flip reaches exactly the wrong
+// outputs), as DeltaERPartial counts them.
+func (c *CPM) erWord(cw uint64, w int, ap []uint64, row []*bitvec.Vec, st *emetric.State) int64 {
+	wa := st.WrongAny.WordsSlice()[w]
+	inc := bits.OnesCount64(cw &^ wa & ap[w])
+	dw := cw & wa
+	for o := 0; o < c.o && dw != 0; o++ {
+		dw &^= row[o].WordsSlice()[w] ^ st.W.Row(o).WordsSlice()[w]
+	}
+	return int64(inc - bits.OnesCount64(dw))
+}
+
+// DeltaAEMCorrection is DeltaERCorrection for AEM: how much
+// DeltaAEMPartial's magnitude sum for a flip at nx moves when the error
+// state moves from the previous one to the state EnsureAEMColumns was last
+// called with, provided nx's propagation row is the same under both. mc
+// and ws are as for DeltaERCorrection, and prevV[i] holds the previous
+// state's packed output word (Matrix.Column of its V) for every pattern i
+// set in mc. The terms are integer-valued, so the sum is exact below 2^53.
+//
+//als:allocfree
+func (c *CPM) DeltaAEMCorrection(nx circuit.NodeID, mc []uint64, ws []int32, prevV []uint64) float64 {
+	if c.aemFor == nil {
+		panic("core: DeltaAEMCorrection without EnsureAEMColumns")
+	}
+	row := c.p[nx]
+	// As in DeltaAEMPartial: only the outputs the flip reaches under some
+	// pattern of mc can flip.
+	var reached [63]aemReach
+	nr := 0
+	for o := 0; o < c.o; o++ {
+		pw := row[o].WordsSlice()
+		for k, w := range ws {
+			if mc[k]&pw[w] != 0 {
+				reached[nr] = aemReach{bit: 1 << uint(o), words: pw}
+				nr++
+				break
+			}
+		}
+	}
+	var total float64
+	for k, w := range ws {
+		word := mc[k]
+		for word != 0 && nr > 0 {
+			b := word & (-word)
+			i := int(w)*bitvec.WordBits + bits.TrailingZeros64(b)
+			word ^= b
+			var flip uint64
+			for _, r := range reached[:nr] {
+				if r.words[w]&b != 0 {
+					flip |= r.bit
+				}
+			}
+			if flip == 0 {
+				continue
+			}
+			org, cur, old := c.aemU[i], c.aemV[i], prevV[i]
+			total += (absDiff(cur^flip, org) - absDiff(cur, org)) - (absDiff(old^flip, org) - absDiff(old, org))
+		}
+	}
+	return total
 }
 
 // DeltaAEMPartial computes the word range [w0, w1) of a DeltaAEM query,

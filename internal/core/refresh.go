@@ -52,16 +52,30 @@ func (ed *Edit) Seeds() []circuit.NodeID {
 }
 
 // RefreshStats reports the work a CPM.Refresh actually did, for the flow's
-// dirty-fraction instrumentation.
+// dirty-fraction instrumentation, and which rows it changed.
 type RefreshStats struct {
-	// DirtyRows is the number of propagation rows recomputed.
+	// DirtyRows is the number of propagation rows in the dirty region.
+	// The fold recomputes one of them in a shard only where it may differ
+	// (see fold), and Changed lists those whose contents did.
 	DirtyRows int
 	// TotalRows is the number of live rows after the refresh; the dirty
 	// fraction is DirtyRows/TotalRows.
 	TotalRows int
 	// Duration is the wall time of the refresh.
 	Duration time.Duration
+	// Changed lists the live rows whose contents the refresh changed, rows
+	// of added nodes included, in topological order. Every other live row
+	// holds the words it held before the refresh.
+	Changed []circuit.NodeID
 }
+
+// Refresh's per-slot marks for the fold.
+const (
+	rowHead   uint8 = 1 << iota // base case, fanout list or a Boolean difference may differ
+	rowDirty                    // in the backward closure of the head-dirty rows
+	rowDrives                   // drives a primary output
+	rowNew                      // row allocated by this refresh
+)
 
 // Refresh incrementally updates the CPM in place after the network and its
 // value table (which the CPM shares by pointer) have been mutated by one
@@ -94,15 +108,19 @@ type RefreshStats struct {
 // every fanout row are unchanged, so recomputation would reproduce them
 // bit for bit.
 //
-// The recompute zeroes the dirty rows, refills their base cases and runs
-// BuildParallel's fold over the dirty rows, reading clean fanout rows
-// as-is; the fold is word-local, so every word receives the sequential
-// builder's operation sequence regardless of worker count.
+// The closure bounds what can change; the fold recomputes less. Each
+// closure row is recomputed into a scratch row and compared with its
+// stored words, and a row that is not head-dirty is skipped in a shard
+// when none of its fanout rows changed in that shard's words (see fold).
+// Only words that differ are written, so a row's stored words change
+// exactly when its contents do, and the refresh reports those rows
+// (RefreshStats.Changed). The fold is word-local, so every word receives
+// the sequential builder's operation sequence regardless of worker count.
 //
-// Lazy caches are invalidated conservatively: AnyProp per dirty or removed
-// row, the exactness certificate entirely (the structure changed), and the
-// AEM column cache entirely (the error state changes every accept anyway).
-// BuildTime is reset to the refresh duration.
+// Lazy caches are invalidated conservatively: AnyProp per changed or
+// removed row, the exactness certificate entirely (the structure changed),
+// and the AEM column cache entirely (the error state changes every accept
+// anyway). BuildTime is reset to the refresh duration.
 func (c *CPM) Refresh(ed Edit, changed []circuit.NodeID, pool *par.Pool) RefreshStats {
 	start := time.Now()
 	n := c.net
@@ -123,10 +141,10 @@ func (c *CPM) Refresh(ed Edit, changed []circuit.NodeID, pool *par.Pool) Refresh
 	}
 
 	// Head-dirty set H.
-	head := make([]bool, n.NumSlots())
+	flags := make([]uint8, n.NumSlots())
 	mark := func(id circuit.NodeID) {
 		if n.IsLive(id) {
-			head[id] = true
+			flags[id] |= rowHead
 		}
 	}
 	markFanins := func(id circuit.NodeID) {
@@ -159,59 +177,61 @@ func (c *CPM) Refresh(ed Edit, changed []circuit.NodeID, pool *par.Pool) Refresh
 	// nf, which sits later in topological order, so one reverse pass with
 	// finalised fanout flags closes the set.
 	order := n.TopoOrder()
-	dirty := make([]bool, n.NumSlots())
 	var dirtyList []circuit.NodeID // collected in reverse topological order
 	for idx := len(order) - 1; idx >= 0; idx-- {
 		id := order[idx]
-		d := head[id]
+		d := flags[id]&rowHead != 0
 		if !d {
 			for _, nf := range n.Fanouts(id) {
-				if dirty[nf] {
+				if flags[nf]&rowDirty != 0 {
 					d = true
 					break
 				}
 			}
 		}
 		if d {
-			dirty[id] = true
+			flags[id] |= rowDirty
 			dirtyList = append(dirtyList, id)
 		}
 	}
-
-	// Reset dirty rows: allocate missing ones (added nodes), zero the rest,
-	// refill base cases.
+	for _, out := range n.Outputs() {
+		flags[out.Node] |= rowDrives
+	}
+	// Added nodes have no row yet: give them a zero one to compare against.
 	for _, id := range dirtyList {
-		row := c.p[id]
-		if row == nil {
-			row = make([]*bitvec.Vec, c.o)
-			for o := 0; o < c.o; o++ {
+		if c.p[id] == nil {
+			row := make([]*bitvec.Vec, c.o)
+			for o := range row {
 				row[o] = bitvec.New(c.m)
 			}
 			c.p[id] = row
-		} else {
-			for o := 0; o < c.o; o++ {
-				row[o].Zero()
-			}
-		}
-	}
-	for o, out := range n.Outputs() {
-		if dirty[out.Node] {
-			c.p[out.Node][o].Fill()
+			flags[id] |= rowNew
 		}
 	}
 
-	// Restricted fold over the dirty rows in topological order: the fold
-	// walks them backwards, so a dirty fanout row is final before any
-	// dirty fanin row reads it; clean fanout rows are correct as-is.
+	// Restricted fold over the closure in topological order: the fold
+	// walks it backwards, so a closure fanout row is final before any
+	// closure fanin row reads it; rows outside it are correct as-is.
 	slices.Reverse(dirtyList)
 	pool.Label("cpm.refresh", obs.PhaseCPMBuild)
-	c.fold(dirtyList, pool)
+	shardChanged := c.fold(dirtyList, flags, pool)
 
-	// Cache invalidation: only dirty rows can have stale AnyProp entries
-	// (removed rows were cleared above); the certificate and AEM columns
-	// are whole-CPM artifacts, dropped entirely.
+	// A row changed if some shard changed it; a new row always counts as
+	// changed. Only a changed row can have a stale AnyProp entry (removed
+	// rows were cleared above); the certificate and AEM columns are
+	// whole-CPM artifacts, dropped entirely. The shards' flags are cleared
+	// for the next refresh.
+	var changedRows []circuit.NodeID
 	for _, id := range dirtyList {
-		c.anyProp[id].Store(nil)
+		ch := flags[id]&rowNew != 0
+		for _, sc := range shardChanged {
+			ch = ch || sc[id]
+			sc[id] = false
+		}
+		if ch {
+			changedRows = append(changedRows, id)
+			c.anyProp[id].Store(nil)
+		}
 	}
 	c.cert.Store(nil)
 	c.aemFor = nil
@@ -227,7 +247,7 @@ func (c *CPM) Refresh(ed Edit, changed []circuit.NodeID, pool *par.Pool) Refresh
 	statCPMRefreshNS.Add(int64(c.buildTime))
 	statCPMDirtyRows.Add(int64(len(dirtyList)))
 	statCPMCleanRows.Add(int64(live - len(dirtyList)))
-	return RefreshStats{DirtyRows: len(dirtyList), TotalRows: live, Duration: c.buildTime}
+	return RefreshStats{DirtyRows: len(dirtyList), TotalRows: live, Duration: c.buildTime, Changed: changedRows}
 }
 
 // Values returns the simulation value table the CPM was built against —

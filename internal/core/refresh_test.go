@@ -78,9 +78,21 @@ func compareCPMs(t *testing.T, label string, n *circuit.Network, got, want *CPM)
 	}
 }
 
+// snapshotRows copies every row of the CPM, indexed by node slot.
+func snapshotRows(c *CPM) [][]*bitvec.Vec {
+	rows := make([][]*bitvec.Vec, len(c.p))
+	for id, row := range c.p {
+		for _, v := range row {
+			rows[id] = append(rows[id], v.Clone())
+		}
+	}
+	return rows
+}
+
 // TestRefreshMatchesRebuild pins the dirty-region CPM refresh against a
 // from-scratch rebuild across a chain of realistic substitution edits
-// (plain and inverted) at several worker counts.
+// (plain and inverted) at several worker counts, and its report of the
+// rows it changed against a copy of the matrix taken before the refresh.
 func TestRefreshMatchesRebuild(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		for _, benchName := range []string{"rca8", "cmp8", "dec4"} {
@@ -98,6 +110,7 @@ func TestRefreshMatchesRebuild(t *testing.T) {
 				if !ok {
 					break
 				}
+				before := snapshotRows(cpm)
 				ed, changed := applyEdit(n, vals, tt, ss, edit%2 == 1, pool)
 				stats := cpm.Refresh(ed, changed, pool)
 				if stats.TotalRows == 0 || stats.DirtyRows == 0 || stats.DirtyRows > stats.TotalRows {
@@ -105,6 +118,27 @@ func TestRefreshMatchesRebuild(t *testing.T) {
 				}
 				fresh := BuildParallel(n, vals, pool)
 				compareCPMs(t, benchName, n, cpm, fresh)
+
+				// The reported rows are exactly the live rows that differ from
+				// their copy taken before the refresh, or had no row then.
+				reported := map[circuit.NodeID]bool{}
+				for _, id := range stats.Changed {
+					reported[id] = true
+				}
+				for _, id := range n.LiveNodes() {
+					differs := int(id) >= len(before) || before[id] == nil
+					for o := 0; !differs && o < cpm.NumOutputs(); o++ {
+						differs = !before[id][o].Equal(cpm.Prop(id, o))
+					}
+					if differs != reported[id] {
+						t.Fatalf("%s workers=%d edit %d: row %d differs=%v, reported changed=%v",
+							benchName, workers, edit, id, differs, reported[id])
+					}
+					delete(reported, id)
+				}
+				if len(reported) != 0 {
+					t.Fatalf("%s workers=%d edit %d: dead rows reported changed: %v", benchName, workers, edit, reported)
+				}
 			}
 			pool.Close()
 		}

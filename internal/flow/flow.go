@@ -45,7 +45,8 @@ type Budget struct {
 	// Library provides area and delay figures (default cell.Default()).
 	Library *cell.Library
 	// MaxIterations stops the flow after this many accepted
-	// transformations (0 = unlimited).
+	// transformations (0 = unlimited). The partitioned flow hands the same
+	// cap to every part's flow, so it bounds each part, not the run.
 	MaxIterations int
 }
 

@@ -11,10 +11,11 @@ const Overcommit = 4
 
 // PlanBins returns the bin count for packing n weighted items onto a pool
 // of the given worker count: Overcommit bins per worker, capped at n so no
-// bin is empty by construction.
+// bin is empty by construction. A one-worker pool gets one bin: with no
+// second worker to steal a queued bin, more bins only add runs to merge.
 func PlanBins(n, workers int) int {
-	if workers < 1 {
-		workers = 1
+	if workers <= 1 {
+		return 1
 	}
 	bins := workers * Overcommit
 	if bins > n {

@@ -165,9 +165,9 @@ func TestPlanBins(t *testing.T) {
 		{100, 4, 16},
 		{10, 4, 10},
 		{0, 4, 1},
-		{5, 0, 4},
-		{3, 1, 3},
-		{100, 1, 4},
+		{5, 0, 1},
+		{3, 1, 1},
+		{100, 1, 1},
 	}
 	for _, tc := range cases {
 		if got := PlanBins(tc.n, tc.workers); got != tc.want {

@@ -207,6 +207,11 @@ type runObs struct {
 	refreshRows *obs.Counter
 	dirtyFrac   *obs.Histogram
 
+	// Scoring reuse: candidates that ran the full kernel, and candidates
+	// whose carried pattern sum was reused (corrected or as is).
+	rescored *obs.Counter
+	reused   *obs.Counter
+
 	// emitCands caches obs.WantsCandidates(tracer): when the attached
 	// tracer declines the candidate firehose (a StreamTracer, a
 	// FlightRecorder, a JSONLTracer with EmitCandidates off), the scoring
@@ -239,6 +244,8 @@ func newRunObs(cfg *Config, net *circuit.Network) *runObs {
 		o.refreshRows = reg.Counter("sasimi_cpm_refresh_rows_total")
 		o.dirtyFrac = reg.Histogram("sasimi_cpm_dirty_fraction",
 			[]float64{0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1})
+		o.rescored = reg.Counter("sasimi_score_rescored_total")
+		o.reused = reg.Counter("sasimi_score_reused_total")
 		if o.erMetric {
 			o.conf = obs.NewRunStats(reg, "sasimi", cfg.Threshold)
 		}
@@ -274,6 +281,16 @@ func (o *runObs) verified(batchDelta, exactDelta float64, wasExact bool) {
 	if o.verifyDrift != nil {
 		o.verifyDrift.Record(batchDelta, exactDelta, wasExact)
 	}
+}
+
+// scoringPass records one iteration's scoring: rescored candidates ran
+// the full kernel, reused ones kept their carried pattern sum.
+func (o *runObs) scoringPass(rescored, reused int) {
+	if o == nil || o.rescored == nil {
+		return
+	}
+	o.rescored.Add(int64(rescored))
+	o.reused.Add(int64(reused))
 }
 
 // resimmed records one cone-scoped resimulation of n nodes.
@@ -517,13 +534,18 @@ loop:
 		// Estimate the increased error of every candidate (the batch step)
 		// and pick the best feasible one by ΔArea/ΔError score. best indexes
 		// feasible, the scored entries of the candidates within budget.
-		best, feasible := scoreCandidatesMaybeSharded(ictx, est, cands, entries, curErr, cfg.Threshold,
+		best, feasible := scoreCandidatesMaybeSharded(ictx, est, cands, &cache.sums, entries, curErr, cfg.Threshold,
 			scratch, change, &sscratch, pool, o, iter)
 		entries = feasible
 		prof.End(sp)
 		if err := goCtx.Err(); err != nil {
 			runErr = err
 			break loop
+		}
+		if cfg.verifyIncremental {
+			if err := crossCheckScores(ictx, est, cands, &cache.sums, best, feasible, curErr, cfg.Threshold); err != nil {
+				return nil, err
+			}
 		}
 
 		sp = prof.Begin(obs.PhaseVerifyApply)
@@ -666,6 +688,45 @@ func crossCheckIncremental(env *gatherEnv, pool *par.Pool, cands []cand, cpm *co
 					return fmt.Errorf("sasimi: incremental CPM diverged at node %d output %d", id, o)
 				}
 			}
+		}
+	}
+	return nil
+}
+
+// crossCheckScores is the verifyIncremental paranoia pass over a batch
+// estimator's scoring: the sequential reference scoreCandidates rescores
+// every candidate from scratch, and each candidate's carried pattern sum,
+// the feasible entries — Delta, Score and Exact — and the chosen index
+// must match bit for bit.
+func crossCheckScores(ctx *iterContext, est estimator, cands []cand, sums *candSums, best int, feasible []scored,
+	curErr, threshold float64) error {
+
+	if _, ok := est.(*batchEstimator); !ok {
+		return nil
+	}
+	m := ctx.vals.M
+	scratch, change := bitvec.New(m), bitvec.New(m)
+	refBest, refFeasible := scoreCandidates(est, cands, nil, ctx.vals, curErr, threshold, scratch, change, nil, 0)
+	if refBest != best || len(refFeasible) != len(feasible) {
+		return fmt.Errorf("sasimi: incremental scoring diverged: best %d of %d feasible vs reference %d of %d",
+			best, len(feasible), refBest, len(refFeasible))
+	}
+	for i := range refFeasible {
+		if feasible[i] != refFeasible[i] {
+			return fmt.Errorf("sasimi: incremental scoring diverged at feasible entry %d: %+v vs reference %+v",
+				i, feasible[i], refFeasible[i])
+		}
+	}
+	_, all := scoreCandidates(est, cands, nil, ctx.vals, 0, math.Inf(1), scratch, change, nil, 0)
+	for _, e := range all {
+		var got float64
+		if ctx.metric == core.MetricAEM {
+			got = sums.aem.cur[e.idx] / float64(m)
+		} else {
+			got = float64(sums.er.cur[e.idx]) / float64(m)
+		}
+		if got != e.delta {
+			return fmt.Errorf("sasimi: carried pattern sum of candidate %d diverged: delta %v vs reference %v", e.idx, got, e.delta)
 		}
 	}
 	return nil
@@ -853,7 +914,7 @@ func EstimateAll(golden, approx *circuit.Network, cfg Config) ([]Candidate, erro
 	scratch := bitvec.New(patterns.NumPatterns())
 	change := bitvec.New(patterns.NumPatterns())
 	o := newRunObs(&cfg, approx)
-	_, scores := scoreCandidatesMaybeSharded(ctx, est, cands, make([]scored, 0, len(cands)),
+	_, scores := scoreCandidatesMaybeSharded(ctx, est, cands, &candSums{}, make([]scored, 0, len(cands)),
 		0, math.Inf(1), scratch, change, &scoreScratch{}, pool, o, 1)
 	out := make([]Candidate, len(cands))
 	for _, e := range scores {

@@ -429,14 +429,35 @@ func candCompare(a, b *cand) int {
 	return cmp.Compare(a.kind, b.kind)
 }
 
-// mergeSorted merges candCompare-sorted runs into one sorted slice: a
-// k-way merge through a binary min-heap of run heads. Ties cannot occur
-// (the order is total over distinct candidates), so the result equals
-// sorting the runs' concatenation. With one non-empty run it is returned
-// as is; otherwise the result is a new exact-size slice. runs is not
-// modified.
+// mergeSorted merges candCompare-sorted runs into one sorted slice. With
+// one non-empty run it is returned as is; otherwise the result is a new
+// slice. runs is not modified.
 func mergeSorted(runs [][]cand) []cand {
-	var h [][]cand // heap of non-empty run remainders, keyed by head
+	var lone []cand
+	for _, r := range runs {
+		if len(r) == 0 {
+			continue
+		}
+		if lone != nil {
+			return mergeInto(nil, runs)
+		}
+		lone = r
+	}
+	return lone
+}
+
+// mergeInto merges candCompare-sorted runs into dst's storage, grown to
+// the runs' total length if it is shorter, and returns the merged slice:
+// a k-way merge through a binary heap of run tails that fills dst from
+// the back, largest first. Ties cannot occur (the order is total over
+// distinct candidates), so the result equals sorting the runs'
+// concatenation. One run may be dst's own prefix, dst[:len(run)], as the
+// gather cache's filtered list is: when the merge writes slot k, at most
+// k+1 entries remain unmerged, so an unread entry of that run sits at k
+// or below, and at k only if it is the entry being written. Other runs
+// must not overlap dst. The runs' contents are not modified otherwise.
+func mergeInto(dst []cand, runs [][]cand) []cand {
+	var h [][]cand // heap of non-empty run remainders, keyed by tail
 	total := 0
 	for _, r := range runs {
 		if len(r) > 0 {
@@ -444,39 +465,40 @@ func mergeSorted(runs [][]cand) []cand {
 			total += len(r)
 		}
 	}
-	switch len(h) {
-	case 0:
-		return nil
-	case 1:
-		return h[0]
+	out := grow(dst, total)
+	if len(h) == 0 {
+		return out
 	}
+	tail := func(r []cand) *cand { return &r[len(r)-1] }
 	siftDown := func(i int) {
 		for {
-			min, l, r := i, 2*i+1, 2*i+2
-			if l < len(h) && candCompare(&h[l][0], &h[min][0]) < 0 {
-				min = l
+			max, l, r := i, 2*i+1, 2*i+2
+			if l < len(h) && candCompare(tail(h[l]), tail(h[max])) > 0 {
+				max = l
 			}
-			if r < len(h) && candCompare(&h[r][0], &h[min][0]) < 0 {
-				min = r
+			if r < len(h) && candCompare(tail(h[r]), tail(h[max])) > 0 {
+				max = r
 			}
-			if min == i {
+			if max == i {
 				return
 			}
-			h[i], h[min] = h[min], h[i]
-			i = min
+			h[i], h[max] = h[max], h[i]
+			i = max
 		}
 	}
 	for i := len(h)/2 - 1; i >= 0; i-- {
 		siftDown(i)
 	}
-	out := make([]cand, 0, total)
+	k := total
 	for len(h) > 1 {
-		out = append(out, h[0][0])
-		if h[0] = h[0][1:]; len(h[0]) == 0 {
+		k--
+		out[k] = *tail(h[0])
+		if h[0] = h[0][:len(h[0])-1]; len(h[0]) == 0 {
 			h[0] = h[len(h)-1]
 			h = h[:len(h)-1]
 		}
 		siftDown(0)
 	}
-	return append(out, h[0]...)
+	copy(out[:k], h[0])
+	return out
 }

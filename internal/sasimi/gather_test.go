@@ -407,14 +407,27 @@ func TestMergeSortedEqualsSort(t *testing.T) {
 		}
 		slices.SortFunc(all, byOrder)
 		got := mergeSorted(runs)
-		if len(all) == 0 {
-			if len(got) != 0 {
-				t.Fatalf("trial %d: merged %d candidates from empty runs", trial, len(got))
+		// The gather cache merges into its own buffer, whose prefix is one
+		// of the runs, with or without room for the merged list; the rest
+		// of the buffer holds stale records.
+		var inPlace []cand
+		if k > 0 {
+			buf := make([]cand, len(runs[0]), len(runs[0])+r.Intn(2*len(all)+1))
+			copy(buf, runs[0])
+			stale := buf[len(buf):cap(buf)]
+			for i := range stale {
+				stale[i] = cand{target: circuit.NodeID(i), rank: uint32(r.Intn(9))}
 			}
-			continue
+			inPlace = mergeInto(buf, append([][]cand{buf}, runs[1:]...))
 		}
-		if !reflect.DeepEqual(got, all) {
+		if len(all) == 0 {
+			if len(got) != 0 || len(inPlace) != 0 {
+				t.Fatalf("trial %d: merged %d and %d candidates from empty runs", trial, len(got), len(inPlace))
+			}
+		} else if !reflect.DeepEqual(got, all) {
 			t.Fatalf("trial %d (k=%d): merge differs from sorting the concatenation", trial, k)
+		} else if !reflect.DeepEqual(inPlace, all) {
+			t.Fatalf("trial %d (k=%d): merge into a run's own buffer differs from sorting the concatenation", trial, k)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package sasimi
 
 import (
 	"context"
+	"math"
 
 	"batchals/internal/circuit"
 	"batchals/internal/core"
@@ -44,7 +45,13 @@ import (
 // permutation of the new multiset — bit-identical to a full gather,
 // pinned by the differential suite and the Config.verifyIncremental
 // cross-check. No per-target candidate lists are kept: the filter reads
-// the sorted list directly.
+// the sorted list directly. The merge fills the list's own buffer from
+// the back, the filtered entries being its prefix (see mergeInto), so an
+// iteration allocates a list only when the list outgrows its buffer.
+//
+// The cache also carries each candidate's pattern sum (sums) through the
+// filter and the merge, so the scorer can reuse it (see
+// scoreCandidatesSharded).
 type gatherCache struct {
 	data        []targetData // indexed by node slot
 	prevArrival []float64
@@ -52,6 +59,7 @@ type gatherCache struct {
 	// Callers get it, not a copy, and only read it: an iteration's scores
 	// live in scored entries outside the list.
 	sorted []cand
+	sums   candSums
 
 	// Dispatch scratch: the LPT bin-packer and its inputs (work items as
 	// target node ids plus their estimated costs), and one reusable block
@@ -242,10 +250,11 @@ func (gc *gatherCache) update(goCtx context.Context, env *gatherEnv, ed *core.Ed
 		return nil, err
 	}
 
-	// Filter the previous list in place: minus the entries of dirty or
-	// removed targets and dropped substitutes it is still sorted, and the
-	// workers' runs are exactly the complement of the new multiset. The
-	// previous iteration's view of this list is dead by now.
+	// Filter the previous list in place, with its sums in lockstep: minus
+	// the entries of dirty or removed targets and dropped substitutes it
+	// is still sorted, and the workers' runs are exactly the complement of
+	// the new multiset. The previous iteration's view of this list is dead
+	// by now.
 	kept := gc.sorted[:0]
 	for i := range gc.sorted {
 		c := &gc.sorted[i]
@@ -255,10 +264,18 @@ func (gc *gatherCache) update(goCtx context.Context, env *gatherEnv, ed *core.Ed
 		if !c.isConst() && drop[c.sub] {
 			continue
 		}
+		gc.sums.er.move(len(kept), i)
+		gc.sums.aem.move(len(kept), i)
 		kept = append(kept, *c)
 	}
 	runs[len(bins)] = kept
-	gc.sorted = mergeSorted(runs)
+	gc.sorted = mergeInto(kept, runs)
+	// A merge keeps each run's order, so the kept entries reach the new
+	// list in their filtered order, and an entry is re-enumerated exactly
+	// when the filter would drop it.
+	fresh := func(c *cand) bool { return dirtyT[c.target] || (!c.isConst() && drop[c.sub]) }
+	gc.sums.er.align(gc.sorted, len(kept), fresh)
+	gc.sums.aem.align(gc.sorted, len(kept), fresh)
 
 	gc.prevArrival = append(gc.prevArrival[:0], env.arrival...)
 	return gc.sorted, nil
@@ -271,4 +288,69 @@ func depsTouched(deps []circuit.NodeID, probe []bool) bool {
 		}
 	}
 	return false
+}
+
+// patternSum is the type of a candidate's pattern sum: the ER net count,
+// or the AEM magnitude sum, an integer held in a float64.
+type patternSum interface{ int32 | float64 }
+
+// staleSum marks a carried sum that must be recomputed: the entry was
+// re-enumerated. No ER net count reaches it (|count| ≤ M < 2^31); an AEM
+// sum that happened to equal it would only be recomputed needlessly.
+const staleSum = math.MinInt32
+
+// sumList is one metric's per-candidate pattern sums, aligned with the
+// gather cache's sorted list.
+type sumList[T patternSum] struct {
+	cur []T
+	// valid reports that cur holds a sum for every entry of the list it is
+	// aligned with, stale-marked where the entry was re-enumerated since.
+	valid bool
+}
+
+// candSums holds the batch scorer's carried pattern sums; the flow's
+// metric decides which list is in use.
+type candSums struct {
+	er  sumList[int32]
+	aem sumList[float64]
+}
+
+// move copies the sum of list entry src to entry dst (dst ≤ src) as the
+// filter compacts the list.
+func (s *sumList[T]) move(dst, src int) {
+	if s.valid {
+		s.cur[dst] = s.cur[src]
+	}
+}
+
+// align lays the compacted sums of the kept entries, cur[:kept], out along
+// the merged list, in place: the kept entries, in order, take their sums
+// and the fresh ones staleSum. Filled from the back, like the merge, so
+// the j-th kept sum moves up to its slot k ≥ j before anything writes
+// over it.
+func (s *sumList[T]) align(merged []cand, kept int, fresh func(*cand) bool) {
+	if !s.valid {
+		return
+	}
+	s.cur = grow(s.cur, len(merged))
+	j := kept - 1
+	for k := len(merged) - 1; k >= 0; k-- {
+		if fresh(&merged[k]) {
+			s.cur[k] = staleSum
+		} else {
+			s.cur[k] = s.cur[j]
+			j--
+		}
+	}
+}
+
+// forList returns the sums for a list of n candidates and whether they
+// carry from the previous pass; if not, cur is resized to n and every
+// entry is to be computed.
+func (s *sumList[T]) forList(n int) ([]T, bool) {
+	if !s.valid || len(s.cur) != n {
+		s.valid = false
+		s.cur = grow(s.cur, n)
+	}
+	return s.cur, s.valid
 }

@@ -3,6 +3,7 @@ package sasimi
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -143,46 +144,70 @@ func itoa(n int) string {
 // TestVerifyIncrementalCrossCheck runs a flow with the internal
 // verifyIncremental hook enabled: every iteration the incremental candidate
 // list and CPM, and after every accept the engine's value table and error
-// state, are compared against rebuilt-from-scratch versions, failing the
-// run on any divergence. The c880 row runs at
-// M = 10000, where the two float forms of a DiffProb differ for many
-// counts, with two workers, so the cache update's LPT bins mix dirty and
-// clean targets.
+// state, are compared against rebuilt-from-scratch versions, and every
+// iteration's scores, carried pattern sums included, against the
+// sequential reference rescoring every candidate; the run fails on any
+// divergence. The c880 rows run at M = 10000, where the two float forms of
+// a DiffProb differ for many counts: with two workers, so the cache
+// update's LPT bins mix dirty and clean targets, and for 12 iterations
+// with one, whose shard and bin are the whole problem. The mul8
+// AEM row needs accepts that change the error, hence some output word, so
+// that carried sums take the masked correction.
 func TestVerifyIncrementalCrossCheck(t *testing.T) {
 	c880, err := bench.ByName("c880")
 	if err != nil {
 		t.Fatal(err)
 	}
+	mul8, err := bench.ByName("mul8")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
-		golden    *circuit.Network
-		metric    core.Metric
-		threshold float64
-		m         int
-		workers   int
-		minIters  int // iterations the run must accept, so cache updates ran
+		golden     *circuit.Network
+		metric     core.Metric
+		threshold  float64
+		m          int
+		workers    int
+		maxIters   int
+		minIters   int // iterations the run must accept, so cache updates ran
+		minChanges int // accepts that must change the measured error
 	}{
-		{bench.RCA(8), core.MetricER, 0.1, 800, 0, 1},
-		{bench.RCA(8), core.MetricAEM, 4.0, 800, 0, 1},
-		{c880, core.MetricER, 0.01, 10000, 2, 10},
+		{bench.RCA(8), core.MetricER, 0.1, 800, 0, 0, 1, 0},
+		{bench.RCA(8), core.MetricAEM, 4.0, 800, 0, 0, 1, 0},
+		{c880, core.MetricER, 0.01, 10000, 2, 0, 10, 0},
+		{c880, core.MetricER, 0.01, 10000, 1, 12, 10, 0},
+		{mul8, core.MetricAEM, 64, 1024, 2, 12, 5, 5},
 	} {
 		res, err := Run(tc.golden, Config{
 			Budget: flow.Budget{
-				Metric:      tc.metric,
-				Threshold:   tc.threshold,
-				NumPatterns: tc.m,
-				Seed:        3,
+				Metric:        tc.metric,
+				Threshold:     tc.threshold,
+				NumPatterns:   tc.m,
+				Seed:          3,
+				MaxIterations: tc.maxIters,
 			},
 			Estimator:         EstimatorBatch,
 			Workers:           tc.workers,
+			KeepTrace:         true,
 			CheckInvariants:   true,
 			verifyIncremental: true,
 		})
+		label := fmt.Sprintf("%s metric %v M=%d workers=%d", tc.golden.Name, tc.metric, tc.m, tc.workers)
 		if err != nil {
-			t.Fatalf("%s metric %v M=%d: cross-check failed: %v", tc.golden.Name, tc.metric, tc.m, err)
+			t.Fatalf("%s: cross-check failed: %v", label, err)
 		}
 		if res.NumIterations < tc.minIters {
-			t.Fatalf("%s metric %v M=%d: %d iterations, want at least %d",
-				tc.golden.Name, tc.metric, tc.m, res.NumIterations, tc.minIters)
+			t.Fatalf("%s: %d iterations, want at least %d", label, res.NumIterations, tc.minIters)
+		}
+		changes, prev := 0, 0.0
+		for _, it := range res.Iterations {
+			if it.ActualErr != prev {
+				changes++
+			}
+			prev = it.ActualErr
+		}
+		if changes < tc.minChanges {
+			t.Fatalf("%s: %d accepts changed the error, want at least %d", label, changes, tc.minChanges)
 		}
 	}
 }

@@ -218,12 +218,12 @@ func TestParallelScoringMatchesSequential(t *testing.T) {
 			}
 			var ss scoreScratch
 			before := shardQueries.Value()
-			gotBest, gotFeasible := scoreCandidatesSharded(ctx, gotCands, nil, 0, cfg.Threshold, &ss, pool, nil, 1)
+			gotBest, gotFeasible := scoreCandidatesSharded(ctx, gotCands, &candSums{}, nil, 0, cfg.Threshold, &ss, pool, nil, 1)
 			if got, want := shardQueries.Value()-before, int64(len(gotCands)*len(par.Shards(vals.M, workers))); got != want {
 				pool.Close()
 				t.Fatalf("metric=%v workers=%d: a sharded pass counted %d queries, want N·S = %d", metric, workers, got, want)
 			}
-			_, gotAll := scoreCandidatesSharded(ctx, gotCands, nil, 0, math.Inf(1), &ss, pool, nil, 1)
+			_, gotAll := scoreCandidatesSharded(ctx, gotCands, &candSums{}, nil, 0, math.Inf(1), &ss, pool, nil, 1)
 			pool.Close()
 			if gotBest != wantBest || !reflect.DeepEqual(gotFeasible, wantFeasible) {
 				t.Fatalf("metric=%v workers=%d: selection diverges (best %d vs %d)",
@@ -264,10 +264,11 @@ func shardedScoringAllocs(ctx *iterContext, cands []cand, threshold float64, wor
 	pool := par.NewPool(workers)
 	defer pool.Close()
 	var ss scoreScratch
+	var sums candSums
 	buf := make([]scored, 0, len(cands))
-	scoreCandidatesSharded(ctx, cands, buf, 0, threshold, &ss, pool, o, 1)
+	scoreCandidatesSharded(ctx, cands, &sums, buf, 0, threshold, &ss, pool, o, 1)
 	return testing.AllocsPerRun(20, func() {
-		scoreCandidatesSharded(ctx, cands, buf, 0, threshold, &ss, pool, o, 1)
+		scoreCandidatesSharded(ctx, cands, &sums, buf, 0, threshold, &ss, pool, o, 1)
 	})
 }
 

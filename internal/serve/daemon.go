@@ -29,7 +29,7 @@ type JobSpec struct {
 	Seed          int64   `json:"seed,omitempty"`
 	Workers       int     `json:"workers,omitempty"`
 	VerifyTopK    int     `json:"verify,omitempty"`
-	MaxIterations int     `json:"max_iters,omitempty"`
+	MaxIterations int     `json:"max_iters,omitempty"` // accept cap; with "partition", per part
 	// Timeline attaches a causal span recorder to the job, so
 	// /timeline?run=NAME exports the service lane (queue wait) next to the
 	// flow's synthesis phases. Off by default: a recorder costs memory per
