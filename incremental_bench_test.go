@@ -7,7 +7,9 @@ package batchals
 // history in the committed baselines stays comparable; /c880-er runs the
 // paper's setting to convergence — ER ≤ 1%, M = 10000, exact top-8
 // recheck, two workers — where the carried sums take most of the
-// scoring off the iteration.
+// scoring off the iteration. /mul8-aem runs the benchmark's AEM workload
+// options — mul8, AEM ≤ 64, M = 1024, 12 iterations, two workers — where
+// the AEM scoring pass, target by target, carries the load.
 
 import "testing"
 
@@ -54,6 +56,28 @@ func BenchmarkIncrementalIterations(b *testing.B) {
 			}
 			if res.NumIterations == 0 {
 				b.Fatal("no iterations accepted on c880")
+			}
+		}
+	})
+	b.Run("mul8-aem", func(b *testing.B) {
+		mul8, err := Benchmark("mul8")
+		if err != nil {
+			b.Fatal(err)
+		}
+		for i := 0; i < b.N; i++ {
+			res, err := Approximate(mul8, Options{
+				Metric:        AvgErrorMagnitude,
+				Threshold:     64,
+				NumPatterns:   1024,
+				Seed:          1,
+				Workers:       2,
+				MaxIterations: 12,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if res.NumIterations == 0 {
+				b.Fatal("no iterations accepted on mul8")
 			}
 		}
 	})

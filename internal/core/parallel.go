@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math/bits"
 	"sync/atomic"
 	"time"
@@ -19,9 +18,11 @@ var (
 	statPartialAEM = obs.Default().Counter("cpm_partial_aem_queries_total")
 )
 
-// CountPartialQueries adds n DeltaERPartial (metric ER) or DeltaAEMPartial
-// (metric AEM) calls to their query counter. Callers count once per shard
-// of a scoring pass, so concurrent workers do not contend on the counter.
+// CountPartialQueries adds n queries of the concurrent kernels to their
+// counter: DeltaERPartial calls (metric ER), counted once per shard of a
+// scoring pass, or candidates summed in full in an AEMTerms table (metric
+// AEM), counted once per pass, so concurrent workers do not contend on
+// the counter.
 func CountPartialQueries(metric Metric, n int) {
 	if metric == MetricAEM {
 		statPartialAEM.Add(int64(n))
@@ -241,9 +242,9 @@ func (c *CPM) EnsureAnyProp(ids []circuit.NodeID, pool *par.Pool) {
 
 // EnsureAEMColumns extracts the per-pattern golden/approximate output words
 // for st into the CPM's column cache. The cache is a plain (non-atomic)
-// memo keyed by state pointer, so sharded AEM queries require this to be
-// called — from a single goroutine, before the worker fan-out — whenever
-// the error state changes; DeltaAEMPartial then only reads it.
+// memo keyed by state pointer, so concurrent AEM queries require this to
+// be called — from a single goroutine, before the worker fan-out —
+// whenever the error state changes; AEMTerms then only reads it.
 func (c *CPM) EnsureAEMColumns(st *emetric.State) {
 	if c.o > 63 {
 		panic("core: EnsureAEMColumns requires <= 63 outputs")
@@ -317,120 +318,4 @@ func (c *CPM) erWord(cw uint64, w int, ap []uint64, row []*bitvec.Vec, st *emetr
 		dw &^= row[o].WordsSlice()[w] ^ st.W.Row(o).WordsSlice()[w]
 	}
 	return int64(inc - bits.OnesCount64(dw))
-}
-
-// DeltaAEMCorrection is DeltaERCorrection for AEM: how much
-// DeltaAEMPartial's magnitude sum for a flip at nx moves when the error
-// state moves from the previous one to the state EnsureAEMColumns was last
-// called with, provided nx's propagation row is the same under both. mc
-// and ws are as for DeltaERCorrection, and prevV[i] holds the previous
-// state's packed output word (Matrix.Column of its V) for every pattern i
-// set in mc. The terms are integer-valued, so the sum is exact below 2^53.
-//
-//als:allocfree
-func (c *CPM) DeltaAEMCorrection(nx circuit.NodeID, mc []uint64, ws []int32, prevV []uint64) float64 {
-	if c.aemFor == nil {
-		panic("core: DeltaAEMCorrection without EnsureAEMColumns")
-	}
-	row := c.p[nx]
-	// As in DeltaAEMPartial: only the outputs the flip reaches under some
-	// pattern of mc can flip.
-	var reached [63]aemReach
-	nr := 0
-	for o := 0; o < c.o; o++ {
-		pw := row[o].WordsSlice()
-		for k, w := range ws {
-			if mc[k]&pw[w] != 0 {
-				reached[nr] = aemReach{bit: 1 << uint(o), words: pw}
-				nr++
-				break
-			}
-		}
-	}
-	var total float64
-	for k, w := range ws {
-		word := mc[k]
-		for word != 0 && nr > 0 {
-			b := word & (-word)
-			i := int(w)*bitvec.WordBits + bits.TrailingZeros64(b)
-			word ^= b
-			var flip uint64
-			for _, r := range reached[:nr] {
-				if r.words[w]&b != 0 {
-					flip |= r.bit
-				}
-			}
-			if flip == 0 {
-				continue
-			}
-			org, cur, old := c.aemU[i], c.aemV[i], prevV[i]
-			total += (absDiff(cur^flip, org) - absDiff(cur, org)) - (absDiff(old^flip, org) - absDiff(old, org))
-		}
-	}
-	return total
-}
-
-// DeltaAEMPartial computes the word range [w0, w1) of a DeltaAEM query,
-// returning the *unnormalised* magnitude sum over the range's patterns
-// (DeltaAEM's result is the total over all words divided by M). The
-// per-pattern contributions are integer-valued, so partial sums over a
-// word-aligned partition combine exactly — in the fixed shard order — to
-// the sequential accumulation for any magnitude below 2^53, which covers
-// every bundled benchmark. The reached-output set is gathered shard-
-// locally; an output unreachable within the range contributes no flip bit
-// for its patterns, so the restriction is result-identical.
-//
-// EnsureAEMColumns(st) must have been called (from one goroutine) first.
-// The query is not counted; see CountPartialQueries.
-//
-//als:allocfree
-func (c *CPM) DeltaAEMPartial(nx circuit.NodeID, chg []uint64, st *emetric.State, w0, w1 int) float64 {
-	if c.o > 63 {
-		panic("core: DeltaAEMPartial requires <= 63 outputs")
-	}
-	if c.aemFor != st {
-		panic(fmt.Sprintf("core: DeltaAEMPartial for state %p without EnsureAEMColumns", st))
-	}
-	row := c.p[nx]
-	// The reached-output gather lives in a fixed-size stack array (c.o is
-	// capped at 63 above): the kernel runs per candidate per shard, so a
-	// heap slice here would dominate the scoring loop's allocation profile,
-	// and per-worker scratch cannot live on the shared CPM.
-	var reached [63]aemReach
-	nr := 0
-	for o := 0; o < c.o; o++ {
-		pw := row[o].WordsSlice()
-		for w := w0; w < w1; w++ {
-			if chg[w]&pw[w] != 0 {
-				reached[nr] = aemReach{bit: 1 << uint(o), words: pw}
-				nr++
-				break
-			}
-		}
-	}
-	if nr == 0 {
-		return 0
-	}
-	var total float64
-	for w := w0; w < w1; w++ {
-		word := chg[w]
-		for word != 0 {
-			b := word & (-word)
-			i := w*bitvec.WordBits + bits.TrailingZeros64(b)
-			word ^= b
-			var flip uint64
-			for _, r := range reached[:nr] {
-				if r.words[w]&b != 0 {
-					flip |= r.bit
-				}
-			}
-			if flip == 0 {
-				continue
-			}
-			org := c.aemU[i]
-			pre := c.aemV[i]
-			total += absDiff(pre^flip, org) - absDiff(pre, org)
-		}
-	}
-	return total
 }

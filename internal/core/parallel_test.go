@@ -1,10 +1,12 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
 
+	"batchals/internal/bench"
 	"batchals/internal/bitvec"
 	"batchals/internal/circuit"
 	"batchals/internal/emetric"
@@ -138,12 +140,14 @@ func TestDeltaERPartialSumsMatchFull(t *testing.T) {
 	}
 }
 
-// TestDeltaAEMPartialSumsMatchFull pins the sharded AEM reduction the same
-// way: partial magnitude sums combined in partition order and normalised
-// must reproduce DeltaAEM bit for bit (the per-pattern contributions are
-// integer-valued, so the regrouped sum is exactly associative).
-func TestDeltaAEMPartialSumsMatchFull(t *testing.T) {
+// TestAEMTermsSumMatchesDeltaAEM pins the AEM target table: on random
+// DAGs under a corrupted state, a candidate's sum over one AEMTerms table
+// per target, normalised, must reproduce DeltaAEM bit for bit. One table
+// serves every gate in turn, so an entry left from an earlier target would
+// show.
+func TestAEMTermsSumMatchesDeltaAEM(t *testing.T) {
 	r := rand.New(rand.NewSource(72))
+	var terms AEMTerms
 	for trial := 0; trial < 8; trial++ {
 		m := []int{192, 500, 1000}[trial%3]
 		_, approx, _, vals, st0 := buildApproxPair(t, r, 8, 40, m, int64(trial)+100)
@@ -154,41 +158,180 @@ func TestDeltaAEMPartialSumsMatchFull(t *testing.T) {
 		c := Build(approx, vals)
 		c.EnsureAEMColumns(st)
 		gates := gatesOf(approx)
-		words := bitvec.Words(m)
 		for k := 0; k < 10; k++ {
 			nx := gates[r.Intn(len(gates))]
-			change := bitvec.New(m)
-			for i := 0; i < m; i++ {
-				if r.Intn(3) == 0 {
-					change.Set(i, true)
-				}
-			}
+			change := randomMask(r, m, 3)
 			want := c.DeltaAEM(nx, change, st)
-			cuts := randomWordPartition(r, words, 1+r.Intn(6))
-			var total float64
-			for s := 0; s+1 < len(cuts); s++ {
-				total += c.DeltaAEMPartial(nx, change.WordsSlice(), st, cuts[s], cuts[s+1])
-			}
-			if got := total / float64(m); got != want {
-				t.Fatalf("trial %d node %d cuts %v: partial sum %v != DeltaAEM %v",
-					trial, nx, cuts, got, want)
+			terms.Full(c, nx, st)
+			if got := terms.Sum(change.WordsSlice()) / float64(m); got != want {
+				t.Fatalf("trial %d node %d: table sum %v != DeltaAEM %v", trial, nx, got, want)
 			}
 		}
 	}
 }
 
-func TestDeltaAEMPartialRequiresEnsure(t *testing.T) {
+// TestAEMTermsRequiresEnsure pins the column-cache contract: a table for
+// a state the cache was not filled for must panic, not read another
+// state's output words.
+func TestAEMTermsRequiresEnsure(t *testing.T) {
 	r := rand.New(rand.NewSource(8))
 	_, approx, _, vals, st := buildApproxPair(t, r, 6, 25, 128, 2)
 	c := Build(approx, vals)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("DeltaAEMPartial without EnsureAEMColumns must panic")
+	nx := gatesOf(approx)[0]
+	for _, ensured := range []*emetric.State{nil, corruptedState(r, st)} {
+		if ensured != nil {
+			c.EnsureAEMColumns(ensured)
 		}
-	}()
-	chg := bitvec.New(128)
-	chg.Fill()
-	c.DeltaAEMPartial(gatesOf(approx)[0], chg.WordsSlice(), st, 0, 2)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("AEMTerms.Full after EnsureAEMColumns(%p) for state %p must panic", ensured, st)
+				}
+			}()
+			var terms AEMTerms
+			terms.Full(c, nx, st)
+		}()
+	}
+}
+
+// TestAEMTermsEveryGate holds the AEM target table to DeltaAEM on every
+// gate of mul8 and ksa32 (33 outputs, so magnitudes above 2^32) at
+// M = 1000, whose last word is partial, with the approximate outputs
+// corrupted under two error states, Prev and St, that share the golden
+// outputs. For each gate and four random change masks:
+//   - Sum over the table Full built under St is DeltaAEM under St times M;
+//   - with the correction built once at the union of the masks' patterns
+//     where the output word differs between the states, SumAt for each
+//     mask is its DeltaAEM under St minus its DeltaAEM under Prev, times M.
+//
+// Every sum is an integer below 2^53 there, so both hold exactly. A
+// 63-output netlist, whose terms reach 2^62 so that an int64 sum of them
+// could wrap, is held to the same within float tolerance.
+func TestAEMTermsEveryGate(t *testing.T) {
+	const m = 1000
+	r := rand.New(rand.NewSource(19))
+	var nets []*circuit.Network
+	for _, name := range []string{"mul8", "ksa32"} {
+		n, err := bench.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nets = append(nets, n)
+	}
+	nets = append(nets, wideDAG(t, r, 12, 160, 63))
+	for _, net := range nets {
+		p := sim.RandomPatterns(net.NumInputs(), m, 7)
+		vals := sim.Simulate(net, p)
+		out := sim.OutputMatrix(net, vals)
+		exact := emetric.NewState(out, out.Clone())
+		st, prev := corruptedState(r, exact), corruptedState(r, exact)
+		c := Build(net, vals)
+
+		// D: the patterns whose output word differs between the states,
+		// and Prev's word at each pattern.
+		d := bitvec.New(m)
+		x := bitvec.New(m)
+		for o := 0; o < st.V.Rows(); o++ {
+			x.Xor(st.V.Row(o), prev.V.Row(o))
+			d.Or(d, x)
+		}
+		var ws []int32
+		for w, dw := range d.WordsSlice() {
+			if dw != 0 {
+				ws = append(ws, int32(w))
+			}
+		}
+		prevV := make([]uint64, m)
+		for i := range prevV {
+			prevV[i] = prev.V.Column(i)
+		}
+
+		// tol bounds the rounding of a float sum of m terms below 2^o:
+		// zero while the sums stay below 2^53.
+		o := net.NumOutputs()
+		tol := 0.0
+		if o+11 > 53 {
+			tol = math.Ldexp(m, o-50)
+		}
+		check := func(what string, nx circuit.NodeID, got, want float64) {
+			t.Helper()
+			if math.Abs(got-want) > tol {
+				t.Fatalf("%s gate %d: %s %v, want %v (tolerance %v)", net.Name, nx, what, got, want, tol)
+			}
+		}
+		var terms AEMTerms
+		wraps := false
+		masks := make([]*bitvec.Vec, 4)
+		mcs := make([][]uint64, len(masks))
+		um := make([]uint64, len(ws))
+		full := make([]float64, len(masks))
+		diff := make([]float64, len(masks))
+		for _, nx := range gatesOf(net) {
+			clear(um)
+			for j := range masks {
+				masks[j] = randomMask(r, m, 2+j)
+				mcs[j] = make([]uint64, len(ws))
+				for k, w := range ws {
+					mcs[j][k] = masks[j].WordsSlice()[w] & d.WordsSlice()[w]
+					um[k] |= mcs[j][k]
+				}
+				dPrev := c.DeltaAEM(nx, masks[j], prev)
+				full[j] = c.DeltaAEM(nx, masks[j], st)
+				diff[j] = math.Round(full[j]*m) - math.Round(dPrev*m)
+				if tol > 0 {
+					diff[j] = (full[j] - dPrev) * m
+				}
+			}
+			c.EnsureAEMColumns(st)
+			terms.Full(c, nx, st)
+			for j, chg := range masks {
+				sum := terms.Sum(chg.WordsSlice())
+				check("table sum / M", nx, sum/m, full[j])
+				wraps = wraps || math.Abs(sum) >= 1<<63
+			}
+			terms.Correction(c, nx, st, prevV, ws, um)
+			for j := range masks {
+				check("correction", nx, terms.SumAt(mcs[j]), diff[j])
+			}
+		}
+		if o == 63 && !wraps {
+			t.Fatalf("%s: no table sum reached 2^63, so none would wrap an int64", net.Name)
+		}
+	}
+}
+
+// randomMask returns an m-bit change mask with each bit set with
+// probability 1/den.
+func randomMask(r *rand.Rand, m, den int) *bitvec.Vec {
+	v := bitvec.New(m)
+	for i := 0; i < m; i++ {
+		if r.Intn(den) == 0 {
+			v.Set(i, true)
+		}
+	}
+	return v
+}
+
+// wideDAG returns a random DAG whose last outs gates drive its outputs;
+// each gate feeds the next, so none dangles.
+func wideDAG(t testing.TB, r *rand.Rand, nin, ngates, outs int) *circuit.Network {
+	t.Helper()
+	n := circuit.New("wide")
+	pool := make([]circuit.NodeID, 0, nin+ngates)
+	for i := 0; i < nin; i++ {
+		pool = append(pool, n.AddInput(""))
+	}
+	kinds := []circuit.Kind{circuit.KindAnd, circuit.KindOr, circuit.KindXor, circuit.KindNand}
+	for i := 0; i < ngates; i++ {
+		pool = append(pool, n.AddGate(kinds[r.Intn(len(kinds))], pool[len(pool)-1], pool[r.Intn(len(pool))]))
+	}
+	for _, id := range pool[len(pool)-outs:] {
+		n.AddOutput("", id)
+	}
+	if err := n.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return n
 }
 
 // TestRaceConcurrentCPMQueries is the regression test for the latent
@@ -211,6 +354,7 @@ func TestRaceConcurrentCPMQueries(t *testing.T) {
 		go func(seed int64) {
 			defer wg.Done()
 			rr := rand.New(rand.NewSource(seed))
+			var terms AEMTerms
 			chg := bitvec.New(512)
 			for i := 0; i < 512; i += 3 {
 				chg.Set(i, true)
@@ -223,7 +367,8 @@ func TestRaceConcurrentCPMQueries(t *testing.T) {
 				w0 := rr.Intn(words)
 				c.DeltaERPartial(nx, chg.WordsSlice(), st, w0, words)
 				if aem {
-					c.DeltaAEMPartial(nx, chg.WordsSlice(), st, w0, words)
+					terms.Full(c, nx, st)
+					terms.Sum(chg.WordsSlice())
 				}
 			}
 		}(int64(g))

@@ -150,15 +150,23 @@ func itoa(n int) string {
 // divergence. The c880 rows run at M = 10000, where the two float forms of
 // a DiffProb differ for many counts: with two workers, so the cache
 // update's LPT bins mix dirty and clean targets, and for 12 iterations
-// with one, whose shard and bin are the whole problem. The mul8
-// AEM row needs accepts that change the error, hence some output word, so
-// that carried sums take the masked correction.
+// with one, whose shard and bin are the whole problem. The AEM rows need
+// accepts that change the error, hence some output word, so that carried
+// sums take the masked correction, built at the union of a target's
+// candidates' changed patterns. The ksa32 row has 33 outputs, so terms
+// above 2^32; its first 23 accepts at M = 1000 change no output (each
+// substitute equals its target on every pattern, so they score first),
+// so it runs 28 iterations to correct sums after four accepts that do.
 func TestVerifyIncrementalCrossCheck(t *testing.T) {
 	c880, err := bench.ByName("c880")
 	if err != nil {
 		t.Fatal(err)
 	}
 	mul8, err := bench.ByName("mul8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ksa32, err := bench.ByName("ksa32")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,6 +185,7 @@ func TestVerifyIncrementalCrossCheck(t *testing.T) {
 		{c880, core.MetricER, 0.01, 10000, 2, 0, 10, 0},
 		{c880, core.MetricER, 0.01, 10000, 1, 12, 10, 0},
 		{mul8, core.MetricAEM, 64, 1024, 2, 12, 5, 5},
+		{ksa32, core.MetricAEM, 8589934, 1000, 2, 28, 28, 4},
 	} {
 		res, err := Run(tc.golden, Config{
 			Budget: flow.Budget{

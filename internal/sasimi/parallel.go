@@ -7,16 +7,15 @@ import (
 	"batchals/internal/bitvec"
 	"batchals/internal/circuit"
 	"batchals/internal/core"
-	"batchals/internal/emetric"
 	"batchals/internal/obs"
 	"batchals/internal/par"
 	"batchals/internal/sim"
 )
 
 // scoreCandidatesMaybeSharded dispatches candidate scoring on the
-// estimator: the batch estimator takes the pattern-sharded path at every
-// worker count (one shard on a single-worker pool), carrying each
-// candidate's pattern sum in sums from one iteration to the next; the
+// estimator: the batch estimator takes the pooled path at every worker
+// count (inline on a single-worker pool), carrying each candidate's
+// pattern sum in sums from one iteration to the next; the
 // full estimator (which mutates the value table during cone
 // resimulation) and the local estimator (a trivial popcount) run the
 // sequential loop. Both append the feasible entries to buf[:0].
@@ -39,38 +38,31 @@ type scoreScratch struct {
 	shards             []par.Shard
 	seen               []bool // node-slot marks (targets, then changed rows), cleared after each use
 	targets            []circuit.NodeID
-	erNet              [][]int32   // per shard: each rescored candidate's net ER count
-	aemMag             [][]float64 // per shard: each rescored candidate's magnitude sum
-	chg                [][]uint64  // per shard: change-mask words
+	erNet              [][]int32  // per shard: each rescored candidate's net ER count
+	chg                [][]uint64 // per shard: change-mask words
 
 	// Carry scratch: the nonzero words of the accept's output-change mask
 	// D (indices dws, words dm), the previous state's packed output words
 	// at D's patterns (AEM), the bit set of candidates left to the full
-	// kernel, and per task of the carry pass its masked change words and
-	// how many candidates it left.
+	// kernel (ER), per task of the ER carry pass its masked change words,
+	// and per task of either pass how many candidates it left to the full
+	// kernel (ER) or summed in full (AEM).
 	dws     []int32
 	dm      []uint64
 	prevV   []uint64
 	rescore []uint64
 	mc      [][]uint64
 	left    []int
-}
 
-// sumKernel is one metric's scoring kernels over pattern sums of type T.
-type sumKernel[T patternSum] struct {
-	// partial is a candidate's sum over the words [w0, w1) of its change
-	// mask chg.
-	partial func(target circuit.NodeID, chg []uint64, w0, w1 int) T
-	// correction is how much a carried sum moves from the previous error
-	// state to the current one; mc holds the change mask restricted to D
-	// at D's nonzero words.
-	correction func(target circuit.NodeID, mc []uint64, ws []int32) T
-	// maxD is the most nonzero words D may have for corrections to pay:
-	// past it, every carried sum that may move is recomputed in full.
-	maxD int
-	// cheaper, when non-nil, reports for one candidate that the correction
-	// costs less than the full kernel; nil means it always does.
-	cheaper func(c *cand, mc []uint64) bool
+	// AEM target pass: the candidates counting-sorted by target (order;
+	// target g's are order[bounds[g]:bounds[g+1]]), each node slot's group
+	// number plus one (0 for none, as the sort leaves it), the first group
+	// of every pool task, and per pool worker its scratch.
+	order  []member
+	bounds []int32
+	group  []int32
+	chunks []int
+	aem    []aemWorker
 }
 
 // scoreCandidatesSharded evaluates every candidate's batch estimate, then
@@ -81,74 +73,71 @@ type sumKernel[T patternSum] struct {
 // inc − dec of Algorithm 1, kept as one int32 (both counts are at most M),
 // for AEM the unnormalised magnitude sum — and sums carries every
 // candidate's sum from one iteration to the next, aligned with the gather
-// cache's list. A pass scores a candidate by one of three rules:
-//
-//   - a fresh candidate (its sum is staleSum: the cache re-enumerated it),
-//     one whose target's CPM row the refresh changed, and every candidate
-//     when nothing carries (the first iteration, a full CPM build), runs
-//     the full kernel;
-//   - any other adds correction(chg ∧ D) to its sum, where D is the set of
-//     patterns whose output word the accept changed (core.Engine.Diff):
-//     nothing when chg ∧ D is empty;
-//   - unless the correction would cost more than the full kernel (see
-//     sumKernel.maxD and cheaper), in which case it runs the full kernel.
+// cache's list. A pass sums a candidate in full when it is fresh (its sum
+// is staleSum: the cache re-enumerated it), when its target's CPM row
+// changed in the refresh, and when nothing carries (the first iteration,
+// a full CPM build). Any other candidate keeps its sum plus the
+// correction at chg ∧ D, where D is the set of patterns whose output word
+// the accept changed (core.Engine.Diff): nothing when chg ∧ D is empty.
 //
 // The carried sum is exact: a kept candidate's change mask is unchanged,
 // because the cache re-enumerates any candidate whose target or
 // substitute value changed; with the target's row unchanged, a pattern's
 // term changes only where its output word did, which is D; and the sums
 // are integers, so adding the difference gives what a full re-sum would.
-//
-// The full kernel shards the pattern space across the pool's workers:
-// each worker owns one shard and, for every candidate to rescore,
+// The ER and AEM passes differ in how they split the work (scoreER,
+// scoreAEM); both leave every sum, and so every score, the same at any
+// worker count.
+func scoreCandidatesSharded(ctx *iterContext, cands []cand, sums *candSums, buf []scored,
+	curErr, threshold float64, ss *scoreScratch, pool *par.Pool, o *runObs, iter int) (int, []scored) {
+
+	pool.Label("sasimi.score", obs.PhaseEstimate)
+	goCtx := ctx.goCtx
+	if goCtx == nil {
+		goCtx = context.Background()
+	}
+	if ctx.metric == core.MetricAEM {
+		if err := scoreAEM(goCtx, ctx, cands, &sums.aem, ss, pool, o); err != nil {
+			// Cancelled mid-scoring: the partial results are abandoned and
+			// the flow returns at its next iteration-boundary check.
+			return -1, nil
+		}
+		return selectFeasible(ctx, cands, sums.aem.cur, buf, curErr, threshold, o, iter)
+	}
+	if err := scoreER(goCtx, ctx, cands, &sums.er, ss, pool, o); err != nil {
+		return -1, nil
+	}
+	return selectFeasible(ctx, cands, sums.er.cur, buf, curErr, threshold, o, iter)
+}
+
+// scoreER brings every candidate's ER net count up to date. It shards the
+// pattern space across the pool's workers for the candidates it sums in
+// full: each worker owns one shard and, for every such candidate,
 // materialises the change mask for its word range only (target XOR
 // substitute, with the constant and inverted cases tail-masked exactly as
 // substituteValue's Fill/Not produce them) and computes the shard's
 // partial into a per-shard slot; the partials are combined in fixed shard
-// order. Every value is an integer below 2^53, so the result equals the
-// sequential DeltaER/DeltaAEM bit for bit (see core.DeltaERPartial /
-// core.DeltaAEMPartial for the word-locality argument). Each shard counts
-// its queries once, after its loop. Shard 0 writes its partials straight
-// into sums, so an iteration that rescores every candidate builds no list
-// of them and no array beyond the other shards' partials.
-func scoreCandidatesSharded(ctx *iterContext, cands []cand, sums *candSums, buf []scored,
-	curErr, threshold float64, ss *scoreScratch, pool *par.Pool, o *runObs, iter int) (int, []scored) {
+// order. The counts are integers, so the result equals the sequential
+// DeltaER bit for bit (see core.DeltaERPartial for the word-locality
+// argument). Each shard counts its queries once, after its loop. Shard 0
+// writes its partials straight into sums, so an iteration that rescores
+// every candidate builds no list of them and no array beyond the other
+// shards' partials. The carried sums are corrected by carryPass first.
+func scoreER(goCtx context.Context, ctx *iterContext, cands []cand, sl *sumList[int32], ss *scoreScratch,
+	pool *par.Pool, o *runObs) error {
 
-	cpm, st := ctx.cpm, ctx.st
-	m := ctx.vals.M
+	cpm, vals, st := ctx.cpm, ctx.vals, ctx.st
+	m := vals.M
+	words := bitvec.Words(m)
 	if ss.lastM != m || ss.lastWorkers != pool.Workers() {
 		ss.shards = par.Shards(m, pool.Workers())
 		ss.lastM, ss.lastWorkers = m, pool.Workers()
 	}
-	pool.Label("sasimi.score", obs.PhaseEstimate)
+	shards := ss.shards
 
-	// Warm the CPM's shared lazy caches before the scoring fan-out. The AEM
-	// column memo is plain and must be filled from this goroutine; AnyProp
-	// fills are atomic and pure, so the distinct targets' rows are filled
-	// on the pool, each once.
-	if ctx.metric == core.MetricAEM {
-		cpm.EnsureAEMColumns(st)
-		return scoreSharded(ctx, cands, &sums.aem, &ss.aemMag, sumKernel[float64]{
-			partial: func(t circuit.NodeID, chg []uint64, w0, w1 int) float64 {
-				return cpm.DeltaAEMPartial(t, chg, st, w0, w1)
-			},
-			correction: func(t circuit.NodeID, mc []uint64, ws []int32) float64 {
-				return cpm.DeltaAEMCorrection(t, mc, ws, ss.prevV)
-			},
-			// The full kernel visits the change mask's set bits, d of them
-			// (the rank's difference count); the correction visits the set
-			// bits of chg ∧ D, twice.
-			maxD: bitvec.Words(m),
-			cheaper: func(c *cand, mc []uint64) bool {
-				n := 0
-				for _, w := range mc {
-					n += bits.OnesCount64(w)
-				}
-				return 2*n <= int(c.rank>>1)
-			},
-		}, buf, curErr, threshold, ss, pool, o, iter)
-	}
-
+	// Warm the CPM's AnyProp cache before the scoring fan-out: its fills
+	// are atomic and pure, so the distinct targets' rows are filled on the
+	// pool, each once.
 	ss.seen = grow(ss.seen, ctx.net.NumSlots())
 	ss.targets = ss.targets[:0]
 	for i := range cands {
@@ -161,39 +150,9 @@ func scoreCandidatesSharded(ctx *iterContext, cands []cand, sums *candSums, buf 
 		ss.seen[t] = false
 	}
 	cpm.EnsureAnyProp(ss.targets, pool)
-	var prev *emetric.State
-	if ctx.engine != nil {
-		prev = ctx.engine.Prev
-	}
-	return scoreSharded(ctx, cands, &sums.er, &ss.erNet, sumKernel[int32]{
-		partial: func(t circuit.NodeID, chg []uint64, w0, w1 int) int32 {
-			inc, dec := cpm.DeltaERPartial(t, chg, st, w0, w1)
-			return int32(inc - dec)
-		},
-		correction: func(t circuit.NodeID, mc []uint64, ws []int32) int32 {
-			return int32(cpm.DeltaERCorrection(t, mc, ws, st, prev))
-		},
-		// The full kernel visits every word; the correction visits D's
-		// words to find where chg ∧ D is set, and those twice.
-		maxD: bitvec.Words(m) / 2,
-	}, buf, curErr, threshold, ss, pool, o, iter)
-}
 
-// scoreSharded is scoreCandidatesSharded for one metric's sums.
-func scoreSharded[T patternSum](ctx *iterContext, cands []cand, sl *sumList[T], parts *[][]T, k sumKernel[T],
-	buf []scored, curErr, threshold float64, ss *scoreScratch, pool *par.Pool, o *runObs, iter int) (int, []scored) {
-
-	cpm, vals := ctx.cpm, ctx.vals
-	m := vals.M
-	words := bitvec.Words(m)
-	shards := ss.shards
 	sums, carried := sl.forList(len(cands))
 	carried = carried && ss.carry(ctx)
-
-	goCtx := ctx.goCtx
-	if goCtx == nil {
-		goCtx = context.Background()
-	}
 	sl.valid = false // until the pass completes
 	// Without a carry every candidate is rescored; with one, the carry
 	// pass marks those it leaves to the full kernel in a bit set.
@@ -201,22 +160,22 @@ func scoreSharded[T patternSum](ctx *iterContext, cands []cand, sl *sumList[T], 
 	n := len(cands)
 	if carried {
 		var err error
-		if n, err = carryPass(goCtx, ss, ctx, cands, sums, k, pool); err != nil {
-			return -1, nil
+		if n, err = carryPass(goCtx, ss, ctx, cands, sums, pool); err != nil {
+			return err
 		}
 		rescore = ss.rescore
 	}
 
 	// Shard s > 0 keeps the partial of the j-th rescored candidate at j.
-	*parts = grow(*parts, len(shards))
+	ss.erNet = grow(ss.erNet, len(shards))
 	ss.chg = grow(ss.chg, len(shards))
 	for si := range shards {
 		if si > 0 {
-			(*parts)[si] = grow((*parts)[si], n)
+			ss.erNet[si] = grow(ss.erNet[si], n)
 		}
 		ss.chg[si] = grow(ss.chg[si], words)
 	}
-	out := *parts
+	out := ss.erNet
 	last := words - 1
 	tail := bitvec.TailMask(m)
 	if n > 0 {
@@ -231,19 +190,17 @@ func scoreSharded[T patternSum](ctx *iterContext, cands []cand, sl *sumList[T], 
 				for w := sh.W0; w < sh.W1; w++ {
 					chg[w] = changeWord(c.kind, tw, sw, w, last, tail)
 				}
-				p := k.partial(c.target, chg, sh.W0, sh.W1)
+				inc, dec := cpm.DeltaERPartial(c.target, chg, st, sh.W0, sh.W1)
 				if si == 0 {
-					sums[i] = p
+					sums[i] = int32(inc - dec)
 				} else {
-					out[si][j] = p
+					out[si][j] = int32(inc - dec)
 				}
 			}
 			core.CountPartialQueries(ctx.metric, n)
 		})
 		if err != nil {
-			// Cancelled mid-scoring: the partial results are abandoned and the
-			// flow returns at its next iteration-boundary check.
-			return -1, nil
+			return err
 		}
 		if len(shards) > 1 {
 			it := rescoreIter{set: rescore}
@@ -257,13 +214,21 @@ func scoreSharded[T patternSum](ctx *iterContext, cands []cand, sl *sumList[T], 
 	}
 	sl.valid = true
 	o.scoringPass(n, len(cands)-n)
+	return nil
+}
 
+// selectFeasible turns the pattern sums into scored entries and picks the
+// best feasible one, in candidate order, as scoreCandidates does.
+func selectFeasible[T patternSum](ctx *iterContext, cands []cand, sums []T, buf []scored,
+	curErr, threshold float64, o *runObs, iter int) (int, []scored) {
+
+	m := ctx.vals.M
 	best := -1
 	feasible := buf[:0]
 	for i := range cands {
 		c := &cands[i]
 		delta := float64(sums[i]) / float64(m)
-		e := scored{idx: int32(i), delta: delta, score: score(c.gain, delta, m), exact: cpm.ExactFor(c.target)}
+		e := scored{idx: int32(i), delta: delta, score: score(c.gain, delta, m), exact: ctx.cpm.ExactFor(c.target)}
 		o.candidateScored(iter, c, e)
 		if curErr+delta > threshold+1e-12 {
 			continue
@@ -274,6 +239,174 @@ func scoreSharded[T patternSum](ctx *iterContext, cands []cand, sl *sumList[T], 
 		}
 	}
 	return best, feasible
+}
+
+// scoreAEM brings every candidate's AEM magnitude sum up to date in one
+// pass over the list grouped by target: the candidates are
+// counting-sorted by target, and the pool takes the targets in chunks,
+// each worker scoring a target's candidates with its own core.AEMTerms
+// (see aemWorker.score). A candidate's sum is computed by one worker, in
+// ascending pattern order, so it is the same at any worker count and
+// chunking. It counts one query per candidate summed in full.
+func scoreAEM(goCtx context.Context, ctx *iterContext, cands []cand, sl *sumList[float64], ss *scoreScratch,
+	pool *par.Pool, o *runObs) error {
+
+	// The AEM column memo is plain and must be filled from this goroutine.
+	ctx.cpm.EnsureAEMColumns(ctx.st)
+	sums, carried := sl.forList(len(cands))
+	carried = carried && ss.carry(ctx)
+	sl.valid = false // until the pass completes
+	ss.groupByTarget(ctx.net, cands)
+	targets := len(ss.bounds) - 1
+	tasks := par.PlanBins(targets, pool.Workers())
+	ss.chunks = grow(ss.chunks, tasks+1)
+	for k, g := 0, 0; k <= tasks; k++ {
+		for g < targets && int(ss.bounds[g]) < k*len(cands)/tasks {
+			g++
+		}
+		ss.chunks[k] = g
+	}
+	ss.aem = grow(ss.aem, pool.Workers())
+	ss.left = grow(ss.left, tasks)
+	err := pool.DoCtx(goCtx, tasks, func(w, task int) {
+		aw := &ss.aem[w]
+		full := 0
+		for g := ss.chunks[task]; g < ss.chunks[task+1]; g++ {
+			t := ss.targets[g]
+			full += aw.score(ctx, sums, ss.order[ss.bounds[g]:ss.bounds[g+1]], t,
+				carried && !ss.seen[t], ss)
+		}
+		ss.left[task] = full
+	})
+	if carried {
+		ss.clearChanged(ctx)
+	}
+	if err != nil {
+		return err
+	}
+	full := 0
+	for _, l := range ss.left[:tasks] {
+		full += l
+	}
+	core.CountPartialQueries(ctx.metric, full)
+	sl.valid = true
+	o.scoringPass(full, len(cands)-full)
+	return nil
+}
+
+// member is a candidate as the AEM target pass reads it: its list index
+// and what its change mask takes besides the target. Sorting these, not
+// list indices, lets a worker read a target's candidates in sequence
+// rather than gather them from across the list.
+type member struct {
+	idx  int32
+	sub  circuit.NodeID
+	kind candKind
+}
+
+// groupByTarget counting-sorts the candidates by target, each target's in
+// list order: target ss.targets[g]'s are ss.order[ss.bounds[g]:
+// ss.bounds[g+1]], the targets in order of first appearance.
+func (ss *scoreScratch) groupByTarget(net *circuit.Network, cands []cand) {
+	ss.group = grow(ss.group, net.NumSlots())
+	ss.targets = ss.targets[:0]
+	ss.bounds = append(ss.bounds[:0], 0)
+	for i := range cands {
+		t := cands[i].target
+		if ss.group[t] == 0 {
+			ss.targets = append(ss.targets, t)
+			ss.bounds = append(ss.bounds, 0)
+			ss.group[t] = int32(len(ss.targets))
+		}
+		ss.bounds[ss.group[t]]++
+	}
+	// bounds[g+1] counts target g; the prefix sums make it the end of g's
+	// run, and placing each index at its target's start moves the start
+	// up, so afterwards bounds[g] holds g's end and one shift restores it.
+	for g := 1; g < len(ss.bounds); g++ {
+		ss.bounds[g] += ss.bounds[g-1]
+	}
+	ss.order = grow(ss.order, len(cands))
+	for i := range cands {
+		c := &cands[i]
+		g := ss.group[c.target] - 1
+		ss.order[ss.bounds[g]] = member{idx: int32(i), sub: c.sub, kind: c.kind}
+		ss.bounds[g]++
+	}
+	copy(ss.bounds[1:], ss.bounds[:len(ss.bounds)-1])
+	ss.bounds[0] = 0
+	for _, t := range ss.targets {
+		ss.group[t] = 0
+	}
+}
+
+// aemWorker is one pool worker's scratch for the AEM target pass.
+type aemWorker struct {
+	terms core.AEMTerms
+	chg   []uint64 // a candidate's change mask
+	um    []uint64 // the union of the carried candidates' chg ∧ D, at D's words
+	mc    []uint64 // each corrected candidate's chg ∧ D, end to end
+	fix   []int32  // the corrected candidates' list indices
+	full  []int32  // the members to sum in full, by position
+}
+
+// score brings the sums of target t's candidates mbs up to date and
+// returns how many it summed in full. With carry (the sums carry and t's
+// CPM row did not change), a candidate that is not fresh keeps its sum
+// plus its correction: the worker builds the term difference once, at
+// the union of those candidates' chg ∧ D, and adds each candidate's sum
+// over its own chg ∧ D. Every other candidate is summed over its change
+// mask in t's term table, built once (core.AEMTerms).
+func (aw *aemWorker) score(ctx *iterContext, sums []float64, mbs []member, t circuit.NodeID,
+	carry bool, ss *scoreScratch) int {
+
+	cpm, st, vals := ctx.cpm, ctx.st, ctx.vals
+	words := bitvec.Words(vals.M)
+	last, tail := words-1, bitvec.TailMask(vals.M)
+	ws, dm := ss.dws, ss.dm
+	tw := vals.Node(t).WordsSlice()
+	aw.full, aw.fix, aw.mc = aw.full[:0], aw.fix[:0], aw.mc[:0]
+	aw.um = grow(aw.um, len(ws))
+	clear(aw.um)
+	for j := range mbs {
+		mb := &mbs[j]
+		if !carry || sums[mb.idx] == staleSum {
+			aw.full = append(aw.full, int32(j))
+			continue
+		}
+		sw := subWords(vals, mb.sub, mb.kind)
+		var hit uint64
+		for k, w := range ws {
+			x := changeWord(mb.kind, tw, sw, int(w), last, tail) & dm[k]
+			aw.mc = append(aw.mc, x)
+			aw.um[k] |= x
+			hit |= x
+		}
+		if hit == 0 {
+			aw.mc = aw.mc[:len(aw.mc)-len(ws)]
+			continue
+		}
+		aw.fix = append(aw.fix, mb.idx)
+	}
+	if len(aw.fix) > 0 {
+		aw.terms.Correction(cpm, t, st, ss.prevV, ws, aw.um)
+		for j, i := range aw.fix {
+			sums[i] += aw.terms.SumAt(aw.mc[j*len(ws) : (j+1)*len(ws)])
+		}
+	}
+	if len(aw.full) > 0 {
+		aw.terms.Full(cpm, t, st)
+		aw.chg = grow(aw.chg, words)
+		for _, j := range aw.full {
+			mb := &mbs[j]
+			sw := subWords(vals, mb.sub, mb.kind)
+			for w := range aw.chg {
+				aw.chg[w] = changeWord(mb.kind, tw, sw, w, last, tail)
+			}
+			sums[mb.idx] = aw.terms.Sum(aw.chg)
+		}
+	}
+	return len(aw.full)
 }
 
 // rescoreIter walks the candidates to rescore: every candidate when set
@@ -336,20 +469,24 @@ func (ss *scoreScratch) carry(ctx *iterContext) bool {
 	return true
 }
 
-// carryPass applies the carry rules to every candidate, split over the
+// carryPass applies the ER carry rules to every candidate, split over the
 // pool in chunks of whole words of the rescore bit set: it corrects the
 // carried sums in place, marks the candidates left to the full kernel in
-// ss.rescore and returns how many it marked. The sums are integers, so
-// the result does not depend on the split. It clears the changed-row
-// marks carry set.
-func carryPass[T patternSum](goCtx context.Context, ss *scoreScratch, ctx *iterContext, cands []cand, sums []T,
-	k sumKernel[T], pool *par.Pool) (int, error) {
+// ss.rescore and returns how many it marked. Past M/128 nonzero words of
+// D the corrections would cost more than the full kernel, which visits
+// every word once where a correction visits D's words to find chg ∧ D
+// and those twice; then it marks every candidate that may move. The sums
+// are integers, so the result does not depend on the split. It clears
+// the changed-row marks carry set.
+func carryPass(goCtx context.Context, ss *scoreScratch, ctx *iterContext, cands []cand, sums []int32,
+	pool *par.Pool) (int, error) {
 
-	vals := ctx.vals
+	cpm, vals, st := ctx.cpm, ctx.vals, ctx.st
+	prev := ctx.engine.Prev
 	words := bitvec.Words(vals.M)
 	last, tail := words-1, bitvec.TailMask(vals.M)
 	ws, dm := ss.dws, ss.dm
-	dense := len(ws) > k.maxD
+	dense := len(ws) > words/2
 	setWords := bitvec.Words(len(cands))
 	ss.rescore = grow(ss.rescore, setWords)
 	clear(ss.rescore)
@@ -376,12 +513,8 @@ func carryPass[T patternSum](goCtx context.Context, ss *scoreScratch, ctx *iterC
 					mc[j] = x
 					hit |= x
 				}
-				switch {
-				case hit == 0:
-				case k.cheaper == nil || k.cheaper(c, mc):
-					sums[i] += k.correction(c.target, mc, ws)
-				default:
-					full = true
+				if hit != 0 {
+					sums[i] += int32(cpm.DeltaERCorrection(c.target, mc, ws, st, prev))
 				}
 			}
 			if full {
@@ -391,10 +524,7 @@ func carryPass[T patternSum](goCtx context.Context, ss *scoreScratch, ctx *iterC
 		}
 		ss.mc[task], ss.left[task] = mc, left
 	})
-	stats, _ := ctx.engine.LastRefresh()
-	for _, id := range stats.Changed {
-		ss.seen[id] = false
-	}
+	ss.clearChanged(ctx)
 	if err != nil {
 		return 0, err
 	}
@@ -405,14 +535,26 @@ func carryPass[T patternSum](goCtx context.Context, ss *scoreScratch, ctx *iterC
 	return n, nil
 }
 
+// clearChanged clears the changed-row marks carry set.
+func (ss *scoreScratch) clearChanged(ctx *iterContext) {
+	stats, _ := ctx.engine.LastRefresh()
+	for _, id := range stats.Changed {
+		ss.seen[id] = false
+	}
+}
+
 // candWords returns the value words of a candidate's target and
 // substitute (nil for a constant).
 func candWords(vals *sim.Values, c *cand) (tw, sw []uint64) {
-	tw = vals.Node(c.target).WordsSlice()
-	if !c.isConst() {
-		sw = vals.Node(c.sub).WordsSlice()
+	return vals.Node(c.target).WordsSlice(), subWords(vals, c.sub, c.kind)
+}
+
+// subWords returns the value words of a substitute, nil for a constant.
+func subWords(vals *sim.Values, sub circuit.NodeID, kind candKind) []uint64 {
+	if kind >= kindConst1 {
+		return nil
 	}
-	return tw, sw
+	return vals.Node(sub).WordsSlice()
 }
 
 // changeWord is word w of a candidate's change mask: the target's word

@@ -26,13 +26,12 @@ import (
 // candidates never share overlay rows at all. A single-worker pool runs
 // the same grid with one shard per candidate.
 //
-// Bit-identity with core.ExactDelta follows the same argument as the
-// sharded batch scorer (scoreCandidatesSharded): ER partials are exact
-// integer pattern counts, AEM per-pattern contributions are integer-valued
-// magnitudes whose float sums are exact below 2^53 (the convention
-// documented on core.DeltaAEMPartial, covering all bundled benchmarks),
-// and the final "after" value is produced by the same single division the
-// sequential metric performs. The reduction walks candidates in sorted
+// Bit-identity with core.ExactDelta rests on exact partials: ER partials
+// are exact integer pattern counts, and AEM per-pattern contributions are
+// integer-valued magnitudes whose float sums are exact below 2^53 in any
+// grouping (the convention core.AEMTerms documents for the batch scorer's
+// sums, covering all bundled benchmarks), and the final "after" value is
+// produced by the same single division the sequential metric performs. The reduction walks candidates in sorted
 // order, so the scored entries' overwrites, drift records and the final
 // argmax selection are identical at every worker count.
 
