@@ -78,14 +78,45 @@ func main() {
 		sumAbs/float64(len(batch)), worst, exactMatches, len(batch),
 		100*float64(exactMatches)/float64(len(batch)))
 
-	// Show the ten most attractive candidates by the flow's score.
-	sort.Slice(batch, func(i, j int) bool { return batch[i].Score > batch[j].Score })
+	// Show the ten most attractive candidates by the flow's score. Many
+	// candidates tie on the score, so the ranking breaks ties by identity
+	// (target, substitute, kind): a total order, so the listing depends
+	// neither on EstimateAll's order nor on how the sort treats ties.
+	sort.Slice(batch, func(i, j int) bool { return rankBefore(&batch[i], &batch[j]) })
 	fmt.Println("\ntop candidates (area gain per unit of estimated error):")
 	for i := 0; i < 10 && i < len(batch); i++ {
 		c := batch[i]
 		fmt.Printf("  %2d. target=%s sub=%s inv=%v gain=%.0f ΔER=%+.5f\n",
 			i+1, golden.NameOf(c.Target), subName(golden, c), c.Inverted, c.AreaGain, c.Delta)
 	}
+}
+
+// rankBefore orders candidates by descending score, then by target,
+// substitute and kind (constant 1, constant 0, plain, inverted).
+func rankBefore(a, b *sasimi.Candidate) bool {
+	switch {
+	case a.Score != b.Score:
+		return a.Score > b.Score
+	case a.Target != b.Target:
+		return a.Target < b.Target
+	case a.Sub != b.Sub:
+		return a.Sub < b.Sub
+	}
+	return kindRank(a) < kindRank(b)
+}
+
+// kindRank numbers a candidate's substitution kind in the order the
+// candidate list keeps for one target and substitute.
+func kindRank(c *sasimi.Candidate) int {
+	switch {
+	case c.Const && c.ConstVal:
+		return 0
+	case c.Const:
+		return 1
+	case c.Inverted:
+		return 3
+	}
+	return 2
 }
 
 // subName renders the substitute of a candidate, including the constant

@@ -1,6 +1,9 @@
 package circuit
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // removeFanoutEdge deletes one occurrence of fo from the fanout list of id.
 func (n *Network) removeFanoutEdge(id, fo NodeID) {
@@ -178,30 +181,82 @@ func (n *Network) MFFC(root NodeID) []NodeID {
 // supported stays live — this variant returns exactly the set such a
 // substitution deletes. Pass InvalidNode for no pin.
 func (n *Network) MFFCExcluding(root, keep NodeID) []NodeID {
-	// Simulated reference-count deletion without touching the network.
-	refDrop := make(map[NodeID]int)
-	var mffc []NodeID
-	inCone := make(map[NodeID]bool)
-	var visit func(id NodeID)
-	visit = func(id NodeID) {
-		if inCone[id] {
-			return
-		}
-		inCone[id] = true
-		mffc = append(mffc, id)
-		for _, f := range n.nodes[id].Fanins {
-			if n.nodes[f].Kind == KindInput || f == keep {
-				continue
-			}
-			refDrop[f]++
-			if refDrop[f] == len(n.nodes[f].fanouts) && !n.isOutputDriver(f) {
-				visit(f)
-			}
-		}
-	}
+	s := mffcScratch.Get().(*MFFCScratch)
+	defer mffcScratch.Put(s)
+	return n.AppendMFFC(nil, s, root, keep)
+}
+
+var mffcScratch = sync.Pool{New: func() any { return new(MFFCScratch) }}
+
+// MFFCScratch is the reusable state of MFFC walks: per node slot, the
+// fanout references the simulated deletion has released so far and an
+// output-driver mark, plus the walk's stack. A walk clears every slot it
+// set before it returns, so one scratch serves call after call, network
+// after network, at a cost in the nodes the walk reaches. The zero value
+// is ready to use; a scratch must not be shared by concurrent walks.
+type MFFCScratch struct {
+	drop    []int32  // released fanout references, by slot
+	driver  []bool   // output-driver marks, by slot
+	touched []NodeID // slots whose drop is nonzero
+	stack   []mffcFrame
+}
+
+// mffcFrame is a node of the walk's path and the next of its fanins to
+// release.
+type mffcFrame struct {
+	id   NodeID
+	next int
+}
+
+// AppendMFFC appends MFFCExcluding(root, keep) to dst, in the same order,
+// and returns the extended slice: the nodes in depth-first preorder from
+// root, each node's fanins in fanin order, a fanin entered when its last
+// fanout reference is released (simulated reference-count deletion,
+// without touching the network). s is the walk's scratch.
+//
+//als:allocfree
+func (n *Network) AppendMFFC(dst []NodeID, s *MFFCScratch, root, keep NodeID) []NodeID {
 	if n.nodes[root].Kind == KindInput || root == keep {
-		return nil
+		return dst
 	}
-	visit(root)
-	return mffc
+	if len(s.drop) < len(n.nodes) {
+		s.drop = make([]int32, len(n.nodes))  //als:alloc-ok grown to the network once
+		s.driver = make([]bool, len(n.nodes)) //als:alloc-ok grown to the network once
+	}
+	for _, o := range n.outputs {
+		s.driver[o.Node] = true
+	}
+	dst = append(dst, root)                            //als:alloc-ok the caller's result
+	s.stack = append(s.stack[:0], mffcFrame{id: root}) //als:alloc-ok amortised scratch grow
+	for len(s.stack) > 0 {
+		fr := &s.stack[len(s.stack)-1]
+		fanins := n.nodes[fr.id].Fanins
+		if fr.next == len(fanins) {
+			s.stack = s.stack[:len(s.stack)-1]
+			continue
+		}
+		f := fanins[fr.next]
+		fr.next++
+		if n.nodes[f].Kind == KindInput || f == keep {
+			continue
+		}
+		if s.drop[f] == 0 {
+			s.touched = append(s.touched, f) //als:alloc-ok amortised scratch grow
+		}
+		s.drop[f]++
+		// The count reaches the fanout count once; root, already in the
+		// cone, is entered only by a cycle through it.
+		if int(s.drop[f]) == len(n.nodes[f].fanouts) && !s.driver[f] && f != root {
+			dst = append(dst, f)                        //als:alloc-ok the caller's result
+			s.stack = append(s.stack, mffcFrame{id: f}) //als:alloc-ok amortised scratch grow
+		}
+	}
+	for _, id := range s.touched {
+		s.drop[id] = 0
+	}
+	s.touched = s.touched[:0]
+	for _, o := range n.outputs {
+		s.driver[o.Node] = false
+	}
+	return dst
 }

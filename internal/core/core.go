@@ -86,8 +86,8 @@ type CPM struct {
 	// Scratch buffers of the sequential delta queries (DeltaERCounts,
 	// DeltaAEM), reused across calls to keep the scoring loop
 	// allocation-free. Like aemColumns they make the sequential query
-	// methods single-goroutine only; the concurrent path uses
-	// DeltaERPartial and AEMTerms, whose state is per worker.
+	// methods single-goroutine only; the concurrent path uses ERTerms
+	// and AEMTerms, whose state is per worker.
 	erInc, erDec, erTmp *bitvec.Vec
 	aemReached          []aemReach
 

@@ -19,10 +19,10 @@ var (
 )
 
 // CountPartialQueries adds n queries of the concurrent kernels to their
-// counter: DeltaERPartial calls (metric ER), counted once per shard of a
-// scoring pass, or candidates summed in full in an AEMTerms table (metric
-// AEM), counted once per pass, so concurrent workers do not contend on
-// the counter.
+// counter: ERTerms.Net calls over one shard's words (metric ER), counted
+// once per shard of a scoring pass, or candidates summed in full in an
+// AEMTerms table (metric AEM), counted once per pass, so concurrent
+// workers do not contend on the counter.
 func CountPartialQueries(metric Metric, n int) {
 	if metric == MetricAEM {
 		statPartialAEM.Add(int64(n))
@@ -252,40 +252,8 @@ func (c *CPM) EnsureAEMColumns(st *emetric.State) {
 	c.aemColumns(st)
 }
 
-// DeltaERPartial computes the word range [w0, w1) of a DeltaER query as
-// exact integer counts: inc is the number of newly-wrong patterns in the
-// range, dec the number of fully-corrected ones. chg holds the change-mask
-// words of the candidate (only [w0, w1) is read; tail bits beyond M must be
-// zero). Summing the counts over any word-aligned partition of the pattern
-// space and evaluating (inc−dec)/M reproduces DeltaER's result bit for bit:
-// both cases of Algorithm 1 are word-local, and the sequential early-exits
-// only skip words whose partial is already zero.
-//
-// Safe to call from concurrent workers (AnyProp faults in atomically). The
-// query is not counted; see CountPartialQueries.
-//
-//als:allocfree
-func (c *CPM) DeltaERPartial(nx circuit.NodeID, chg []uint64, st *emetric.State, w0, w1 int) (inc, dec int64) {
-	ap := c.AnyProp(nx).WordsSlice()
-	wa := st.WrongAny.WordsSlice()
-	row := c.p[nx]
-	for w := w0; w < w1; w++ {
-		cw := chg[w]
-		if cw == 0 {
-			continue
-		}
-		inc += int64(bits.OnesCount64(cw &^ wa[w] & ap[w]))
-		dw := cw & wa[w]
-		for o := 0; o < c.o && dw != 0; o++ {
-			dw &^= row[o].WordsSlice()[w] ^ st.W.Row(o).WordsSlice()[w]
-		}
-		dec += int64(bits.OnesCount64(dw))
-	}
-	return inc, dec
-}
-
-// DeltaERCorrection returns how much DeltaERPartial's net count inc − dec
-// for a flip at nx moves when the error state moves from prev to cur,
+// DeltaERCorrection returns how much the net count inc − dec of a flip at
+// nx (ERTerms.Net over every word) moves when the error state moves from prev to cur,
 // provided nx's propagation row (and so its AnyProp) is the same under
 // both. mc[k] holds word ws[k] of the change mask restricted to D, the
 // patterns whose output word differs between the two states. A pattern
@@ -309,7 +277,7 @@ func (c *CPM) DeltaERCorrection(nx circuit.NodeID, mc []uint64, ws []int32, cur,
 // erWord is Algorithm 1 on word w of a change mask cw under st: the
 // patterns that become wrong (all outputs right before, the flip reaches
 // one) minus those that become right (the flip reaches exactly the wrong
-// outputs), as DeltaERPartial counts them.
+// outputs), as ERTerms counts them.
 func (c *CPM) erWord(cw uint64, w int, ap []uint64, row []*bitvec.Vec, st *emetric.State) int64 {
 	wa := st.WrongAny.WordsSlice()[w]
 	inc := bits.OnesCount64(cw &^ wa & ap[w])

@@ -102,39 +102,67 @@ func randomWordPartition(r *rand.Rand, words, parts int) []int {
 	return cuts
 }
 
-// TestDeltaERPartialSumsMatchFull is the metamorphic property pinning the
-// sharded ER reduction: for any word-aligned partition of the pattern
-// space, summing DeltaERPartial's integer counts and normalising must equal
-// DeltaER exactly — not approximately.
-func TestDeltaERPartialSumsMatchFull(t *testing.T) {
+// TestERTermsSumsMatchDeltaER is the metamorphic property pinning the
+// ER target masks: on random DAGs under a corrupted state (a nonzero
+// WrongAny, so both cases of Algorithm 1 count), for any word-aligned
+// partition of the pattern space, summing one ERTerms net per part must
+// equal DeltaER·M exactly — for a change mask given as is, and for the
+// fused change word target ⊕ substitute ⊕ flip of the four substitution
+// kinds, whose inverted and constant-1 forms set bits beyond M that the
+// masks must drop. One table per part serves every target in turn, so a
+// word left from an earlier target would show.
+func TestERTermsSumsMatchDeltaER(t *testing.T) {
 	r := rand.New(rand.NewSource(71))
+	terms := make([]ERTerms, 6)
 	for trial := 0; trial < 8; trial++ {
 		m := []int{192, 500, 1000}[trial%3]
 		_, approx, _, vals, st0 := buildApproxPair(t, r, 8, 50, m, int64(trial))
 		st := corruptedState(r, st0)
+		if !st.WrongAny.Any() {
+			t.Fatalf("trial %d: the corrupted state is right on every pattern", trial)
+		}
 		c := Build(approx, vals)
 		gates := gatesOf(approx)
+		nodes := approx.LiveNodes()
 		words := bitvec.Words(m)
+		net := func(cuts []int, nx circuit.NodeID, tw, sw []uint64, flip uint64) int {
+			sum := 0
+			for s := 0; s+1 < len(cuts); s++ {
+				terms[s].Build(c, nx, st, cuts[s], cuts[s+1])
+				sum += terms[s].Net(tw, sw, flip)
+			}
+			return sum
+		}
+		chg := bitvec.New(m)
 		for k := 0; k < 10; k++ {
 			nx := gates[r.Intn(len(gates))]
-			change := bitvec.New(m)
-			for i := 0; i < m; i++ {
-				if r.Intn(3) == 0 {
-					change.Set(i, true)
-				}
-			}
+			cuts := randomWordPartition(r, words, 1+r.Intn(len(terms)))
+			change := randomMask(r, m, 3)
 			want := c.DeltaER(nx, change, st)
-			cuts := randomWordPartition(r, words, 1+r.Intn(6))
-			var inc, dec int64
-			for s := 0; s+1 < len(cuts); s++ {
-				i, d := c.DeltaERPartial(nx, change.WordsSlice(), st, cuts[s], cuts[s+1])
-				inc += i
-				dec += d
+			if got := float64(net(cuts, nx, change.WordsSlice(), nil, 0)) / float64(m); got != want {
+				t.Fatalf("trial %d node %d cuts %v: net %v != DeltaER %v", trial, nx, cuts, got, want)
 			}
-			got := (float64(inc) - float64(dec)) / float64(m)
-			if got != want {
-				t.Fatalf("trial %d node %d cuts %v: partial sum %v != DeltaER %v",
-					trial, nx, cuts, got, want)
+			// The fused change word of each substitution kind.
+			tv, sv := vals.Node(nx), vals.Node(nodes[r.Intn(len(nodes))])
+			for _, form := range []struct {
+				name string
+				sw   []uint64
+				flip uint64
+			}{{"plain", sv.WordsSlice(), 0}, {"inverted", sv.WordsSlice(), ^uint64(0)},
+				{"const0", nil, 0}, {"const1", nil, ^uint64(0)}} {
+				switch {
+				case form.sw != nil:
+					chg.Xor(tv, sv)
+				default:
+					chg.CopyFrom(tv)
+				}
+				if form.flip != 0 {
+					chg.Not(chg) // Not keeps the bits beyond M clear
+				}
+				want := c.DeltaER(nx, chg, st)
+				if got := float64(net(cuts, nx, tv.WordsSlice(), form.sw, form.flip)) / float64(m); got != want {
+					t.Fatalf("trial %d node %d %s cuts %v: net %v != DeltaER %v", trial, nx, form.name, cuts, got, want)
+				}
 			}
 		}
 	}
@@ -355,6 +383,7 @@ func TestRaceConcurrentCPMQueries(t *testing.T) {
 			defer wg.Done()
 			rr := rand.New(rand.NewSource(seed))
 			var terms AEMTerms
+			var er ERTerms
 			chg := bitvec.New(512)
 			for i := 0; i < 512; i += 3 {
 				chg.Set(i, true)
@@ -365,7 +394,8 @@ func TestRaceConcurrentCPMQueries(t *testing.T) {
 				c.Observability(nx)
 				c.ExactFor(nx)
 				w0 := rr.Intn(words)
-				c.DeltaERPartial(nx, chg.WordsSlice(), st, w0, words)
+				er.Build(c, nx, st, w0, words)
+				er.Net(chg.WordsSlice(), nil, 0)
 				if aem {
 					terms.Full(c, nx, st)
 					terms.Sum(chg.WordsSlice())

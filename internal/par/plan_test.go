@@ -2,71 +2,44 @@ package par
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
-// checkPlan asserts the structural invariants every plan must satisfy:
-// the bins partition 0..n-1 (disjoint, full cover), bin loads are in
-// descending order, and maxLoad - minLoad is bounded by the largest item
-// cost (the LPT guarantee).
-func checkPlan(t *testing.T, costs []float64, bins [][]int, wantBins int) {
+// checkPlan asserts the invariants every plan must satisfy: wantBins
+// contiguous bins that cover 0..n-1 in order (bounds from 0 to n, never
+// decreasing), each costing less than its share of the total plus the
+// largest item cost (the split's balance bound; negative costs count as
+// zero).
+func checkPlan(t *testing.T, costs []float64, bounds []int, wantBins int) {
 	t.Helper()
 	n := len(costs)
-	if len(bins) != wantBins {
-		t.Fatalf("got %d bins, want %d", len(bins), wantBins)
+	if len(bounds) != wantBins+1 {
+		t.Fatalf("got %d bins, want %d", len(bounds)-1, wantBins)
 	}
-	seen := make([]bool, n)
-	total := 0
-	for _, bin := range bins {
-		for _, it := range bin {
-			if it < 0 || it >= n {
-				t.Fatalf("item %d out of range [0,%d)", it, n)
-			}
-			if seen[it] {
-				t.Fatalf("item %d assigned twice", it)
-			}
-			seen[it] = true
-			total++
-		}
+	if bounds[0] != 0 || bounds[wantBins] != n {
+		t.Fatalf("bounds %v do not run from 0 to %d", bounds, n)
 	}
-	if total != n {
-		t.Fatalf("bins cover %d items, want %d", total, n)
-	}
-
-	load := func(bin []int) float64 {
-		s := 0.0
-		for _, it := range bin {
-			c := costs[it]
-			if c < 0 {
-				c = 0
-			}
-			s += c
-		}
-		return s
-	}
-	maxCost := 0.0
+	total, maxCost := 0.0, 0.0
 	for _, c := range costs {
-		if c > maxCost {
-			maxCost = c
-		}
+		total += max(c, 0)
+		maxCost = max(maxCost, c)
 	}
-	prev := -1.0
-	minLoad, maxLoad := load(bins[0]), load(bins[0])
-	for i, bin := range bins {
-		l := load(bin)
-		if i > 0 && l > prev+1e-9 {
-			t.Fatalf("bin %d load %.3f exceeds previous bin load %.3f (want descending)", i, l, prev)
+	for k := 0; k < wantBins; k++ {
+		if bounds[k+1] < bounds[k] {
+			t.Fatalf("bounds %v decrease at bin %d", bounds, k)
 		}
-		prev = l
-		if l < minLoad {
-			minLoad = l
+		load := 0.0
+		for _, c := range costs[bounds[k]:bounds[k+1]] {
+			load += max(c, 0)
 		}
-		if l > maxLoad {
-			maxLoad = l
+		if total > 0 && load > total/float64(wantBins)+maxCost+1e-9 {
+			t.Fatalf("balance bound violated: bin %d costs %.3f, share %.3f plus max item %.3f",
+				k, load, total/float64(wantBins), maxCost)
 		}
-	}
-	if maxLoad-minLoad > maxCost+1e-9 {
-		t.Fatalf("balance bound violated: spread %.3f > max item cost %.3f", maxLoad-minLoad, maxCost)
+		if total == 0 && bounds[k+1]-bounds[k] > (n+wantBins-1)/wantBins {
+			t.Fatalf("zero costs: bin %d holds %d of %d items", k, bounds[k+1]-bounds[k], n)
+		}
 	}
 }
 
@@ -122,9 +95,8 @@ func TestPlannerPropertyRandom(t *testing.T) {
 }
 
 // TestPlannerDeterministic pins that Plan is a pure function of its
-// inputs: same costs and bin count give the identical partition across
-// calls and across fresh Planner values, including under cost ties where
-// only the index tiebreak disambiguates.
+// inputs: same costs and bin count give the identical bounds across calls
+// and across fresh Planner values, including under cost ties.
 func TestPlannerDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	costs := make([]float64, 60)
@@ -132,32 +104,14 @@ func TestPlannerDeterministic(t *testing.T) {
 		costs[i] = float64(rng.Intn(5)) // heavy ties on purpose
 	}
 	var p1, p2 Planner
-	ref := clonePlan(p1.Plan(costs, 7))
+	ref := slices.Clone(p1.Plan(costs, 7))
 	for trial := 0; trial < 5; trial++ {
-		for _, got := range [][][]int{p1.Plan(costs, 7), p2.Plan(costs, 7)} {
-			if len(got) != len(ref) {
-				t.Fatalf("bin count varies: %d vs %d", len(got), len(ref))
-			}
-			for b := range got {
-				if len(got[b]) != len(ref[b]) {
-					t.Fatalf("bin %d size varies: %d vs %d", b, len(got[b]), len(ref[b]))
-				}
-				for i := range got[b] {
-					if got[b][i] != ref[b][i] {
-						t.Fatalf("bin %d item %d varies: %d vs %d", b, i, got[b][i], ref[b][i])
-					}
-				}
+		for _, got := range [][]int{p1.Plan(costs, 7), p2.Plan(costs, 7)} {
+			if !slices.Equal(got, ref) {
+				t.Fatalf("bounds vary: %v vs %v", got, ref)
 			}
 		}
 	}
-}
-
-func clonePlan(bins [][]int) [][]int {
-	out := make([][]int, len(bins))
-	for i, b := range bins {
-		out[i] = append([]int(nil), b...)
-	}
-	return out
 }
 
 func TestPlanBins(t *testing.T) {

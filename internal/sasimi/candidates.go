@@ -9,8 +9,10 @@ import (
 // Candidate is one substitution under consideration: replace every fanout
 // of Target by Sub (inverted if Inverted) or by a constant when Sub is
 // InvalidNode and Const is set. It is the caller-facing view of a gathered
-// candidate (EstimateAll builds it); the flow itself keeps the compact
-// cand records and the scored entries.
+// candidate (EstimateAll builds it, in the candidate list's order: by
+// Target, then Sub, constants first, constant 1 before constant 0, plain
+// before inverted); the flow itself keeps the compact cand records and
+// the scored entries.
 type Candidate struct {
 	Target   circuit.NodeID
 	Sub      circuit.NodeID // InvalidNode for constant substitution
@@ -32,9 +34,10 @@ type Candidate struct {
 }
 
 // candKind is how a stored candidate substitutes its target. Its order is
-// candCompare's last tie-break, between candidates of one target and one
-// substitute: plain before inverted, and constant 1 before constant 0
-// (constants carry sub == InvalidNode, so they never tie with pairs).
+// the list order's last key (see idCompare), between candidates of one
+// target and one substitute: plain before inverted, and constant 1 before
+// constant 0 (constants carry sub == InvalidNode, so they never tie with
+// pairs).
 type candKind uint8
 
 const (

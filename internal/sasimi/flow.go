@@ -784,7 +784,8 @@ func cycleNames(net *circuit.Network, cyc []circuit.NodeID) string {
 // scoreCandidates runs the batch estimation inner loop: it estimates every
 // candidate and returns the scored entries of the feasible ones, in list
 // order and appended to buf[:0], plus the index among them of the best
-// one (-1 if none fits the remaining budget). With o == nil this is
+// one, the candCompare-first of equal best scores (-1 if none fits the
+// remaining budget). With o == nil this is
 // exactly the pre-observability hot loop — TestNilTracerScoringAllocs
 // pins that it allocates nothing beyond the estimator's own scratch work.
 // The batch estimator's CPM queries are counted once for the whole pass.
@@ -806,7 +807,7 @@ func scoreCandidates(est estimator, cands []cand, buf []scored, vals *sim.Values
 			continue // estimated to bust the budget
 		}
 		feasible = append(feasible, e) //als:alloc-ok amortised grow of the returned entries; the pin's baseline absorbs it
-		if best == -1 || e.score > feasible[best].score {
+		if best == -1 || better(cands, e, feasible[best]) {
 			best = len(feasible) - 1
 		}
 	}
@@ -868,10 +869,11 @@ func applyCandidate(net *circuit.Network, c *cand) core.Edit {
 }
 
 // EstimateAll exposes the batch estimation step in isolation: it returns
-// every admissible candidate of the network, in the flow's candidate
-// order, with Delta, Score and Exact filled in by the selected estimator,
-// without applying anything. It scores with no budget, so no candidate is
-// left unestimated. The facade and the examples use it to demonstrate
+// every admissible candidate of the network, in the flow's candidate list
+// order — by target, then substitute (constants first, constant 1 before
+// constant 0), plain before inverted — with Delta, Score and Exact filled
+// in by the selected estimator, without applying anything. It scores with
+// no budget, so no candidate is left unestimated. The facade and the examples use it to demonstrate
 // pure batch estimation. Its inputs are checked as RunContext checks them
 // (see Config.Check), and approx must be a valid network with golden's
 // input and output counts.

@@ -98,7 +98,6 @@ type admission struct {
 	// plainRank[c] ranks the plain form of c ≤ maxPlain, invRank[c−minInv]
 	// the inverted form of c ≥ minInv.
 	plainRank, invRank []uint32
-	numRanks           int // every rank is below numRanks
 }
 
 // newAdmission computes the admission thresholds and rank tables for m
@@ -122,7 +121,6 @@ func newAdmission(m int, simCap float64) *admission {
 		c := a.minInv + i
 		a.invRank[i] = formRank(m-c, invDP(c) > plainDP(m-c))
 	}
-	a.numRanks = 2*max(a.maxPlain, m-a.minInv) + 2
 	return a
 }
 
@@ -137,18 +135,21 @@ func formRank(d int, above bool) uint32 {
 }
 
 // binBlock is the size, in records, of the blocks a bin buffer grows by
-// (24 KiB). A worker keeps its blocks bin after bin, so its buffer grows
-// once to its largest bin without the copies of an append chain, and a
-// small circuit's gather allocates one block per worker.
+// (24 KiB). A buffer grows block by block, without the copies of an
+// append chain, and a small bin allocates one block.
 const binBlock = 1024
 
-// binBuf is one pool worker's reusable gather scratch: the candidates the
-// current bin emits, in fixed-size blocks, and the rank histogram that
-// sorts them. Everything is reused bin after bin.
+// binBuf is one gather bin's output and scratch: the candidates it
+// emits, in identity order, in fixed-size blocks, and the reusable state
+// of its MFFC walks. The gather cache keeps one per bin and reuses it from
+// one update to the next.
 type binBuf struct {
 	blocks [][]cand
-	n      int // records the current bin has emitted
-	start  []int
+	n      int // records the bin has emitted
+
+	mffc       circuit.MFFCScratch
+	cone, excl []circuit.NodeID // the current target's MFFC; a pair's
+	seen       []bool           // dependency marks by node slot, cleared after use
 }
 
 func (b *binBuf) add(c cand) {
@@ -160,50 +161,13 @@ func (b *binBuf) add(c cand) {
 	b.n++
 }
 
-// block returns the filled part of the current bin's block bi.
-func (b *binBuf) block(bi int) []cand {
-	return b.blocks[bi][:min(binBlock, b.n-bi*binBlock)]
-}
-
-// sortedRun returns the bin's candidates as an exact-size run in
-// candCompare order and empties the buffer for the next bin. A counting
-// sort by rank places every rank's candidates in their own segment of the
-// run; sorting each segment by candCompare then orders the candidates of
-// equal rank by gain and identity.
-func (b *binBuf) sortedRun(numRanks int) []cand {
-	n := b.n
-	if n == 0 {
-		return nil
+// appendSegments appends the filled part of each of the bin's blocks to
+// segs, in order.
+func (b *binBuf) appendSegments(segs [][]cand) [][]cand {
+	for lo := 0; lo < b.n; lo += binBlock {
+		segs = append(segs, b.blocks[lo/binBlock][:min(binBlock, b.n-lo)])
 	}
-	numBlocks := (n + binBlock - 1) / binBlock
-	b.start = slices.Grow(b.start[:0], numRanks+1)[:numRanks+1]
-	start := b.start
-	clear(start)
-	for bi := range numBlocks {
-		for _, c := range b.block(bi) {
-			start[c.rank+1]++
-		}
-	}
-	for r := 1; r <= numRanks; r++ {
-		start[r] += start[r-1]
-	}
-	run := make([]cand, n)
-	for bi := range numBlocks {
-		for _, c := range b.block(bi) {
-			run[start[c.rank]] = c
-			start[c.rank]++
-		}
-	}
-	// start[r] is now the end of rank r's segment.
-	lo := 0
-	for _, hi := range start[:numRanks] {
-		if hi-lo > 1 {
-			slices.SortFunc(run[lo:hi], func(a, b cand) int { return candCompare(&a, &b) })
-		}
-		lo = hi
-	}
-	b.n = 0
-	return run
+	return segs
 }
 
 // targetData is the per-target gather state: the MFFC-derived gain
@@ -220,30 +184,38 @@ type targetData struct {
 	deps []circuit.NodeID
 }
 
-// target computes target t's MFFC gain figures, with the dependency set
-// when wantDeps is set (the incremental cache records it).
-func (env *gatherEnv) target(t circuit.NodeID, wantDeps bool) targetData {
+// target computes target t's MFFC gain figures in bin b's scratch, with
+// the dependency set when wantDeps is set (the incremental cache records
+// it, so td.mffc is then a copy; otherwise it is b's buffer, valid until
+// the bin's next target).
+func (env *gatherEnv) target(b *binBuf, t circuit.NodeID, wantDeps bool) targetData {
 	td := targetData{live: true}
-	td.mffc = env.net.MFFC(t)
-	for _, id := range td.mffc {
+	b.cone = env.net.AppendMFFC(b.cone[:0], &b.mffc, t, circuit.InvalidNode)
+	for _, id := range b.cone {
 		td.baseGain += env.cfg.Library.GateArea(env.net.Kind(id), len(env.net.Fanins(id)))
 	}
-	if wantDeps {
-		seen := make(map[circuit.NodeID]bool, 2*len(td.mffc))
-		for _, id := range td.mffc {
-			if !seen[id] {
-				seen[id] = true
-				td.deps = append(td.deps, id)
+	if !wantDeps {
+		td.mffc = b.cone
+		return td
+	}
+	td.mffc = slices.Clone(b.cone)
+	b.seen = grow(b.seen, env.net.NumSlots())
+	for _, id := range td.mffc {
+		if !b.seen[id] {
+			b.seen[id] = true
+			td.deps = append(td.deps, id)
+		}
+	}
+	for _, id := range td.mffc {
+		for _, f := range env.net.Fanins(id) {
+			if !b.seen[f] {
+				b.seen[f] = true
+				td.deps = append(td.deps, f)
 			}
 		}
-		for _, id := range td.mffc {
-			for _, f := range env.net.Fanins(id) {
-				if !seen[f] {
-					seen[f] = true
-					td.deps = append(td.deps, f)
-				}
-			}
-		}
+	}
+	for _, id := range td.deps {
+		b.seen[id] = false
 	}
 	return td
 }
@@ -311,12 +283,12 @@ func (env *gatherEnv) appendPair(b *binBuf, td *targetData, t, s circuit.NodeID,
 	}
 	c := bitvec.XorCount(tv, env.vals.Node(s))
 	if plain && c <= adm.maxPlain {
-		if g := env.pairGain(td, t, s); g > 0 {
+		if g := env.pairGain(b, td, t, s); g > 0 {
 			b.add(cand{target: t, sub: s, kind: kindPlain, rank: adm.plainRank[c], gain: g})
 		}
 	}
 	if inv && c >= adm.minInv {
-		if g := env.pairGain(td, t, s) - env.invArea; g > 0 {
+		if g := env.pairGain(b, td, t, s) - env.invArea; g > 0 {
 			b.add(cand{target: t, sub: s, kind: kindInverted, rank: adm.invRank[c-adm.minInv], gain: g})
 		}
 	}
@@ -331,8 +303,8 @@ func absInt(x int) int {
 
 // pairGain returns the exact area reclaimed when t is replaced by s: the
 // base MFFC gain, or — for the uncommon substitute inside t's MFFC — the
-// gain with s pinned alive.
-func (env *gatherEnv) pairGain(td *targetData, t, s circuit.NodeID) float64 {
+// gain with s pinned alive, walked in bin b's scratch.
+func (env *gatherEnv) pairGain(b *binBuf, td *targetData, t, s circuit.NodeID) float64 {
 	in := false
 	for _, id := range td.mffc {
 		if id == s {
@@ -344,7 +316,8 @@ func (env *gatherEnv) pairGain(td *targetData, t, s circuit.NodeID) float64 {
 		return td.baseGain
 	}
 	g := 0.0
-	for _, id := range env.net.MFFCExcluding(t, s) {
+	b.excl = env.net.AppendMFFC(b.excl[:0], &b.mffc, t, s)
+	for _, id := range b.excl {
 		g += env.cfg.Library.GateArea(env.net.Kind(id), len(env.net.Fanins(id)))
 	}
 	return g
@@ -352,43 +325,72 @@ func (env *gatherEnv) pairGain(td *targetData, t, s circuit.NodeID) float64 {
 
 // gather is the one full candidate enumeration, used by every path: the
 // non-incremental flow, EstimateAll, the incremental cross-check and the
-// gather cache's first iteration. Targets are bin-packed (uniform cost)
-// onto the pool; each bin appends its candidates into its worker's
-// reusable block buffer and turns them into an exact-size sorted run on
-// the worker. The driver then merges the runs. candCompare is a strict
-// total order, so the result — the unique sorted permutation of the
-// candidate multiset — is bit-identical at any worker count and bin
-// shape. A single-worker pool runs the bins inline.
+// gather cache's first iteration. It returns the candidates in identity
+// order (target, substitute, kind; see idCompare), the order appendTarget
+// emits a target's candidates in. The targets, ascending, are split into
+// contiguous bins of balanced expected cost (see enumCost); each bin
+// appends its candidates into its own block buffer on whichever worker
+// runs it, and the driver lays the bins' blocks end to end. So the list
+// is the same at any worker count and bin shape, with nothing to sort or
+// merge. A single-worker pool runs its one bin inline.
 //
 // When data is non-nil, each target's gather state is recorded in
 // data[t] (the slot is owned by the target, so workers write disjointly).
 // A cancelled context aborts the fan-out and returns the context's error.
 func gather(goCtx context.Context, env *gatherEnv, pool *par.Pool, data []targetData) ([]cand, error) {
 	targets := liveGateTargets(env.net)
+	cost := env.enumCost()
 	costs := make([]float64, len(targets))
-	for i := range costs {
-		costs[i] = 1
+	for i, t := range targets {
+		costs[i] = cost(t)
 	}
 	var planner par.Planner
-	bins := planner.Plan(costs, par.PlanBins(len(costs), pool.Workers()))
-	runs := make([][]cand, len(bins))
-	bufs := make([]binBuf, pool.Workers())
+	bounds := planner.Plan(costs, par.PlanBins(len(targets), pool.Workers()))
+	bufs := make([]binBuf, len(bounds)-1)
 	pool.Label("sasimi.gather", obs.PhaseEstimate)
-	if err := pool.DoCtx(goCtx, len(bins), func(w, bi int) {
-		b := &bufs[w]
-		for _, ti := range bins[bi] {
-			t := targets[ti]
-			td := env.target(t, data != nil)
+	if err := pool.DoCtx(goCtx, len(bufs), func(_, bi int) {
+		b := &bufs[bi]
+		for _, t := range targets[bounds[bi]:bounds[bi+1]] {
+			td := env.target(b, t, data != nil)
 			env.appendTarget(b, &td, t)
 			if data != nil {
 				data[t] = td
 			}
 		}
-		runs[bi] = b.sortedRun(env.adm.numRanks)
 	}); err != nil {
 		return nil, err
 	}
-	return mergeSorted(runs), nil
+	var segs [][]cand
+	n := 0
+	for bi := range bufs {
+		segs = bufs[bi].appendSegments(segs)
+		n += bufs[bi].n
+	}
+	list := make([]cand, 0, n)
+	for _, seg := range segs {
+		list = append(list, seg...)
+	}
+	return list, nil
+}
+
+// enumCost returns a function giving a target's expected cost of a full
+// enumeration, for the bin planner: the substitutes that arrive no later
+// than the target, which pass the arrival guard and so take the popcount
+// screen, the XOR and most of the candidates, plus a share of the guard's
+// scan over every substitute. Weighting by them rather than by target
+// count keeps the bins' times even: late targets take the XOR for far
+// more pairs than early ones.
+func (env *gatherEnv) enumCost() func(circuit.NodeID) float64 {
+	arr := make([]float64, len(env.subs))
+	for i, s := range env.subs {
+		arr[i] = env.arrival[s]
+	}
+	slices.Sort(arr)
+	scan := float64(len(arr)) / 8
+	return func(t circuit.NodeID) float64 {
+		a := env.arrival[t]
+		return scan + float64(sort.Search(len(arr), func(i int) bool { return arr[i] > a }))
+	}
 }
 
 // liveGateTargets returns the admissible substitution targets, ascending.
@@ -402,16 +404,31 @@ func liveGateTargets(net *circuit.Network) []circuit.NodeID {
 	return targets
 }
 
-// candCompare is the flow's deterministic candidate order as a three-way
-// comparison: most similar first (ascending rank, which is ascending
-// DiffProb), ties by larger gain, then by candidate identity (target,
-// substitute, kind). The identity fields make this a strict total order
-// over distinct candidates — no two different candidates ever compare
-// equal (constants carry sub == circuit.InvalidNode, so they never tie
-// with pairs on the same target). Totality is what makes sorting
-// deterministic however the candidates are split: the sorted permutation
-// of any candidate multiset is unique, so merging sorted pieces is
-// bit-identical to sorting their concatenation.
+// idCompare is the candidate list's order as a three-way comparison:
+// candidate identity (target, substitute, kind). Constants carry sub ==
+// circuit.InvalidNode, below every node, so a target's constants come
+// first, constant 1 before constant 0, then its pairs by substitute,
+// plain before inverted: the order appendTarget emits them in. No two
+// distinct candidates compare equal, so the list of a candidate multiset
+// in this order is unique, and merging ordered pieces is bit-identical to
+// sorting their concatenation.
+func idCompare(a, b *cand) int {
+	switch {
+	case a.target != b.target:
+		return cmp.Compare(a.target, b.target)
+	case a.sub != b.sub:
+		return cmp.Compare(a.sub, b.sub)
+	}
+	return cmp.Compare(a.kind, b.kind)
+}
+
+// candCompare is the flow's preference between candidates of equal score,
+// as a three-way comparison: most similar first (ascending rank, which is
+// ascending DiffProb), ties by larger gain, then by identity. It is a
+// strict total order over distinct candidates, so the candCompare-first
+// of any set of candidates is unique: selectFeasible and scoreCandidates
+// pick it among equal best scores, and verifyTopK orders its feasible
+// entries by it, whatever order the list is in.
 func candCompare(a, b *cand) int {
 	switch {
 	case a.rank != b.rank:
@@ -421,84 +438,6 @@ func candCompare(a, b *cand) int {
 			return -1
 		}
 		return 1
-	case a.target != b.target:
-		return cmp.Compare(a.target, b.target)
-	case a.sub != b.sub:
-		return cmp.Compare(a.sub, b.sub)
 	}
-	return cmp.Compare(a.kind, b.kind)
-}
-
-// mergeSorted merges candCompare-sorted runs into one sorted slice. With
-// one non-empty run it is returned as is; otherwise the result is a new
-// slice. runs is not modified.
-func mergeSorted(runs [][]cand) []cand {
-	var lone []cand
-	for _, r := range runs {
-		if len(r) == 0 {
-			continue
-		}
-		if lone != nil {
-			return mergeInto(nil, runs)
-		}
-		lone = r
-	}
-	return lone
-}
-
-// mergeInto merges candCompare-sorted runs into dst's storage, grown to
-// the runs' total length if it is shorter, and returns the merged slice:
-// a k-way merge through a binary heap of run tails that fills dst from
-// the back, largest first. Ties cannot occur (the order is total over
-// distinct candidates), so the result equals sorting the runs'
-// concatenation. One run may be dst's own prefix, dst[:len(run)], as the
-// gather cache's filtered list is: when the merge writes slot k, at most
-// k+1 entries remain unmerged, so an unread entry of that run sits at k
-// or below, and at k only if it is the entry being written. Other runs
-// must not overlap dst. The runs' contents are not modified otherwise.
-func mergeInto(dst []cand, runs [][]cand) []cand {
-	var h [][]cand // heap of non-empty run remainders, keyed by tail
-	total := 0
-	for _, r := range runs {
-		if len(r) > 0 {
-			h = append(h, r)
-			total += len(r)
-		}
-	}
-	out := grow(dst, total)
-	if len(h) == 0 {
-		return out
-	}
-	tail := func(r []cand) *cand { return &r[len(r)-1] }
-	siftDown := func(i int) {
-		for {
-			max, l, r := i, 2*i+1, 2*i+2
-			if l < len(h) && candCompare(tail(h[l]), tail(h[max])) > 0 {
-				max = l
-			}
-			if r < len(h) && candCompare(tail(h[r]), tail(h[max])) > 0 {
-				max = r
-			}
-			if max == i {
-				return
-			}
-			h[i], h[max] = h[max], h[i]
-			i = max
-		}
-	}
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		siftDown(i)
-	}
-	k := total
-	for len(h) > 1 {
-		k--
-		out[k] = *tail(h[0])
-		if h[0] = h[0][:len(h[0])-1]; len(h[0]) == 0 {
-			h[0] = h[len(h)-1]
-			h = h[:len(h)-1]
-		}
-		siftDown(0)
-	}
-	copy(out[:k], h[0])
-	return out
+	return idCompare(a, b)
 }

@@ -34,20 +34,21 @@ import (
 //   - dirty targets re-enumerate in full, clean targets evaluate only the
 //     pairs with a dirty substitute.
 //
-// The candidate list itself is maintained by filter-and-merge: candCompare
-// is a strict total order, so the sorted permutation of the candidate
-// multiset is unique, and the cache keeps the previous iteration's fully
-// sorted list. After an edit it filters out the entries owned by dirty or
-// removed targets and dropped substitutes (a linear pass over a list that
-// is already sorted), the workers enumerate the replacement entries in
-// bins and count-sort each bin into a run (see binBuf.sortedRun), and one
-// k-way merge joins the sorted runs. The result is the unique sorted
-// permutation of the new multiset — bit-identical to a full gather,
-// pinned by the differential suite and the Config.verifyIncremental
-// cross-check. No per-target candidate lists are kept: the filter reads
-// the sorted list directly. The merge fills the list's own buffer from
-// the back, the filtered entries being its prefix (see mergeInto), so an
-// iteration allocates a list only when the list outgrows its buffer.
+// The candidate list itself is maintained by filter-and-merge. The list
+// is in identity order (see idCompare), a strict total order, so the list
+// of a candidate multiset is unique, and the cache keeps the previous
+// iteration's list. After an edit it filters out the entries owned by
+// dirty or removed targets and dropped substitutes (a linear pass that
+// keeps the order), the workers enumerate the replacement entries in
+// contiguous bins of the work items, ascending by target, so the bins'
+// outputs laid end to end are in identity order too, and one two-way
+// merge by identity joins them with the kept entries (see mergeFresh).
+// The result is the unique ordered list of the new multiset —
+// bit-identical to a full gather, pinned by the differential suite and
+// the Config.verifyIncremental cross-check. No per-target candidate lists
+// are kept: the filter reads the list directly. The merge fills the
+// list's own buffer from the back, the kept entries being its prefix, so
+// an iteration allocates a list only when the list outgrows its buffer.
 //
 // The cache also carries each candidate's pattern sum (sums) through the
 // filter and the merge, so the scorer can reuse it (see
@@ -55,20 +56,20 @@ import (
 type gatherCache struct {
 	data        []targetData // indexed by node slot
 	prevArrival []float64
-	// sorted is the full sorted candidate list of the previous gather.
-	// Callers get it, not a copy, and only read it: an iteration's scores
-	// live in scored entries outside the list.
-	sorted []cand
-	sums   candSums
+	// list is the full candidate list of the previous gather, in identity
+	// order. Callers get it, not a copy, and only read it: an iteration's
+	// scores live in scored entries outside the list.
+	list []cand
+	sums candSums
 
-	// Dispatch scratch: the LPT bin-packer and its inputs (work items as
-	// target node ids plus their estimated costs), and one reusable block
-	// buffer per pool worker that each bin appends into before sorting out
-	// its exact-size run.
+	// Dispatch scratch: the bin planner and its inputs (work items as
+	// target node ids, ascending, plus their estimated costs), one
+	// reusable block buffer per bin, and the bins' filled blocks in order.
 	planner par.Planner
-	items   []int
+	items   []circuit.NodeID
 	costs   []float64
 	bufs    []binBuf
+	segs    [][]cand
 }
 
 // full performs the initial complete gather, recording every target's
@@ -77,13 +78,13 @@ type gatherCache struct {
 // and must be discarded.
 func (gc *gatherCache) full(goCtx context.Context, env *gatherEnv, pool *par.Pool) ([]cand, error) {
 	gc.data = make([]targetData, env.net.NumSlots())
-	sorted, err := gather(goCtx, env, pool, gc.data)
+	list, err := gather(goCtx, env, pool, gc.data)
 	if err != nil {
 		return nil, err
 	}
-	gc.sorted = sorted
+	gc.list = list
 	gc.prevArrival = append([]float64(nil), env.arrival...)
-	return gc.sorted, nil
+	return gc.list, nil
 }
 
 // update refreshes the cache after one accepted edit and returns the new
@@ -166,7 +167,7 @@ func (gc *gatherCache) update(goCtx context.Context, env *gatherEnv, ed *core.Ed
 		}
 	}
 
-	// drop marks substitutes whose pairs must leave the sorted list: the
+	// drop marks substitutes whose pairs must leave the list: the
 	// dirty ones (re-evaluated below) and the removed ones (gone).
 	drop := make([]bool, slots)
 	copy(drop, subDirty)
@@ -195,43 +196,40 @@ func (gc *gatherCache) update(goCtx context.Context, env *gatherEnv, ed *core.Ed
 		}
 	}
 
-	// Classify targets driver-side so the bin-packer can see each one's
-	// estimated cost: a dirty target re-enumerates every substitute
-	// (≈|subs| pair evaluations plus the MFFC walk), a clean one touches
-	// only the dirty substitutes. LPT bins bound the load spread by one
-	// item's cost, and Overcommit bins per worker leave queued bins for
-	// any worker that finishes early to steal.
+	// Classify targets driver-side so the planner can see each one's
+	// estimated cost: a dirty target re-enumerates every substitute (its
+	// full-enumeration cost, see gatherEnv.enumCost), a clean one touches
+	// only the dirty substitutes. The planner keeps each bin within one
+	// item's cost of its share, and Overcommit bins per worker leave queued
+	// bins for any worker that finishes early to steal.
 	targets := liveGateTargets(n)
 	dirtyT := make([]bool, slots)
 	gc.items = gc.items[:0]
 	gc.costs = gc.costs[:0]
-	dirtyCost := float64(len(env.subs)) + 8
+	enumCost := env.enumCost()
 	cleanCost := float64(len(dirtySubs)) + 1
 	for _, t := range targets {
 		td := &gc.data[t]
 		if !td.live || changedVal[t] || arrivalChanged[t] || depsTouched(td.deps, probe) {
 			dirtyT[t] = true
-			gc.items = append(gc.items, int(t))
-			gc.costs = append(gc.costs, dirtyCost)
+			gc.items = append(gc.items, t)
+			gc.costs = append(gc.costs, enumCost(t))
 		} else if td.baseGain > 0 && len(dirtySubs) > 0 {
-			gc.items = append(gc.items, int(t))
+			gc.items = append(gc.items, t)
 			gc.costs = append(gc.costs, cleanCost)
 		}
 		// Other clean targets: no work, provably unchanged.
 	}
-	bins := gc.planner.Plan(gc.costs, par.PlanBins(len(gc.costs), pool.Workers()))
-	// The last run is the kept part of the previous list, filled below.
-	runs := make([][]cand, len(bins)+1)
-	if len(gc.bufs) < pool.Workers() {
-		gc.bufs = append(gc.bufs, make([]binBuf, pool.Workers()-len(gc.bufs))...)
-	}
+	bounds := gc.planner.Plan(gc.costs, par.PlanBins(len(gc.costs), pool.Workers()))
+	bins := len(bounds) - 1
+	gc.bufs = grow(gc.bufs, bins)
 	pool.Label("sasimi.gather_inc", obs.PhaseEstimate)
-	err := pool.DoCtx(goCtx, len(bins), func(w, bi int) {
-		b := &gc.bufs[w]
-		for _, ii := range bins[bi] {
-			t := circuit.NodeID(gc.items[ii])
+	err := pool.DoCtx(goCtx, bins, func(_, bi int) {
+		b := &gc.bufs[bi]
+		b.n = 0
+		for _, t := range gc.items[bounds[bi]:bounds[bi+1]] {
 			if dirtyT[t] {
-				gc.data[t] = env.target(t, true)
+				gc.data[t] = env.target(b, t, true)
 				env.appendTarget(b, &gc.data[t], t)
 				continue
 			}
@@ -244,7 +242,6 @@ func (gc *gatherCache) update(goCtx context.Context, env *gatherEnv, ed *core.Ed
 				env.appendPair(b, td, t, s, tv)
 			}
 		}
-		runs[bi] = b.sortedRun(env.adm.numRanks)
 	})
 	if err != nil {
 		return nil, err
@@ -252,12 +249,12 @@ func (gc *gatherCache) update(goCtx context.Context, env *gatherEnv, ed *core.Ed
 
 	// Filter the previous list in place, with its sums in lockstep: minus
 	// the entries of dirty or removed targets and dropped substitutes it
-	// is still sorted, and the workers' runs are exactly the complement of
-	// the new multiset. The previous iteration's view of this list is dead
-	// by now.
-	kept := gc.sorted[:0]
-	for i := range gc.sorted {
-		c := &gc.sorted[i]
+	// is still in identity order, and the bins' output is exactly the
+	// complement of the new multiset. The previous iteration's view of
+	// this list is dead by now.
+	kept := gc.list[:0]
+	for i := range gc.list {
+		c := &gc.list[i]
 		if !n.IsLive(c.target) || dirtyT[c.target] {
 			continue
 		}
@@ -268,17 +265,52 @@ func (gc *gatherCache) update(goCtx context.Context, env *gatherEnv, ed *core.Ed
 		gc.sums.aem.move(len(kept), i)
 		kept = append(kept, *c)
 	}
-	runs[len(bins)] = kept
-	gc.sorted = mergeInto(kept, runs)
-	// A merge keeps each run's order, so the kept entries reach the new
+	gc.segs = gc.segs[:0]
+	for bi := range bins {
+		gc.segs = gc.bufs[bi].appendSegments(gc.segs)
+	}
+	gc.list = mergeFresh(kept, gc.segs)
+	// A merge keeps each side's order, so the kept entries reach the new
 	// list in their filtered order, and an entry is re-enumerated exactly
 	// when the filter would drop it.
 	fresh := func(c *cand) bool { return dirtyT[c.target] || (!c.isConst() && drop[c.sub]) }
-	gc.sums.er.align(gc.sorted, len(kept), fresh)
-	gc.sums.aem.align(gc.sorted, len(kept), fresh)
+	gc.sums.er.align(gc.list, len(kept), fresh)
+	gc.sums.aem.align(gc.list, len(kept), fresh)
 
 	gc.prevArrival = append(gc.prevArrival[:0], env.arrival...)
-	return gc.sorted, nil
+	return gc.list, nil
+}
+
+// mergeFresh merges the fresh candidates into the kept ones and returns
+// the merged list in identity order. kept is in identity order, and so
+// are fresh's segments laid end to end; no fresh candidate has a kept
+// one's identity. The merge fills kept's own buffer, grown to the total
+// if it is shorter, from the back, last first: when it writes slot k, at
+// most k+1 entries remain unmerged, so an unread kept entry sits at k or
+// below, and at k only if it is the entry being written. Once the fresh
+// candidates are placed, the kept entries still unread are already in
+// their slots. fresh must not overlap kept's buffer.
+func mergeFresh(kept []cand, fresh [][]cand) []cand {
+	total := len(kept)
+	for _, seg := range fresh {
+		total += len(seg)
+	}
+	out := grow(kept, total)
+	j, k := len(kept)-1, total-1
+	for si := len(fresh) - 1; si >= 0; si-- {
+		seg := fresh[si]
+		for fi := len(seg) - 1; fi >= 0; fi-- {
+			f := &seg[fi]
+			for j >= 0 && idCompare(&out[j], f) > 0 {
+				out[k] = out[j]
+				j--
+				k--
+			}
+			out[k] = *f
+			k--
+		}
+	}
+	return out
 }
 
 func depsTouched(deps []circuit.NodeID, probe []bool) bool {
@@ -300,7 +332,7 @@ type patternSum interface{ int32 | float64 }
 const staleSum = math.MinInt32
 
 // sumList is one metric's per-candidate pattern sums, aligned with the
-// gather cache's sorted list.
+// gather cache's list.
 type sumList[T patternSum] struct {
 	cur []T
 	// valid reports that cur holds a sum for every entry of the list it is

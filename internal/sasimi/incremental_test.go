@@ -149,8 +149,8 @@ func itoa(n int) string {
 // sequential reference rescoring every candidate; the run fails on any
 // divergence. The c880 rows run at M = 10000, where the two float forms of
 // a DiffProb differ for many counts: with two workers, so the cache
-// update's LPT bins mix dirty and clean targets, and for 12 iterations
-// with one, whose shard and bin are the whole problem. The AEM rows need
+// update's contiguous bins mix dirty and clean targets, and for 12
+// iterations with one, whose shard and bin are the whole problem. The AEM rows need
 // accepts that change the error, hence some output word, so that carried
 // sums take the masked correction, built at the union of a target's
 // candidates' changed patterns. The ksa32 row has 33 outputs, so terms

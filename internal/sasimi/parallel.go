@@ -36,10 +36,10 @@ func scoreCandidatesMaybeSharded(ctx *iterContext, est estimator, cands []cand, 
 type scoreScratch struct {
 	lastM, lastWorkers int
 	shards             []par.Shard
-	seen               []bool // node-slot marks (targets, then changed rows), cleared after each use
+	seen               []bool // changed-row marks by node slot, cleared after each use
 	targets            []circuit.NodeID
-	erNet              [][]int32  // per shard: each rescored candidate's net ER count
-	chg                [][]uint64 // per shard: change-mask words
+	erNet              [][]int32      // per shard: each rescored candidate's net ER count
+	er                 []core.ERTerms // per shard: the current target's masks
 
 	// Carry scratch: the nonzero words of the accept's output-change mask
 	// D (indices dws, words dm), the previous state's packed output words
@@ -54,15 +54,14 @@ type scoreScratch struct {
 	mc      [][]uint64
 	left    []int
 
-	// AEM target pass: the candidates counting-sorted by target (order;
-	// target g's are order[bounds[g]:bounds[g+1]]), each node slot's group
-	// number plus one (0 for none, as the sort leaves it), the first group
-	// of every pool task, and per pool worker its scratch.
-	order  []member
-	bounds []int32
-	group  []int32
-	chunks []int
-	aem    []aemWorker
+	// AEM target pass: where each target's run of the list starts (target
+	// g's candidates are cands[bounds[g]:bounds[g+1]]), the runs' lengths
+	// as the planner's costs, the planner, and per pool worker its
+	// scratch.
+	bounds  []int
+	costs   []float64
+	planner par.Planner
+	aem     []aemWorker
 }
 
 // scoreCandidatesSharded evaluates every candidate's batch estimate, then
@@ -112,23 +111,23 @@ func scoreCandidatesSharded(ctx *iterContext, cands []cand, sums *candSums, buf 
 
 // scoreER brings every candidate's ER net count up to date. It shards the
 // pattern space across the pool's workers for the candidates it sums in
-// full: each worker owns one shard and, for every such candidate,
-// materialises the change mask for its word range only (target XOR
-// substitute, with the constant and inverted cases tail-masked exactly as
-// substituteValue's Fill/Not produce them) and computes the shard's
-// partial into a per-shard slot; the partials are combined in fixed shard
-// order. The counts are integers, so the result equals the sequential
-// DeltaER bit for bit (see core.DeltaERPartial for the word-locality
-// argument). Each shard counts its queries once, after its loop. Shard 0
-// writes its partials straight into sums, so an iteration that rescores
-// every candidate builds no list of them and no array beyond the other
-// shards' partials. The carried sums are corrected by carryPass first.
+// full: each worker owns one shard and walks those candidates in list
+// order, which groups them by target. When the target changes it builds
+// the target's two Algorithm 1 masks for its word range (core.ERTerms),
+// and each candidate's partial is then two popcounts per word of its
+// change word, target XOR substitute, computed on the fly. The partials
+// go into per-shard slots and are combined in fixed shard order. The
+// counts are integers, so the result equals the sequential DeltaER bit
+// for bit (see core.ERTerms for the word-locality argument). Each shard
+// counts its queries once, after its loop. Shard 0 writes its partials
+// straight into sums, so an iteration that rescores every candidate
+// builds no list of them and no array beyond the other shards' partials.
+// The carried sums are corrected by carryPass first.
 func scoreER(goCtx context.Context, ctx *iterContext, cands []cand, sl *sumList[int32], ss *scoreScratch,
 	pool *par.Pool, o *runObs) error {
 
 	cpm, vals, st := ctx.cpm, ctx.vals, ctx.st
 	m := vals.M
-	words := bitvec.Words(m)
 	if ss.lastM != m || ss.lastWorkers != pool.Workers() {
 		ss.shards = par.Shards(m, pool.Workers())
 		ss.lastM, ss.lastWorkers = m, pool.Workers()
@@ -137,17 +136,13 @@ func scoreER(goCtx context.Context, ctx *iterContext, cands []cand, sl *sumList[
 
 	// Warm the CPM's AnyProp cache before the scoring fan-out: its fills
 	// are atomic and pure, so the distinct targets' rows are filled on the
-	// pool, each once.
-	ss.seen = grow(ss.seen, ctx.net.NumSlots())
+	// pool, each once. The list is grouped by target, so a target is new
+	// where the target changes.
 	ss.targets = ss.targets[:0]
 	for i := range cands {
-		if t := cands[i].target; !ss.seen[t] {
-			ss.seen[t] = true
+		if t := cands[i].target; i == 0 || t != cands[i-1].target {
 			ss.targets = append(ss.targets, t)
 		}
-	}
-	for _, t := range ss.targets {
-		ss.seen[t] = false
 	}
 	cpm.EnsureAnyProp(ss.targets, pool)
 
@@ -168,33 +163,29 @@ func scoreER(goCtx context.Context, ctx *iterContext, cands []cand, sl *sumList[
 
 	// Shard s > 0 keeps the partial of the j-th rescored candidate at j.
 	ss.erNet = grow(ss.erNet, len(shards))
-	ss.chg = grow(ss.chg, len(shards))
-	for si := range shards {
-		if si > 0 {
-			ss.erNet[si] = grow(ss.erNet[si], n)
-		}
-		ss.chg[si] = grow(ss.chg[si], words)
+	ss.er = grow(ss.er, len(shards))
+	for si := 1; si < len(shards); si++ {
+		ss.erNet[si] = grow(ss.erNet[si], n)
 	}
 	out := ss.erNet
-	last := words - 1
-	tail := bitvec.TailMask(m)
 	if n > 0 {
 		err := pool.DoCtx(goCtx, len(shards), func(_, si int) {
 			sh := shards[si]
-			chg := ss.chg[si]
+			terms := &ss.er[si]
+			built := circuit.InvalidNode
 			it := rescoreIter{set: rescore}
 			for j := 0; j < n; j++ {
 				i := it.next(j)
 				c := &cands[i]
-				tw, sw := candWords(vals, c)
-				for w := sh.W0; w < sh.W1; w++ {
-					chg[w] = changeWord(c.kind, tw, sw, w, last, tail)
+				if c.target != built {
+					terms.Build(cpm, c.target, st, sh.W0, sh.W1)
+					built = c.target
 				}
-				inc, dec := cpm.DeltaERPartial(c.target, chg, st, sh.W0, sh.W1)
+				net := int32(terms.Net(vals.Node(c.target).WordsSlice(), subWords(vals, c.sub, c.kind), flipWord(c.kind)))
 				if si == 0 {
-					sums[i] = int32(inc - dec)
+					sums[i] = net
 				} else {
-					out[si][j] = int32(inc - dec)
+					out[si][j] = net
 				}
 			}
 			core.CountPartialQueries(ctx.metric, n)
@@ -217,8 +208,9 @@ func scoreER(goCtx context.Context, ctx *iterContext, cands []cand, sl *sumList[
 	return nil
 }
 
-// selectFeasible turns the pattern sums into scored entries and picks the
-// best feasible one, in candidate order, as scoreCandidates does.
+// selectFeasible turns the pattern sums into scored entries, in list
+// order, and picks the best feasible one, the candCompare-first of equal
+// best scores, as scoreCandidates does.
 func selectFeasible[T patternSum](ctx *iterContext, cands []cand, sums []T, buf []scored,
 	curErr, threshold float64, o *runObs, iter int) (int, []scored) {
 
@@ -234,18 +226,25 @@ func selectFeasible[T patternSum](ctx *iterContext, cands []cand, sums []T, buf 
 			continue
 		}
 		feasible = append(feasible, e)
-		if best == -1 || e.score > feasible[best].score {
+		if best == -1 || better(cands, e, feasible[best]) {
 			best = len(feasible) - 1
 		}
 	}
 	return best, feasible
 }
 
+// better reports whether entry e beats entry b, the best so far: a higher
+// score, or an equal one on a candidate that candCompare puts first. It
+// makes the pick a function of the entries, not of their order.
+func better(cands []cand, e, b scored) bool {
+	return e.score > b.score || e.score == b.score && candCompare(&cands[e.idx], &cands[b.idx]) < 0
+}
+
 // scoreAEM brings every candidate's AEM magnitude sum up to date in one
-// pass over the list grouped by target: the candidates are
-// counting-sorted by target, and the pool takes the targets in chunks,
-// each worker scoring a target's candidates with its own core.AEMTerms
-// (see aemWorker.score). A candidate's sum is computed by one worker, in
+// pass over the list, which is grouped by target: the pool takes the
+// targets in contiguous chunks of balanced candidate count, each worker
+// scoring a target's candidates with its own core.AEMTerms (see
+// aemWorker.score). A candidate's sum is computed by one worker, in
 // ascending pattern order, so it is the same at any worker count and
 // chunking. It counts one query per candidate summed in full.
 func scoreAEM(goCtx context.Context, ctx *iterContext, cands []cand, sl *sumList[float64], ss *scoreScratch,
@@ -256,25 +255,27 @@ func scoreAEM(goCtx context.Context, ctx *iterContext, cands []cand, sl *sumList
 	sums, carried := sl.forList(len(cands))
 	carried = carried && ss.carry(ctx)
 	sl.valid = false // until the pass completes
-	ss.groupByTarget(ctx.net, cands)
-	targets := len(ss.bounds) - 1
-	tasks := par.PlanBins(targets, pool.Workers())
-	ss.chunks = grow(ss.chunks, tasks+1)
-	for k, g := 0, 0; k <= tasks; k++ {
-		for g < targets && int(ss.bounds[g]) < k*len(cands)/tasks {
-			g++
+	ss.bounds = ss.bounds[:0]
+	for i := range cands {
+		if i == 0 || cands[i].target != cands[i-1].target {
+			ss.bounds = append(ss.bounds, i)
 		}
-		ss.chunks[k] = g
 	}
+	ss.bounds = append(ss.bounds, len(cands))
+	ss.costs = ss.costs[:0]
+	for g := 1; g < len(ss.bounds); g++ {
+		ss.costs = append(ss.costs, float64(ss.bounds[g]-ss.bounds[g-1]))
+	}
+	chunks := ss.planner.Plan(ss.costs, par.PlanBins(len(ss.costs), pool.Workers()))
+	tasks := len(chunks) - 1
 	ss.aem = grow(ss.aem, pool.Workers())
 	ss.left = grow(ss.left, tasks)
 	err := pool.DoCtx(goCtx, tasks, func(w, task int) {
 		aw := &ss.aem[w]
 		full := 0
-		for g := ss.chunks[task]; g < ss.chunks[task+1]; g++ {
-			t := ss.targets[g]
-			full += aw.score(ctx, sums, ss.order[ss.bounds[g]:ss.bounds[g+1]], t,
-				carried && !ss.seen[t], ss)
+		for g := chunks[task]; g < chunks[task+1]; g++ {
+			lo, hi := ss.bounds[g], ss.bounds[g+1]
+			full += aw.score(ctx, sums, cands, lo, hi, carried && !ss.seen[cands[lo].target], ss)
 		}
 		ss.left[task] = full
 	})
@@ -294,52 +295,6 @@ func scoreAEM(goCtx context.Context, ctx *iterContext, cands []cand, sl *sumList
 	return nil
 }
 
-// member is a candidate as the AEM target pass reads it: its list index
-// and what its change mask takes besides the target. Sorting these, not
-// list indices, lets a worker read a target's candidates in sequence
-// rather than gather them from across the list.
-type member struct {
-	idx  int32
-	sub  circuit.NodeID
-	kind candKind
-}
-
-// groupByTarget counting-sorts the candidates by target, each target's in
-// list order: target ss.targets[g]'s are ss.order[ss.bounds[g]:
-// ss.bounds[g+1]], the targets in order of first appearance.
-func (ss *scoreScratch) groupByTarget(net *circuit.Network, cands []cand) {
-	ss.group = grow(ss.group, net.NumSlots())
-	ss.targets = ss.targets[:0]
-	ss.bounds = append(ss.bounds[:0], 0)
-	for i := range cands {
-		t := cands[i].target
-		if ss.group[t] == 0 {
-			ss.targets = append(ss.targets, t)
-			ss.bounds = append(ss.bounds, 0)
-			ss.group[t] = int32(len(ss.targets))
-		}
-		ss.bounds[ss.group[t]]++
-	}
-	// bounds[g+1] counts target g; the prefix sums make it the end of g's
-	// run, and placing each index at its target's start moves the start
-	// up, so afterwards bounds[g] holds g's end and one shift restores it.
-	for g := 1; g < len(ss.bounds); g++ {
-		ss.bounds[g] += ss.bounds[g-1]
-	}
-	ss.order = grow(ss.order, len(cands))
-	for i := range cands {
-		c := &cands[i]
-		g := ss.group[c.target] - 1
-		ss.order[ss.bounds[g]] = member{idx: int32(i), sub: c.sub, kind: c.kind}
-		ss.bounds[g]++
-	}
-	copy(ss.bounds[1:], ss.bounds[:len(ss.bounds)-1])
-	ss.bounds[0] = 0
-	for _, t := range ss.targets {
-		ss.group[t] = 0
-	}
-}
-
 // aemWorker is one pool worker's scratch for the AEM target pass.
 type aemWorker struct {
 	terms core.AEMTerms
@@ -347,37 +302,39 @@ type aemWorker struct {
 	um    []uint64 // the union of the carried candidates' chg ∧ D, at D's words
 	mc    []uint64 // each corrected candidate's chg ∧ D, end to end
 	fix   []int32  // the corrected candidates' list indices
-	full  []int32  // the members to sum in full, by position
+	full  []int32  // the candidates to sum in full, by list index
 }
 
-// score brings the sums of target t's candidates mbs up to date and
-// returns how many it summed in full. With carry (the sums carry and t's
-// CPM row did not change), a candidate that is not fresh keeps its sum
-// plus its correction: the worker builds the term difference once, at
-// the union of those candidates' chg ∧ D, and adds each candidate's sum
-// over its own chg ∧ D. Every other candidate is summed over its change
-// mask in t's term table, built once (core.AEMTerms).
-func (aw *aemWorker) score(ctx *iterContext, sums []float64, mbs []member, t circuit.NodeID,
+// score brings the sums of one target's candidates, cands[lo:hi], up to
+// date and returns how many it summed in full. With carry (the sums carry
+// and the target's CPM row did not change), a candidate that is not
+// fresh keeps its sum plus its correction: the worker builds the term
+// difference once, at the union of those candidates' chg ∧ D, and adds
+// each candidate's sum over its own chg ∧ D. Every other candidate is
+// summed over its change mask in the target's term table, built once
+// (core.AEMTerms).
+func (aw *aemWorker) score(ctx *iterContext, sums []float64, cands []cand, lo, hi int,
 	carry bool, ss *scoreScratch) int {
 
 	cpm, st, vals := ctx.cpm, ctx.st, ctx.vals
 	words := bitvec.Words(vals.M)
 	last, tail := words-1, bitvec.TailMask(vals.M)
 	ws, dm := ss.dws, ss.dm
+	t := cands[lo].target
 	tw := vals.Node(t).WordsSlice()
 	aw.full, aw.fix, aw.mc = aw.full[:0], aw.fix[:0], aw.mc[:0]
 	aw.um = grow(aw.um, len(ws))
 	clear(aw.um)
-	for j := range mbs {
-		mb := &mbs[j]
-		if !carry || sums[mb.idx] == staleSum {
-			aw.full = append(aw.full, int32(j))
+	for i := lo; i < hi; i++ {
+		c := &cands[i]
+		if !carry || sums[i] == staleSum {
+			aw.full = append(aw.full, int32(i))
 			continue
 		}
-		sw := subWords(vals, mb.sub, mb.kind)
+		sw := subWords(vals, c.sub, c.kind)
 		var hit uint64
 		for k, w := range ws {
-			x := changeWord(mb.kind, tw, sw, int(w), last, tail) & dm[k]
+			x := changeWord(c.kind, tw, sw, int(w), last, tail) & dm[k]
 			aw.mc = append(aw.mc, x)
 			aw.um[k] |= x
 			hit |= x
@@ -386,7 +343,7 @@ func (aw *aemWorker) score(ctx *iterContext, sums []float64, mbs []member, t cir
 			aw.mc = aw.mc[:len(aw.mc)-len(ws)]
 			continue
 		}
-		aw.fix = append(aw.fix, mb.idx)
+		aw.fix = append(aw.fix, int32(i))
 	}
 	if len(aw.fix) > 0 {
 		aw.terms.Correction(cpm, t, st, ss.prevV, ws, aw.um)
@@ -397,13 +354,13 @@ func (aw *aemWorker) score(ctx *iterContext, sums []float64, mbs []member, t cir
 	if len(aw.full) > 0 {
 		aw.terms.Full(cpm, t, st)
 		aw.chg = grow(aw.chg, words)
-		for _, j := range aw.full {
-			mb := &mbs[j]
-			sw := subWords(vals, mb.sub, mb.kind)
+		for _, i := range aw.full {
+			c := &cands[i]
+			sw := subWords(vals, c.sub, c.kind)
 			for w := range aw.chg {
-				aw.chg[w] = changeWord(mb.kind, tw, sw, w, last, tail)
+				aw.chg[w] = changeWord(c.kind, tw, sw, w, last, tail)
 			}
-			sums[mb.idx] = aw.terms.Sum(aw.chg)
+			sums[i] = aw.terms.Sum(aw.chg)
 		}
 	}
 	return len(aw.full)
@@ -555,6 +512,16 @@ func subWords(vals *sim.Values, sub circuit.NodeID, kind candKind) []uint64 {
 		return nil
 	}
 	return vals.Node(sub).WordsSlice()
+}
+
+// flipWord is what a candidate's substitute word is XORed with besides
+// the substitute's own value: all ones for the inverted and constant-1
+// forms, zero for the plain and constant-0 forms.
+func flipWord(kind candKind) uint64 {
+	if kind == kindInverted || kind == kindConst1 {
+		return ^uint64(0)
+	}
+	return 0
 }
 
 // changeWord is word w of a candidate's change mask: the target's word

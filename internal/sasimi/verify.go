@@ -3,6 +3,7 @@ package sasimi
 import (
 	"context"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"batchals/internal/bitvec"
@@ -153,8 +154,13 @@ func verifyTopK(goCtx context.Context, net *circuit.Network, vals *sim.Values,
 	// A full sort.Slice of the feasible entries by descending score. It is
 	// not stable: which of several equal-score candidates lands in the top
 	// k, and in which order they are verified, is whatever pdqsort makes
-	// of this comparator over the entries in list order — part of the
-	// bit-identity contract.
+	// of this comparator over the entries in the order it gets them — part
+	// of the bit-identity contract. So they are first put in candCompare
+	// order, a total order over the candidates, which makes the result a
+	// function of the entries whatever order the list keeps.
+	slices.SortFunc(feasible, func(a, b scored) int {
+		return candCompare(&cands[a.idx], &cands[b.idx])
+	})
 	sort.Slice(feasible, func(a, b int) bool {
 		return feasible[a].score > feasible[b].score
 	})

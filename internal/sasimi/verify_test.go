@@ -2,7 +2,10 @@ package sasimi
 
 import (
 	"context"
+	"math/rand"
+	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"batchals/internal/bench"
@@ -211,5 +214,84 @@ func TestVerifyEvalShardZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("warmed prepare+evalShard allocates %.1f times per run, want 0", allocs)
+	}
+}
+
+// TestTieBreakIgnoresListOrder pins that the list's order decides no
+// pick: with several candidates tied on the best score, permuting the
+// candidate list (and its pattern sums or scored entries with it) changes
+// neither selectFeasible's pick nor scoreCandidates', which are the
+// candCompare-first of the tied candidates, nor which entries
+// verifyTopK verifies, in which order, and which it picks. The ties are
+// made two ways: all-zero pattern sums, which tie every candidate of
+// equal gain, and scored entries with one score, which tie every entry.
+func TestTieBreakIgnoresListOrder(t *testing.T) {
+	net, err := bench.ByName("cmp8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	patterns := sim.RandomPatterns(net.NumInputs(), 1000, 4)
+	cfg := Config{Budget: flow.Budget{Metric: core.MetricER, Threshold: 0.05}, VerifyTopK: 4}
+	cfg.fillDefaults()
+	ctx, est := batchFixture(net, sim.OutputMatrix(net, sim.Simulate(net, patterns)), patterns, core.MetricER)
+	cands := gatherRecords(t, net, ctx.vals, &cfg, cfg.Library.NodeArrival(net), cfg.Library.GateDelay(circuit.KindNot))
+	pool := par.NewPool(2)
+	defer pool.Close()
+
+	type picks struct {
+		sel, seq cand   // selectFeasible's and scoreCandidates' picks
+		top      []cand // the entries verifyTopK verified, in order
+		deltas   []float64
+		verified cand // verifyTopK's pick
+	}
+	scratch, change := bitvec.New(ctx.vals.M), bitvec.New(ctx.vals.M)
+	pick := func(list []cand) picks {
+		var p picks
+		best, feasible := selectFeasible(ctx, list, make([]int32, len(list)), nil, 0, cfg.Threshold, nil, 1)
+		p.sel = list[feasible[best].idx]
+		ties := 0
+		for _, e := range feasible {
+			if e.score == feasible[best].score {
+				ties++
+				if c := &list[e.idx]; candCompare(c, &p.sel) < 0 {
+					t.Fatalf("selectFeasible picked %+v over the candCompare-first %+v of equal score", p.sel, *c)
+				}
+			}
+		}
+		if ties < 2 {
+			t.Fatalf("%d candidates tie on the best score; the tie-break is untested", ties)
+		}
+		best, feasible = scoreCandidates(est, list, nil, ctx.vals, 0, cfg.Threshold, scratch, change, nil, 1)
+		p.seq = list[feasible[best].idx]
+
+		tied := make([]scored, len(list))
+		for i := range tied {
+			tied[i] = scored{idx: int32(i), delta: 0.001, score: 1}
+		}
+		var vs verifyScratch
+		loose := cfg
+		loose.Threshold = 1 // every verified entry stays feasible
+		best, err := verifyTopK(context.Background(), net, ctx.vals, ctx.st, &loose, list, tied, 0, &vs, pool, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range tied[:cfg.VerifyTopK] {
+			p.top = append(p.top, list[e.idx])
+			p.deltas = append(p.deltas, e.delta)
+		}
+		if best < 0 {
+			t.Fatal("verifyTopK found no verified entry feasible under a budget of 1")
+		}
+		p.verified = list[tied[best].idx]
+		return p
+	}
+	want := pick(cands)
+	r := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 5; trial++ {
+		perm := slices.Clone(cands)
+		r.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
+		if got := pick(perm); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: a permuted list picks\n %+v\nthe list order picks\n %+v", trial, got, want)
+		}
 	}
 }
