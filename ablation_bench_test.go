@@ -28,13 +28,27 @@ func BenchmarkAblationCPMBuild(b *testing.B) {
 		b.Fatal(err)
 	}
 	for _, m := range []int{512, 2048, 8192} {
+		p := sim.RandomPatterns(golden.NumInputs(), m, 1)
+		vals := sim.Simulate(golden, p)
 		b.Run(benchName("M", m), func(b *testing.B) {
-			p := sim.RandomPatterns(golden.NumInputs(), m, 1)
-			vals := sim.Simulate(golden, p)
 			b.ReportAllocs()
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				core.Build(golden, vals)
+			}
+		})
+		// The ER form under an error state that gets every 100th pattern
+		// wrong, c880-er's 1% budget: the AnyProp rows over all M
+		// patterns plus the per-output rows at the wrong ones.
+		out := sim.OutputMatrix(golden, vals)
+		approx := out.Clone()
+		for i := 0; i < m; i += 100 {
+			approx.Row(i % approx.Rows()).Flip(i)
+		}
+		st := emetric.NewState(out, approx)
+		b.Run("ER/"+benchName("M", m), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				core.BuildER(golden, vals, st, nil)
 			}
 		})
 	}

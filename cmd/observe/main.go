@@ -2,10 +2,10 @@
 //
 // Circuit mode prints a statistical testability report for a circuit:
 // per-gate signal probability, observability (from the change propagation
-// matrix) and stuck-at impact, under a uniform Monte Carlo input
-// distribution. Low-impact nodes are where an ALS flow finds its savings;
-// high-impact, low-observability nodes are where a test engineer inserts
-// observation points.
+// matrix's one-row AnyProp fold) and stuck-at impact, under a uniform
+// Monte Carlo input distribution. Low-impact nodes are where an ALS flow
+// finds its savings; high-impact, low-observability nodes are where a
+// test engineer inserts observation points.
 //
 // Metrics mode renders a metrics snapshot — from a JSON file written by
 // alsrun -metrics, or fetched live from a serving process (alsd, alsrun
@@ -69,14 +69,14 @@ func main() {
 	}
 	p := sim.RandomPatterns(n.NumInputs(), *m, *seed)
 	vals := sim.Simulate(n, p)
-	cpm := core.Build(n, vals)
+	cpm := core.BuildAnyProp(n, vals, nil)
 	rows := core.TestabilityReport(n, vals, cpm)
 	bt := cpm.BuildTime()
 	unit := time.Millisecond
 	if bt < 10*time.Millisecond {
 		unit = time.Microsecond
 	}
-	fmt.Printf("%s: %d gates, M=%d patterns, CPM built in %v\n",
+	fmt.Printf("%s: %d gates, M=%d patterns, AnyProp rows built in %v\n",
 		n.Name, n.NumGates(), *m, bt.Round(unit))
 	fmt.Print(core.RenderTestability(rows, *top))
 }

@@ -36,6 +36,21 @@ func NewArena(n, chunk int) *Arena {
 	return &Arena{n: n, w: Words(n), chunk: chunk}
 }
 
+// Reset makes the arena hand out n-bit vectors again from the start of
+// its current slab, for an owner that no longer reads any vector it
+// handed out: those are overwritten. A slab too small for n-bit vectors
+// is dropped for a fresh one on the next New.
+func (a *Arena) Reset(n int) {
+	if n < 0 {
+		panic("bitvec: negative length")
+	}
+	a.n, a.w, a.used = n, Words(n), 0
+	if len(a.words) < len(a.vecs)*a.w {
+		a.vecs, a.words = nil, nil
+	}
+	clear(a.words)
+}
+
 // New returns a zeroed n-bit vector carved from the arena's current slab,
 // growing a fresh slab when exhausted.
 func (a *Arena) New() *Vec {

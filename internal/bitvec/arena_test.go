@@ -71,3 +71,42 @@ func TestArenaAllocationCount(t *testing.T) {
 		t.Fatalf("arena build allocates %.0f times for %d vectors, want <= 4", allocs, vectors)
 	}
 }
+
+// TestArenaResetReusesSlab pins Reset: vectors handed out after it have
+// the new length, start zeroed and are independent, and the slab is
+// reused while the new length fits it.
+func TestArenaResetReusesSlab(t *testing.T) {
+	a := NewArena(200, 4)
+	for i := 0; i < 4; i++ {
+		a.New().Fill()
+	}
+	for _, n := range []int{130, 64, 200, 1} {
+		a.Reset(n)
+		var vs []*Vec
+		allocs := testing.AllocsPerRun(1, func() {
+			vs = vs[:0]
+			a.Reset(n)
+			for i := 0; i < 4; i++ {
+				vs = append(vs, a.New())
+			}
+		})
+		if allocs > 1 { // vs's first growth
+			t.Fatalf("n=%d: Reset then New allocated %.0f times on a slab that fits", n, allocs)
+		}
+		for i, v := range vs {
+			if v.Len() != n || v.Count() != 0 {
+				t.Fatalf("n=%d: vec %d has Len %d and %d bits set", n, i, v.Len(), v.Count())
+			}
+			v.Fill()
+		}
+		for i, v := range vs {
+			if v.Count() != n {
+				t.Fatalf("n=%d: vec %d count %d after its neighbours filled", n, i, v.Count())
+			}
+		}
+	}
+	a.Reset(300) // past the slab: a fresh one
+	if v := a.New(); v.Len() != 300 || v.Count() != 0 {
+		t.Fatal("vector past a dropped slab is not a fresh 300-bit zero vector")
+	}
+}

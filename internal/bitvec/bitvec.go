@@ -219,6 +219,24 @@ func XorCount(a, b *Vec) int {
 	return c
 }
 
+// Compact writes the bits of src at the positions set in sel, in
+// ascending order, to dst from bit 0 and clears the rest of dst: a
+// software PEXT over whole word slices. dst needs Words(k) words for the
+// k bits sel sets; src needs len(sel) words.
+func Compact(dst, src, sel []uint64) {
+	clear(dst)
+	k := 0
+	for w, s := range sel {
+		x := src[w]
+		for ; s != 0; s &= s - 1 {
+			if x&s&-s != 0 {
+				dst[k/WordBits] |= 1 << (uint(k) % WordBits)
+			}
+			k++
+		}
+	}
+}
+
 // Any reports whether any bit is set.
 func (v *Vec) Any() bool {
 	for _, w := range v.words {

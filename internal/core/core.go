@@ -13,6 +13,19 @@
 // stored as M-bit vectors, so the recursion and the downstream ΔER / ΔAEM
 // queries run 64 patterns per machine word.
 //
+// A CPM comes in two forms. The full form (Build, BuildParallel) keeps
+// every P[·,n,o]: Θ(M·O·(N+E)) time and memory for N nodes, E edges and
+// O outputs. AEM needs it, and so do DeltaER and DeltaAEM, the reference
+// queries. The ER form (BuildER) keeps what Algorithm 1 reads: one
+// AnyProp row per node, the OR of Eq. (2) over the outputs,
+//
+//	AnyProp[i,n] = [n drives an output] OR over fanouts nf of n of ( AnyProp[i,nf] AND D[i,n,nf] )
+//
+// over all M patterns, plus the per-output rows only at the M_w patterns
+// the error state gets wrong, folded over a value table compacted to
+// them: Θ(M·(N+E) + M_w·O·(N+E)). Both forms are the same fold, with one
+// plane or O, over the full or the compacted table.
+//
 // Like the paper, the construction evaluates each Boolean difference at the
 // *unperturbed* simulated values, so reconvergent fanout can make an entry
 // wrong; on fanout-free (tree) regions it is exact. See the package tests
@@ -60,22 +73,30 @@ func CountDeltaQueries(metric Metric, n int) {
 }
 
 // CPM is the change propagation matrix for one network, one pattern set and
-// one simulation of that network.
+// one simulation of that network, in the full form or the ER form (see the
+// package doc).
 type CPM struct {
 	net  *circuit.Network
 	vals *sim.Values
 	m    int // number of patterns
 	o    int // number of outputs
 
-	// p[node][o] is the M-bit propagation vector of node -> output o.
-	// nil rows correspond to dead node slots.
-	p [][]*bitvec.Vec
+	// p[node] holds the node's M-bit propagation rows, planes of them;
+	// nil rows correspond to dead node slots. In the full form planes is
+	// the output count and p[node][o] is the propagation of node ->
+	// output o. In the ER form planes is 1 and p[node][0] is AnyProp.
+	p      [][]*bitvec.Vec
+	planes int
+	// slab and flat back the rows a build allocated (see allocRows); a
+	// rebuild of a discarded slice reuses them.
+	slab *bitvec.Arena
+	flat []*bitvec.Vec
 
-	// anyProp[node] caches the OR over outputs of p[node][...]. Stored
-	// through atomic pointers so concurrent queries may fault the cache in
-	// lazily: the computed vector is a pure function of the (immutable)
-	// p rows, so racing fills store interchangeable values.
-	anyProp []atomic.Pointer[bitvec.Vec]
+	// cur and prev are the ER form's per-output rows at the patterns the
+	// error state it was last built or refreshed for gets wrong (cur), and
+	// at those the state before that got wrong (prev; nil after a build).
+	// Both are nil in the full form.
+	cur, prev *wrongSlice
 
 	// Per-pattern golden/approximate output words, cached for the error
 	// state currently being estimated against (see aemColumns).
@@ -83,41 +104,41 @@ type CPM struct {
 	aemU   []uint64
 	aemV   []uint64
 
-	// Scratch buffers of the sequential delta queries (DeltaERCounts,
-	// DeltaAEM), reused across calls to keep the scoring loop
-	// allocation-free. Like aemColumns they make the sequential query
-	// methods single-goroutine only; the concurrent path uses ERTerms
-	// and AEMTerms, whose state is per worker.
-	erInc, erDec, erTmp *bitvec.Vec
-	aemReached          []aemReach
+	// DeltaAEM's gather buffer, reused across calls to keep the scoring
+	// loop allocation-free. Like aemColumns it makes DeltaAEM
+	// single-goroutine only; the concurrent path uses AEMTerms, whose
+	// state is per worker.
+	aemReached []aemReach
 
 	// Refresh's fold scratch, reused from one refresh to the next: per
 	// shard, one scratch row and a changed flag per node slot (see fold).
 	foldRows  [][]uint64
 	foldMarks [][]bool
 
-	// cert caches the lazily-built exactness certificate (see Certificate);
-	// atomic for the same reason as anyProp: the certificate depends only
-	// on the immutable network structure.
+	// cert caches the lazily-built exactness certificate (see
+	// Certificate). It is atomic so concurrent queries may fault it in:
+	// the certificate depends only on the immutable network structure, so
+	// racing fills store interchangeable values.
 	cert atomic.Pointer[analyze.Certificate]
 
 	buildTime time.Duration
 }
 
-// Build constructs the CPM from an already-simulated value table (the
-// single MC run). Cost Θ(M·(N+E)·O / 64) word operations, as analysed in
-// Section 4.4 of the paper.
+// Build constructs the full-form CPM from an already-simulated value table
+// (the single MC run), sequentially. Cost Θ(M·(N+E)·O / 64) word
+// operations, as analysed in Section 4.4 of the paper. BuildParallel
+// builds the same matrix over a pool.
 func Build(n *circuit.Network, vals *sim.Values) *CPM {
 	start := time.Now()
 	m := vals.M
 	numOut := n.NumOutputs()
 	c := &CPM{
-		net:     n,
-		vals:    vals,
-		m:       m,
-		o:       numOut,
-		p:       make([][]*bitvec.Vec, n.NumSlots()),
-		anyProp: make([]atomic.Pointer[bitvec.Vec], n.NumSlots()),
+		net:    n,
+		vals:   vals,
+		m:      m,
+		o:      numOut,
+		p:      make([][]*bitvec.Vec, n.NumSlots()),
+		planes: numOut,
 	}
 	order := n.TopoOrder()
 
@@ -154,28 +175,50 @@ func Build(n *circuit.Network, vals *sim.Values) *CPM {
 			}
 		}
 	}
+	c.built(start)
+	return c
+}
+
+// built records a finished build's time and counts it.
+func (c *CPM) built(start time.Time) {
 	c.buildTime = time.Since(start)
 	statCPMBuilds.Inc()
 	statCPMBuildNS.Add(int64(c.buildTime))
-	return c
+}
+
+// plane returns the row of a node that output o's base case fills.
+func (c *CPM) plane(o int) int {
+	if c.planes == 1 {
+		return 0
+	}
+	return o
 }
 
 // allocRows slab-allocates the propagation rows for every node in order:
 // one bitvec.Arena slab for the vectors and one flat pointer slice carved
 // per node, so a build performs O(1) heap allocations where it used to
-// perform one per node plus one per (node, output).
+// perform one per node plus one per (node, output). A CPM that carries
+// the slab and flat slice of a discarded one re-carves them instead.
 func allocRows(c *CPM, order []circuit.NodeID) {
-	total := len(order) * c.o
+	k := c.planes
+	total := len(order) * k
 	if total == 0 {
 		return
 	}
-	arena := bitvec.NewArena(c.m, total)
-	flat := make([]*bitvec.Vec, total)
+	if c.slab == nil {
+		c.slab = bitvec.NewArena(c.m, total)
+	} else {
+		c.slab.Reset(c.m)
+	}
+	if cap(c.flat) < total {
+		c.flat = make([]*bitvec.Vec, total)
+	}
+	flat := c.flat[:total]
 	for i := range flat {
-		flat[i] = arena.New()
+		flat[i] = c.slab.New()
 	}
 	for i, id := range order {
-		c.p[id] = flat[i*c.o : (i+1)*c.o : (i+1)*c.o] //als:invalidate-ok constructor helper: the caller's CPM is freshly built, caches empty
+		c.p[id] = flat[i*k : (i+1)*k : (i+1)*k] //als:invalidate-ok constructor helper: the caller's CPM is freshly built, caches empty
 	}
 }
 
@@ -242,35 +285,49 @@ func (c *CPM) NumOutputs() int { return c.o }
 func (c *CPM) BuildTime() time.Duration { return c.buildTime }
 
 // Prop returns the M-bit vector of patterns under which a flip at node id
-// reaches output o. Shared, not copied.
+// reaches output o. Shared, not copied. It needs the full form.
 func (c *CPM) Prop(id circuit.NodeID, o int) *bitvec.Vec {
+	return c.rows(id, "Prop")[o]
+}
+
+// rows returns node id's per-output rows, panicking when the node has
+// none: a dead slot, or an ER-form CPM of a network with several outputs.
+// op names the caller for the message.
+func (c *CPM) rows(id circuit.NodeID, op string) []*bitvec.Vec {
 	row := c.p[id]
 	if row == nil {
 		panic(fmt.Sprintf("core: node %d has no CPM row (dead?)", id))
 	}
-	return row[o]
+	if c.planes != c.o {
+		panic(fmt.Sprintf("core: %s needs the full CPM; this one is the ER form", op))
+	}
+	return row
 }
 
-// AnyProp returns the OR over outputs of Prop(id, ·): the patterns under
-// which a flip at id is observable at some primary output. Cached; safe to
-// call from concurrent query workers once the CPM is built (racing fills
-// compute the same bits and the last store wins). Callers must not rely on
-// pointer identity across calls.
+// AnyProp returns the M-bit vector of patterns under which a flip at id
+// is observable at some primary output: the OR over outputs of
+// Prop(id, ·). The ER form stores it as the node's row and returns that,
+// shared (callers must not modify it); the full form ORs its rows into a
+// new vector. Safe from concurrent queries.
 func (c *CPM) AnyProp(id circuit.NodeID) *bitvec.Vec {
-	if v := c.anyProp[id].Load(); v != nil {
-		return v
+	row := c.p[id]
+	if row == nil {
+		panic(fmt.Sprintf("core: node %d has no CPM row (dead?)", id))
+	}
+	if len(row) == 1 {
+		return row[0]
 	}
 	v := bitvec.New(c.m)
-	for _, pv := range c.p[id] {
+	for _, pv := range row {
 		v.Or(v, pv)
 	}
-	c.anyProp[id].Store(v)
 	return v
 }
 
 // Observability returns the fraction of patterns under which a flip at id
 // reaches at least one output — a per-node testability measure that falls
-// out of the CPM for free.
+// out of the CPM for free. The ER form's rows (BuildAnyProp) are all it
+// needs.
 func (c *CPM) Observability(id circuit.NodeID) float64 {
 	return float64(c.AnyProp(id).Count()) / float64(c.m)
 }
@@ -279,7 +336,9 @@ func (c *CPM) Observability(id circuit.NodeID) float64 {
 // transformation, bit-parallel over patterns. nx is the output of the local
 // circuit affected by the AT, change is the M-bit mask of patterns under
 // which the value of nx flips, and st carries the W matrix of the current
-// approximate circuit versus the golden circuit.
+// approximate circuit versus the golden circuit. It needs the full form
+// and is the reference the ER form's queries (ERTerms,
+// DeltaERCorrection) are held to.
 //
 // Returns the increased error rate, which may be negative (the AT fixes
 // previously wrong patterns).
@@ -293,40 +352,38 @@ func (c *CPM) DeltaER(nx circuit.NodeID, change *bitvec.Vec, st *emetric.State) 
 // become fully corrected, out of the M-pattern sample. These Binomial
 // counts are what the statistical confidence layer (obs.Wilson /
 // obs.Hoeffding) consumes — DeltaER's normalised float erases the sample
-// size the interval math needs. The query is not counted; see
-// CountDeltaQueries.
+// size the interval math needs. It needs the full form and is safe from
+// concurrent queries. The query is not counted; see CountDeltaQueries.
 //
 //als:allocfree
 func (c *CPM) DeltaERCounts(nx circuit.NodeID, change *bitvec.Vec, st *emetric.State) (incCount, decCount int64) {
-	if !change.Any() {
-		return 0, 0
-	}
-	if c.erInc == nil {
-		c.erInc = bitvec.New(c.m)
-		c.erDec = bitvec.New(c.m)
-		c.erTmp = bitvec.New(c.m)
-	}
-	// Case 2 (Lines 10-11): previously fully correct pattern, flip reaches
-	// some output -> newly wrong.
-	inc := c.erInc
-	inc.AndNot(change, st.WrongAny)
-	inc.And(inc, c.AnyProp(nx))
-
-	// Case 1 (Lines 7-9): previously wrong pattern where the flip reaches
-	// exactly the wrong outputs and no correct one -> fully corrected.
-	dec := c.erDec
-	dec.And(change, st.WrongAny)
-	if dec.Any() {
-		tmp := c.erTmp
-		row := c.p[nx]
-		for o := 0; o < c.o && dec.Any(); o++ {
-			// Keep patterns where P and W agree on output o.
-			tmp.Xor(row[o], st.W.Row(o))
-			tmp.Not(tmp)
-			dec.And(dec, tmp)
+	row := c.rows(nx, "DeltaERCounts")
+	wa := st.WrongAny.WordsSlice()
+	for w, x := range change.WordsSlice() {
+		if x == 0 {
+			continue
 		}
+		// Case 2 (Lines 10-11): previously fully correct pattern, flip
+		// reaches some output -> newly wrong.
+		if nw := x &^ wa[w]; nw != 0 {
+			var reach uint64
+			for _, pv := range row {
+				if reach |= pv.WordsSlice()[w]; reach&nw == nw {
+					break
+				}
+			}
+			incCount += int64(bits.OnesCount64(nw & reach))
+		}
+		// Case 1 (Lines 7-9): previously wrong pattern where the flip
+		// reaches exactly the wrong outputs and no correct one -> fully
+		// corrected. Keep the patterns where P and W agree on every output.
+		d := x & wa[w]
+		for o := 0; o < c.o && d != 0; o++ {
+			d &^= row[o].WordsSlice()[w] ^ st.W.Row(o).WordsSlice()[w]
+		}
+		decCount += int64(bits.OnesCount64(d))
 	}
-	return int64(inc.Count()), int64(dec.Count())
+	return incCount, decCount
 }
 
 // aemColumns builds (or reuses) the per-pattern output words of the golden
@@ -386,8 +443,8 @@ func (c *CPM) DeltaAEM(nx circuit.NodeID, change *bitvec.Vec, st *emetric.State)
 	if !change.Any() {
 		return 0
 	}
+	row := c.rows(nx, "DeltaAEM")
 	c.aemColumns(st)
-	row := c.p[nx]
 
 	// Only outputs the flip can reach under some changed pattern matter;
 	// gather their word slices once into the reusable buffer (the append

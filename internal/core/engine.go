@@ -10,7 +10,8 @@ import (
 
 // Engine owns the per-circuit estimation state of an iterative ALS flow —
 // the approximate network, its simulated value table, the error-metric
-// state against a fixed golden output matrix, and (lazily) the CPM — and
+// state against a fixed golden output matrix, and (lazily) the CPM, in the
+// form its metric reads (the ER form for ER, the full form for AEM) — and
 // keeps all of it consistent *incrementally* across accepted edits. It
 // replaces the rebuild-from-scratch sequence the flow used to run every
 // iteration (full simulate, new emetric.State, full CPM build) with
@@ -24,9 +25,11 @@ import (
 // Protocol: construct once per flow run, call Apply after every accepted
 // network edit, and read CPM() whenever the estimator needs the matrix —
 // the engine decides between a full parallel build (first call, or after
-// edits too tangled to refresh) and an incremental refresh. The Net, Vals
-// and St fields are the live objects; callers may read them freely but
-// must route all mutation through Apply.
+// edits too tangled to refresh) and an incremental refresh. For ER the
+// refresh also builds the per-output rows at the patterns St gets wrong
+// and keeps those at the patterns Prev got wrong, brought up to date. The
+// Net, Vals and St fields are the live objects; callers may read them
+// freely but must route all mutation through Apply.
 //
 // Apply also keeps the error state it replaced: Prev holds the previous
 // V, W and WrongAny (U is shared with St), and Diff marks the patterns
@@ -41,7 +44,8 @@ type Engine struct {
 	Prev *emetric.State
 	Diff *bitvec.Vec
 
-	pool *par.Pool
+	pool   *par.Pool
+	metric Metric
 
 	cpm            *CPM
 	pendingEdit    Edit
@@ -56,15 +60,16 @@ type Engine struct {
 // NewEngine fully simulates the network on the pattern set and builds the
 // error state against the golden output matrix. A nil golden takes the
 // network's own outputs as the golden reference, for an engine over an
-// unedited copy of the golden circuit. The CPM is not built until the
-// first CPM() call, so estimators that never need it pay nothing.
-func NewEngine(n *circuit.Network, golden *bitvec.Matrix, p *sim.Patterns, pool *par.Pool) *Engine {
+// unedited copy of the golden circuit. The metric picks the CPM's form.
+// The CPM is not built until the first CPM() call, so estimators that
+// never need it pay nothing.
+func NewEngine(n *circuit.Network, golden *bitvec.Matrix, p *sim.Patterns, metric Metric, pool *par.Pool) *Engine {
 	vals := sim.SimulateParallel(n, p, pool)
 	out := sim.OutputMatrix(n, vals)
 	if golden == nil {
 		golden = out.Clone()
 	}
-	return &Engine{Net: n, Vals: vals, St: emetric.NewState(golden, out), pool: pool}
+	return &Engine{Net: n, Vals: vals, St: emetric.NewState(golden, out), pool: pool, metric: metric}
 }
 
 // Apply folds one accepted network edit into the engine's state: the
@@ -129,10 +134,16 @@ func (e *Engine) Apply(ed Edit) (resimmed, changed []circuit.NodeID) {
 // CPM returns the change propagation matrix for the engine's current
 // state, building it on first use and refreshing only the dirty region
 // after Apply calls. The returned matrix is bit-identical to
-// BuildParallel(Net, Vals, pool) at any worker count.
+// BuildParallel(Net, Vals, pool) for AEM, and for ER to BuildER(Net,
+// Vals, St, pool), plus after a refresh the per-output rows at the
+// patterns Prev gets wrong, at any worker count.
 func (e *Engine) CPM() *CPM {
 	if e.cpm == nil || e.needFull {
-		e.cpm = BuildParallel(e.Net, e.Vals, e.pool)
+		if e.metric == MetricER {
+			e.cpm = BuildER(e.Net, e.Vals, e.St, e.pool)
+		} else {
+			e.cpm = BuildParallel(e.Net, e.Vals, e.pool)
+		}
 		e.needFull = false
 		e.hasPending = false
 		e.pendingChanged = nil
@@ -147,7 +158,11 @@ func (e *Engine) CPM() *CPM {
 		return e.cpm
 	}
 	if e.hasPending {
-		e.lastRefresh = e.cpm.Refresh(e.pendingEdit, e.pendingChanged, e.pool)
+		if e.metric == MetricER {
+			e.lastRefresh = e.cpm.refreshER(e.pendingEdit, e.pendingChanged, e.St, e.pool)
+		} else {
+			e.lastRefresh = e.cpm.Refresh(e.pendingEdit, e.pendingChanged, e.pool)
+		}
 		e.lastFull = false
 		e.hasPending = false
 		e.pendingChanged = nil

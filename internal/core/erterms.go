@@ -3,6 +3,7 @@ package core
 import (
 	"math/bits"
 
+	"batchals/internal/bitvec"
 	"batchals/internal/circuit"
 	"batchals/internal/emetric"
 )
@@ -21,8 +22,11 @@ import (
 //	corrected   = WrongAny ∧ ∀o P[nx][o] = W[o]
 //
 // and its net count is popcount(chg ∧ newly wrong) − popcount(chg ∧
-// corrected). Build makes the masks once per target and Net counts them
-// per candidate, where DeltaER walks the output rows per candidate.
+// corrected). Build makes the masks once per target from an ER-form CPM
+// (BuildER): newly wrong from the AnyProp row, corrected from the
+// per-output rows at the wrong patterns, the only ones it reads them at.
+// Net counts them per candidate, where DeltaER walks the full form's
+// output rows per candidate.
 //
 // The counts are exact integers and both cases are word-local, so the
 // nets of any word-aligned partition of the pattern space add up to
@@ -34,10 +38,11 @@ import (
 type ERTerms struct {
 	w0, w1    int
 	nw, fixed []uint64 // the masks at words w0..w1−1, from index 0
+	exact     []uint64 // the corrected mask at the wrong patterns' slice positions
 }
 
-// Build makes nx's masks under st over the words [w0, w1). Safe to call
-// from concurrent workers (AnyProp faults in atomically).
+// Build makes nx's masks under st over the words [w0, w1) from an ER-form
+// CPM built or refreshed for st. Safe to call from concurrent workers.
 //
 //als:allocfree
 func (e *ERTerms) Build(c *CPM, nx circuit.NodeID, st *emetric.State, w0, w1 int) {
@@ -47,16 +52,14 @@ func (e *ERTerms) Build(c *CPM, nx circuit.NodeID, st *emetric.State, w0, w1 int
 	}
 	e.w0, e.w1 = w0, w1
 	e.nw, e.fixed = e.nw[:w1-w0], e.fixed[:w1-w0]
-	ap := c.AnyProp(nx).WordsSlice()
+	s := c.slice(st)
+	ap := c.p[nx][0].WordsSlice()
 	wa := st.WrongAny.WordsSlice()
-	row := c.p[nx]
+	k0 := int(s.base[w0])
+	e.exact = s.exactWords(nx, k0, int(s.base[w1]), e.exact)
 	for w := w0; w < w1; w++ {
 		e.nw[w-w0] = ap[w] &^ wa[w]
-		d := wa[w]
-		for o := 0; o < c.o && d != 0; o++ {
-			d &^= row[o].WordsSlice()[w] ^ st.W.Row(o).WordsSlice()[w]
-		}
-		e.fixed[w-w0] = d
+		e.fixed[w-w0] = s.at(e.exact, k0/bitvec.WordBits, w)
 	}
 }
 

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"math/bits"
-	"sync/atomic"
 	"time"
 
 	"batchals/internal/bitvec"
@@ -47,35 +45,52 @@ func CountPartialQueries(metric Metric, n int) {
 // shard.
 func BuildParallel(n *circuit.Network, vals *sim.Values, pool *par.Pool) *CPM {
 	start := time.Now()
+	pool.Label("cpm.build", obs.PhaseCPMBuild)
+	c := build(n, vals, n.NumOutputs(), nil, pool)
+	c.built(start)
+	return c
+}
+
+// build allocates a CPM with planes rows per live node (the output count
+// for the full form, 1 for the ER form's AnyProp), fills their base cases
+// and folds Eq. (2) into them over the pool, under the pool's current
+// label. A non-nil spare is a CPM of the same network that nothing reads
+// any more; its row storage is reused.
+func build(n *circuit.Network, vals *sim.Values, planes int, spare *CPM, pool *par.Pool) *CPM {
 	c := &CPM{
-		net:     n,
-		vals:    vals,
-		m:       vals.M,
-		o:       n.NumOutputs(),
-		p:       make([][]*bitvec.Vec, n.NumSlots()),
-		anyProp: make([]atomic.Pointer[bitvec.Vec], n.NumSlots()),
+		net:    n,
+		vals:   vals,
+		m:      vals.M,
+		o:      n.NumOutputs(),
+		planes: planes,
+	}
+	if spare != nil {
+		c.slab, c.flat = spare.slab, spare.flat
+	}
+	if slots := n.NumSlots(); spare != nil && cap(spare.p) >= slots {
+		c.p = spare.p[:slots]
+		clear(c.p)
+	} else {
+		c.p = make([][]*bitvec.Vec, slots)
 	}
 	order := n.TopoOrder()
 	allocRows(c, order)
 	for o, out := range n.Outputs() {
-		c.p[out.Node][o].Fill()
+		c.p[out.Node][c.plane(o)].Fill()
 	}
-	pool.Label("cpm.build", obs.PhaseCPMBuild)
 	c.fold(order, nil, pool)
-	c.buildTime = time.Since(start)
-	statCPMBuilds.Inc()
-	statCPMBuildNS.Add(int64(c.buildTime))
 	return c
 }
 
 // fold applies Eq. (2) to rows, which are in topological order, walking
 // them in reverse: each row ORs in, for every distinct fanout, the
-// fanout's row masked by the edge's Boolean difference. A fanout row not
+// fanout's row masked by the edge's Boolean difference, plane by plane
+// (one plane per output in the full form, AnyProp's one in the ER form). A fanout row not
 // in rows is read as it stands. The pattern axis is sharded over the pool
 // as BuildParallel describes.
 //
-// BuildParallel passes flags == nil: every row already holds its base
-// case and is folded in place. Refresh passes its per-slot marks (see
+// A build passes flags == nil: every row already holds its base case and
+// is folded in place. Refresh passes its per-slot marks (see
 // rowHead and friends); each row is then recomputed into a scratch row
 // holding its base case and compared with its stored words, which are
 // overwritten only where they differ. A row that is not head-dirty is
@@ -121,7 +136,7 @@ func (c *CPM) fold(rows []circuit.NodeID, flags []uint8, pool *par.Pool) [][]boo
 				if flags[id]&rowHead == 0 && !anyChanged(fanouts[i], chg) {
 					continue
 				}
-				for o := 0; o < c.o; o++ {
+				for o := 0; o < c.planes; o++ {
 					clear(scratch[o*words+sh.W0 : o*words+sh.W1])
 				}
 				if flags[id]&rowDrives != 0 {
@@ -129,7 +144,8 @@ func (c *CPM) fold(rows []circuit.NodeID, flags []uint8, pool *par.Pool) [][]boo
 						if out.Node != id {
 							continue
 						}
-						so := scratch[o*words : (o+1)*words]
+						pl := c.plane(o)
+						so := scratch[pl*words : (pl+1)*words]
 						for w := sh.W0; w < sh.W1; w++ {
 							so[w] = ^uint64(0)
 						}
@@ -168,7 +184,7 @@ func (c *CPM) fold(rows []circuit.NodeID, flags []uint8, pool *par.Pool) [][]boo
 					continue
 				}
 				frow := c.p[nf]
-				for o := 0; o < c.o; o++ {
+				for o := 0; o < c.planes; o++ {
 					if !frow[o].AnyWords(sh.W0, sh.W1) {
 						continue
 					}
@@ -183,7 +199,7 @@ func (c *CPM) fold(rows []circuit.NodeID, flags []uint8, pool *par.Pool) [][]boo
 				}
 			}
 			if refresh {
-				for o := 0; o < c.o; o++ {
+				for o := 0; o < c.planes; o++ {
 					po := prow[o].WordsSlice()
 					so := scratch[o*words : (o+1)*words]
 					for w := sh.W0; w < sh.W1; w++ {
@@ -210,12 +226,12 @@ func anyChanged(ids []circuit.NodeID, changed []bool) bool {
 }
 
 // refreshScratch returns the fold's refresh scratch, kept on the CPM from
-// one refresh to the next: per shard, one row of words (c.o vectors of M
-// bits, laid end to end) and a changed flag per node slot, all clear.
+// one refresh to the next: per shard, one row of words (c.planes vectors
+// of M bits, laid end to end) and a changed flag per node slot, all clear.
 func (c *CPM) refreshScratch(shards int) ([][]uint64, [][]bool) {
 	slots := c.net.NumSlots()
 	for len(c.foldRows) < shards {
-		c.foldRows = append(c.foldRows, make([]uint64, c.o*bitvec.Words(c.m)))
+		c.foldRows = append(c.foldRows, make([]uint64, c.planes*bitvec.Words(c.m)))
 		c.foldMarks = append(c.foldMarks, nil)
 	}
 	for si := range c.foldMarks[:shards] {
@@ -226,64 +242,17 @@ func (c *CPM) refreshScratch(shards int) ([][]uint64, [][]bool) {
 	return c.foldRows[:shards], c.foldMarks[:shards]
 }
 
-// EnsureAnyProp warms the AnyProp cache for the given nodes, spread over
-// the pool's workers (a nil or single-worker pool fills them inline).
-// AnyProp is already safe to fault in from concurrent workers, and its
-// fills are pure; pre-warming each node once simply avoids the duplicated
-// compute of racing fills on hot candidate targets.
-func (c *CPM) EnsureAnyProp(ids []circuit.NodeID, pool *par.Pool) {
-	n := pool.Workers()
-	pool.Do(n, func(_, task int) {
-		for i := task; i < len(ids); i += n {
-			c.AnyProp(ids[i])
-		}
-	})
-}
-
 // EnsureAEMColumns extracts the per-pattern golden/approximate output words
 // for st into the CPM's column cache. The cache is a plain (non-atomic)
 // memo keyed by state pointer, so concurrent AEM queries require this to
 // be called — from a single goroutine, before the worker fan-out —
 // whenever the error state changes; AEMTerms then only reads it.
 func (c *CPM) EnsureAEMColumns(st *emetric.State) {
+	if c.planes != c.o {
+		panic("core: AEM needs the full CPM; this one is the ER form")
+	}
 	if c.o > 63 {
 		panic("core: EnsureAEMColumns requires <= 63 outputs")
 	}
 	c.aemColumns(st)
-}
-
-// DeltaERCorrection returns how much the net count inc − dec of a flip at
-// nx (ERTerms.Net over every word) moves when the error state moves from prev to cur,
-// provided nx's propagation row (and so its AnyProp) is the same under
-// both. mc[k] holds word ws[k] of the change mask restricted to D, the
-// patterns whose output word differs between the two states. A pattern
-// outside D has the same W column and WrongAny bit under both states, so
-// its term is the same under both, and the count over D's words is the
-// whole difference, exactly. The query is not counted.
-//
-//als:allocfree
-func (c *CPM) DeltaERCorrection(nx circuit.NodeID, mc []uint64, ws []int32, cur, prev *emetric.State) int64 {
-	ap := c.AnyProp(nx).WordsSlice()
-	row := c.p[nx]
-	var net int64
-	for k, w := range ws {
-		if cw := mc[k]; cw != 0 {
-			net += c.erWord(cw, int(w), ap, row, cur) - c.erWord(cw, int(w), ap, row, prev)
-		}
-	}
-	return net
-}
-
-// erWord is Algorithm 1 on word w of a change mask cw under st: the
-// patterns that become wrong (all outputs right before, the flip reaches
-// one) minus those that become right (the flip reaches exactly the wrong
-// outputs), as ERTerms counts them.
-func (c *CPM) erWord(cw uint64, w int, ap []uint64, row []*bitvec.Vec, st *emetric.State) int64 {
-	wa := st.WrongAny.WordsSlice()[w]
-	inc := bits.OnesCount64(cw &^ wa & ap[w])
-	dw := cw & wa
-	for o := 0; o < c.o && dw != 0; o++ {
-		dw &^= row[o].WordsSlice()[w] ^ st.W.Row(o).WordsSlice()[w]
-	}
-	return int64(inc - bits.OnesCount64(dw))
 }

@@ -105,8 +105,9 @@ func randomWordPartition(r *rand.Rand, words, parts int) []int {
 // TestERTermsSumsMatchDeltaER is the metamorphic property pinning the
 // ER target masks: on random DAGs under a corrupted state (a nonzero
 // WrongAny, so both cases of Algorithm 1 count), for any word-aligned
-// partition of the pattern space, summing one ERTerms net per part must
-// equal DeltaER·M exactly — for a change mask given as is, and for the
+// partition of the pattern space, summing one ERTerms net per part, built
+// from the ER form, must equal DeltaER·M on a full CPM exactly — for a
+// change mask given as is, and for the
 // fused change word target ⊕ substitute ⊕ flip of the four substitution
 // kinds, whose inverted and constant-1 forms set bits beyond M that the
 // masks must drop. One table per part serves every target in turn, so a
@@ -122,13 +123,14 @@ func TestERTermsSumsMatchDeltaER(t *testing.T) {
 			t.Fatalf("trial %d: the corrupted state is right on every pattern", trial)
 		}
 		c := Build(approx, vals)
+		er := BuildER(approx, vals, st, nil)
 		gates := gatesOf(approx)
 		nodes := approx.LiveNodes()
 		words := bitvec.Words(m)
 		net := func(cuts []int, nx circuit.NodeID, tw, sw []uint64, flip uint64) int {
 			sum := 0
 			for s := 0; s+1 < len(cuts); s++ {
-				terms[s].Build(c, nx, st, cuts[s], cuts[s+1])
+				terms[s].Build(er, nx, st, cuts[s], cuts[s+1])
 				sum += terms[s].Net(tw, sw, flip)
 			}
 			return sum
@@ -363,9 +365,10 @@ func wideDAG(t testing.TB, r *rand.Rand, nin, ngates, outs int) *circuit.Network
 }
 
 // TestRaceConcurrentCPMQueries is the regression test for the latent
-// lazy-cache sharing bugs: before AnyProp and Certificate moved to atomic
-// pointers, concurrent first queries raced their plain cache writes and
-// this test failed under -race. It must keep passing with the race
+// lazy-cache sharing bugs: before the AnyProp cache (since deleted) and
+// Certificate moved to atomic pointers, concurrent first queries raced
+// their plain cache writes and this test failed under -race. It runs the
+// concurrent queries of both forms. It must keep passing with the race
 // detector enabled (CI runs it with -race at GOMAXPROCS=2 too).
 func TestRaceConcurrentCPMQueries(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
@@ -373,6 +376,7 @@ func TestRaceConcurrentCPMQueries(t *testing.T) {
 	st := corruptedState(r, st0)
 	c := Build(approx, vals)
 	c.EnsureAEMColumns(st)
+	er := BuildER(approx, vals, st, nil)
 	gates := gatesOf(approx)
 	aem := approx.NumOutputs() <= 63
 	words := bitvec.Words(512)
@@ -382,8 +386,8 @@ func TestRaceConcurrentCPMQueries(t *testing.T) {
 		go func(seed int64) {
 			defer wg.Done()
 			rr := rand.New(rand.NewSource(seed))
-			var terms AEMTerms
-			var er ERTerms
+			var aemTerms AEMTerms
+			var terms ERTerms
 			chg := bitvec.New(512)
 			for i := 0; i < 512; i += 3 {
 				chg.Set(i, true)
@@ -391,14 +395,15 @@ func TestRaceConcurrentCPMQueries(t *testing.T) {
 			for k := 0; k < 200; k++ {
 				nx := gates[rr.Intn(len(gates))]
 				c.AnyProp(nx)
-				c.Observability(nx)
+				er.Observability(nx)
 				c.ExactFor(nx)
+				er.ExactFor(nx)
 				w0 := rr.Intn(words)
-				er.Build(c, nx, st, w0, words)
-				er.Net(chg.WordsSlice(), nil, 0)
+				terms.Build(er, nx, st, w0, words)
+				terms.Net(chg.WordsSlice(), nil, 0)
 				if aem {
-					terms.Full(c, nx, st)
-					terms.Sum(chg.WordsSlice())
+					aemTerms.Full(c, nx, st)
+					aemTerms.Sum(chg.WordsSlice())
 				}
 			}
 		}(int64(g))

@@ -2,7 +2,6 @@ package core
 
 import (
 	"slices"
-	"sync/atomic"
 	"time"
 
 	"batchals/internal/bitvec"
@@ -71,10 +70,10 @@ type RefreshStats struct {
 
 // Refresh's per-slot marks for the fold.
 const (
-	rowHead   uint8 = 1 << iota // base case, fanout list or a Boolean difference may differ
-	rowDirty                    // in the backward closure of the head-dirty rows
-	rowDrives                   // drives a primary output
-	rowNew                      // row allocated by this refresh
+	rowHead    uint8 = 1 << iota // base case, fanout list or a Boolean difference may differ
+	rowDirty                     // in the backward closure of the head-dirty rows
+	rowDrives                    // drives a primary output
+	rowChanged                   // the refresh changed the row's contents, or allocated it
 )
 
 // Refresh incrementally updates the CPM in place after the network and its
@@ -117,29 +116,24 @@ const (
 // (RefreshStats.Changed). The fold is word-local, so every word receives
 // the sequential builder's operation sequence regardless of worker count.
 //
-// Lazy caches are invalidated conservatively: AnyProp per changed or
-// removed row, the exactness certificate entirely (the structure changed),
-// and the AEM column cache entirely (the error state changes every accept
+// The lazy caches are dropped: the exactness certificate (the structure
+// changed) and the AEM column memo (the error state changes every accept
 // anyway). BuildTime is reset to the refresh duration.
+//
+// Refresh brings the rows p of either form up to date. The ER form's
+// per-output rows at the wrong patterns depend on the error state as
+// well; the Engine, which knows the state, refreshes those (refreshER).
 func (c *CPM) Refresh(ed Edit, changed []circuit.NodeID, pool *par.Pool) RefreshStats {
 	start := time.Now()
-	n := c.net
-	// The edit may have allocated node slots past the tables' length.
-	for len(c.p) < n.NumSlots() {
-		c.p = append(c.p, nil)
-	}
-	if len(c.anyProp) < n.NumSlots() {
-		grown := make([]atomic.Pointer[bitvec.Vec], n.NumSlots())
-		for i := range c.anyProp {
-			grown[i].Store(c.anyProp[i].Load())
-		}
-		c.anyProp = grown
-	}
-	for _, id := range ed.Removed {
-		c.p[id] = nil
-		c.anyProp[id].Store(nil)
-	}
+	flags, dirty := refreshClosure(c.net, ed, changed)
+	pool.Label("cpm.refresh", obs.PhaseCPMBuild)
+	c.refreshRows(ed, flags, dirty, pool)
+	return c.refreshed(start, flags, dirty)
+}
 
+// refreshClosure returns Refresh's per-slot marks for an edit (see
+// Refresh) and the dirty rows, the closure, in topological order.
+func refreshClosure(n *circuit.Network, ed Edit, changed []circuit.NodeID) ([]uint8, []circuit.NodeID) {
 	// Head-dirty set H.
 	flags := make([]uint8, n.NumSlots())
 	mark := func(id circuit.NodeID) {
@@ -177,7 +171,7 @@ func (c *CPM) Refresh(ed Edit, changed []circuit.NodeID, pool *par.Pool) Refresh
 	// nf, which sits later in topological order, so one reverse pass with
 	// finalised fanout flags closes the set.
 	order := n.TopoOrder()
-	var dirtyList []circuit.NodeID // collected in reverse topological order
+	var dirty []circuit.NodeID // collected in reverse topological order
 	for idx := len(order) - 1; idx >= 0; idx-- {
 		id := order[idx]
 		d := flags[id]&rowHead != 0
@@ -191,51 +185,69 @@ func (c *CPM) Refresh(ed Edit, changed []circuit.NodeID, pool *par.Pool) Refresh
 		}
 		if d {
 			flags[id] |= rowDirty
-			dirtyList = append(dirtyList, id)
+			dirty = append(dirty, id)
 		}
 	}
 	for _, out := range n.Outputs() {
 		flags[out.Node] |= rowDrives
 	}
-	// Added nodes have no row yet: give them a zero one to compare against.
-	for _, id := range dirtyList {
+	slices.Reverse(dirty)
+	return flags, dirty
+}
+
+// refreshRows brings c's rows up to date with the edited network: rows of
+// removed nodes are dropped, added nodes get a zero row to compare
+// against, and the restricted fold recomputes the dirty rows. It marks
+// rowChanged in flags for every row it changed or allocated; a mark
+// another CPM's refresh set over the same closure stays. The lazy caches
+// are dropped.
+func (c *CPM) refreshRows(ed Edit, flags []uint8, dirty []circuit.NodeID, pool *par.Pool) {
+	n := c.net
+	// The edit may have allocated node slots past the table's length.
+	for len(c.p) < n.NumSlots() {
+		c.p = append(c.p, nil)
+	}
+	for _, id := range ed.Removed {
+		c.p[id] = nil
+	}
+	for _, id := range dirty {
 		if c.p[id] == nil {
-			row := make([]*bitvec.Vec, c.o)
+			row := make([]*bitvec.Vec, c.planes)
 			for o := range row {
 				row[o] = bitvec.New(c.m)
 			}
 			c.p[id] = row
-			flags[id] |= rowNew
+			flags[id] |= rowChanged
 		}
 	}
 
 	// Restricted fold over the closure in topological order: the fold
 	// walks it backwards, so a closure fanout row is final before any
-	// closure fanin row reads it; rows outside it are correct as-is.
-	slices.Reverse(dirtyList)
-	pool.Label("cpm.refresh", obs.PhaseCPMBuild)
-	shardChanged := c.fold(dirtyList, flags, pool)
-
-	// A row changed if some shard changed it; a new row always counts as
-	// changed. Only a changed row can have a stale AnyProp entry (removed
-	// rows were cleared above); the certificate and AEM columns are
-	// whole-CPM artifacts, dropped entirely. The shards' flags are cleared
+	// closure fanin row reads it; rows outside it are correct as-is. A
+	// row changed if some shard changed it; the shards' flags are cleared
 	// for the next refresh.
-	var changedRows []circuit.NodeID
-	for _, id := range dirtyList {
-		ch := flags[id]&rowNew != 0
-		for _, sc := range shardChanged {
-			ch = ch || sc[id]
-			sc[id] = false
-		}
-		if ch {
-			changedRows = append(changedRows, id)
-			c.anyProp[id].Store(nil)
+	for _, sc := range c.fold(dirty, flags, pool) {
+		for _, id := range dirty {
+			if sc[id] {
+				flags[id] |= rowChanged
+				sc[id] = false
+			}
 		}
 	}
 	c.cert.Store(nil)
 	c.aemFor = nil
+}
 
+// refreshed finishes a refresh that started at start over the dirty rows:
+// it records the time and the counters and reports the rows marked
+// rowChanged.
+func (c *CPM) refreshed(start time.Time, flags []uint8, dirty []circuit.NodeID) RefreshStats {
+	var changedRows []circuit.NodeID
+	for _, id := range dirty {
+		if flags[id]&rowChanged != 0 {
+			changedRows = append(changedRows, id)
+		}
+	}
 	live := 0
 	for _, row := range c.p {
 		if row != nil {
@@ -245,9 +257,9 @@ func (c *CPM) Refresh(ed Edit, changed []circuit.NodeID, pool *par.Pool) Refresh
 	c.buildTime = time.Since(start)
 	statCPMRefreshes.Inc()
 	statCPMRefreshNS.Add(int64(c.buildTime))
-	statCPMDirtyRows.Add(int64(len(dirtyList)))
-	statCPMCleanRows.Add(int64(live - len(dirtyList)))
-	return RefreshStats{DirtyRows: len(dirtyList), TotalRows: live, Duration: c.buildTime, Changed: changedRows}
+	statCPMDirtyRows.Add(int64(len(dirty)))
+	statCPMCleanRows.Add(int64(live - len(dirty)))
+	return RefreshStats{DirtyRows: len(dirty), TotalRows: live, Duration: c.buildTime, Changed: changedRows}
 }
 
 // Values returns the simulation value table the CPM was built against —

@@ -37,10 +37,9 @@ func pickSubstitution(n *circuit.Network, skip int) (t, s circuit.NodeID, ok boo
 	return 0, 0, false
 }
 
-// applyEdit performs the substitution surgery exactly as the sasimi flow
-// does and returns the structural Edit record plus the value-changed set
-// from in-place cone resimulation.
-func applyEdit(n *circuit.Network, vals *sim.Values, t, s circuit.NodeID, inverted bool, pool *par.Pool) (Edit, []circuit.NodeID) {
+// surgery substitutes s (or, inverted, a new inverter of s) for t exactly
+// as the sasimi flow does and returns the structural Edit record.
+func surgery(n *circuit.Network, t, s circuit.NodeID, inverted bool) Edit {
 	var ed Edit
 	repl := s
 	if inverted {
@@ -51,6 +50,14 @@ func applyEdit(n *circuit.Network, vals *sim.Values, t, s circuit.NodeID, invert
 	ed.Rewired = append([]circuit.NodeID(nil), n.Fanouts(t)...)
 	n.ReplaceNode(t, repl)
 	ed.Removed, ed.Boundary = n.SweepFromCollect(t)
+	return ed
+}
+
+// applyEdit performs the substitution surgery and returns the structural
+// Edit record plus the value-changed set from in-place cone
+// resimulation.
+func applyEdit(n *circuit.Network, vals *sim.Values, t, s circuit.NodeID, inverted bool, pool *par.Pool) (Edit, []circuit.NodeID) {
+	ed := surgery(n, t, s, inverted)
 	_, changed := sim.ResimulateFrom(n, vals, ed.Seeds(), pool)
 	for _, id := range ed.Removed {
 		vals.Drop(id)
@@ -145,9 +152,9 @@ func TestRefreshMatchesRebuild(t *testing.T) {
 	}
 }
 
-// TestRefreshInvalidatesLazyCaches warms every lazy CPM cache (AnyProp
-// rows, the exactness certificate, the AEM column memo), applies an edit
-// plus Refresh, and checks the caches against a cold rebuild: a stale
+// TestRefreshInvalidatesLazyCaches warms every lazy CPM cache (the
+// exactness certificate, the AEM column memo), applies an edit plus
+// Refresh, and checks the caches against a cold rebuild: a stale
 // surviving cache entry would make the derived quantities diverge.
 func TestRefreshInvalidatesLazyCaches(t *testing.T) {
 	n, err := bench.ByName("rca8")
@@ -163,8 +170,7 @@ func TestRefreshInvalidatesLazyCaches(t *testing.T) {
 	vals := sim.SimulateParallel(n, patterns, pool)
 	cpm := BuildParallel(n, vals, pool)
 
-	// Warm AnyProp for every live node, the certificate, and the AEM memo.
-	cpm.EnsureAnyProp(n.LiveNodes(), nil)
+	// Warm the certificate and the AEM memo.
 	st := emetric.NewState(goldenOut, sim.OutputMatrix(n, vals))
 	cpm.EnsureAEMColumns(st)
 	for _, id := range n.LiveNodes() {
@@ -201,55 +207,57 @@ func TestRefreshInvalidatesLazyCaches(t *testing.T) {
 // TestEngineMatchesScratchState pins the Engine protocol: after NewEngine
 // and a chain of Apply calls, the engine's value table, error state and CPM
 // are bit-identical to recomputing everything from scratch on the edited
-// network.
+// network, for each metric's CPM form.
 func TestEngineMatchesScratchState(t *testing.T) {
-	n, err := bench.ByName("cmp8")
-	if err != nil {
-		t.Fatal(err)
-	}
-	golden := n.Clone()
-	pool := par.NewPool(2)
-	defer pool.Close()
-	patterns := sim.RandomPatterns(n.NumInputs(), 768, 3)
-	goldenVals := sim.SimulateParallel(golden, patterns, pool)
-	goldenOut := sim.OutputMatrix(golden, goldenVals)
-
-	eng := NewEngine(n, goldenOut, patterns, pool)
-	if eng.CPM() == nil {
-		t.Fatal("engine CPM is nil")
-	}
-
-	for edit := 0; edit < 3; edit++ {
-		tt, ss, ok := pickSubstitution(n, edit)
-		if !ok {
-			break
+	for _, metric := range []Metric{MetricER, MetricAEM} {
+		n, err := bench.ByName("cmp8")
+		if err != nil {
+			t.Fatal(err)
 		}
-		var ed Edit
-		ed.Repl = ss
-		ed.Rewired = append([]circuit.NodeID(nil), n.Fanouts(tt)...)
-		n.ReplaceNode(tt, ss)
-		ed.Removed, ed.Boundary = n.SweepFromCollect(tt)
-		resimmed, _ := eng.Apply(ed)
-		if len(resimmed) == 0 && len(ed.Rewired) > 0 {
-			t.Fatalf("edit %d: Apply resimulated nothing", edit)
+		golden := n.Clone()
+		pool := par.NewPool(2)
+		patterns := sim.RandomPatterns(n.NumInputs(), 768, 3)
+		goldenVals := sim.SimulateParallel(golden, patterns, pool)
+		goldenOut := sim.OutputMatrix(golden, goldenVals)
+
+		eng := NewEngine(n, goldenOut, patterns, metric, pool)
+		if eng.CPM() == nil {
+			t.Fatal("engine CPM is nil")
 		}
 
-		scratchVals := sim.SimulateParallel(n, patterns, pool)
-		for _, id := range n.LiveNodes() {
-			if !eng.Vals.Node(id).Equal(scratchVals.Node(id)) {
-				t.Fatalf("edit %d: engine value of node %d diverges from scratch simulation", edit, id)
+		for edit := 0; edit < 3; edit++ {
+			tt, ss, ok := pickSubstitution(n, edit)
+			if !ok {
+				break
+			}
+			ed := surgery(n, tt, ss, false)
+			resimmed, _ := eng.Apply(ed)
+			if len(resimmed) == 0 && len(ed.Rewired) > 0 {
+				t.Fatalf("%v edit %d: Apply resimulated nothing", metric, edit)
+			}
+
+			scratchVals := sim.SimulateParallel(n, patterns, pool)
+			for _, id := range n.LiveNodes() {
+				if !eng.Vals.Node(id).Equal(scratchVals.Node(id)) {
+					t.Fatalf("%v edit %d: engine value of node %d diverges from scratch simulation", metric, edit, id)
+				}
+			}
+			scratchSt := emetric.NewState(goldenOut, sim.OutputMatrix(n, scratchVals))
+			if eng.St.ErrorRate() != scratchSt.ErrorRate() {
+				t.Fatalf("%v edit %d: engine ER %v, scratch %v", metric, edit, eng.St.ErrorRate(), scratchSt.ErrorRate())
+			}
+			if eng.St.AvgErrorMagnitude() != scratchSt.AvgErrorMagnitude() {
+				t.Fatalf("%v edit %d: engine AEM %v, scratch %v", metric, edit, eng.St.AvgErrorMagnitude(), scratchSt.AvgErrorMagnitude())
+			}
+			if metric == MetricAEM {
+				compareCPMs(t, "engine", n, eng.CPM(), BuildParallel(n, scratchVals, pool))
+			} else if err := eng.CPM().CheckRebuild(pool); err != nil {
+				t.Fatalf("edit %d: %v", edit, err)
+			}
+			if stats, full := eng.LastRefresh(); full || stats.DirtyRows == 0 {
+				t.Fatalf("%v edit %d: expected a dirty-region refresh, got full=%v stats=%+v", metric, edit, full, stats)
 			}
 		}
-		scratchSt := emetric.NewState(goldenOut, sim.OutputMatrix(n, scratchVals))
-		if eng.St.ErrorRate() != scratchSt.ErrorRate() {
-			t.Fatalf("edit %d: engine ER %v, scratch %v", edit, eng.St.ErrorRate(), scratchSt.ErrorRate())
-		}
-		if eng.St.AvgErrorMagnitude() != scratchSt.AvgErrorMagnitude() {
-			t.Fatalf("edit %d: engine AEM %v, scratch %v", edit, eng.St.AvgErrorMagnitude(), scratchSt.AvgErrorMagnitude())
-		}
-		compareCPMs(t, "engine", n, eng.CPM(), BuildParallel(n, scratchVals, pool))
-		if stats, full := eng.LastRefresh(); full || stats.DirtyRows == 0 {
-			t.Fatalf("edit %d: expected a dirty-region refresh, got full=%v stats=%+v", edit, full, stats)
-		}
+		pool.Close()
 	}
 }

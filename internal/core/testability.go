@@ -29,7 +29,9 @@ type NodeTestability struct {
 // TestabilityReport computes per-node testability for all live gates from
 // one simulation and one CPM — a by-product the batch estimation
 // infrastructure provides for free, useful for test-point insertion and
-// for understanding where an ALS flow will find its savings.
+// for understanding where an ALS flow will find its savings. It reads only
+// observability, so the one-row AnyProp fold (BuildAnyProp) is all the
+// CPM it needs: about 1/O of a full build's rows.
 func TestabilityReport(n *circuit.Network, vals *sim.Values, cpm *CPM) []NodeTestability {
 	var out []NodeTestability
 	m := float64(vals.M)

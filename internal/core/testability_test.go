@@ -23,7 +23,7 @@ func TestTestabilityReport(t *testing.T) {
 
 	p := sim.ExhaustivePatterns(4)
 	vals := sim.Simulate(n, p)
-	cpm := Build(n, vals)
+	cpm := BuildAnyProp(n, vals, nil)
 	rows := TestabilityReport(n, vals, cpm)
 	if len(rows) != 3 {
 		t.Fatalf("rows=%d want 3", len(rows))
@@ -66,7 +66,7 @@ func TestTestabilityImpactOrdering(t *testing.T) {
 	n.AddOutput("o2", blocked)
 	p := sim.ExhaustivePatterns(2)
 	vals := sim.Simulate(n, p)
-	cpm := Build(n, vals)
+	cpm := BuildAnyProp(n, vals, nil)
 	rows := TestabilityReport(n, vals, cpm)
 	var xi, di NodeTestability
 	for _, r := range rows {

@@ -12,18 +12,21 @@ import (
 //   - Engine: the exported Net/Vals/St fields are read-freely,
 //     mutate-through-Apply (engine.go's documented contract). Any direct
 //     assignment to them outside package core is flagged.
-//   - CPM: the propagation rows feed three lazy caches (AnyProp, the
-//     exactness certificate, the AEM column memo). A function that writes
-//     rows of a CPM it did not just construct must drop those caches in
-//     the same body — the paired-call pattern Refresh implements
-//     (cert.Store(nil) / aemFor = nil / per-row anyProp stores). A row
-//     write without that evidence means queries can read stale cache
-//     entries against fresh rows.
+//   - CPM: the propagation rows feed two lazy caches (the exactness
+//     certificate, the AEM column memo). The rows are p in both forms,
+//     plus, in the ER form, the per-output rows at the wrong patterns
+//     (the cur and prev slices), whose lazy state is the certificate. A
+//     function that writes p, cur or prev of a CPM it did not just
+//     construct must drop those caches in the same body — the
+//     paired-call pattern Refresh implements (cert.Store(nil) /
+//     aemFor = nil) — or call Refresh or refreshRows, which do, on the
+//     same CPM. A row write without that evidence means queries can read
+//     stale cache entries against fresh rows.
 //
-// Constructors (Build, BuildParallel) define the receiver locally — a
-// fresh CPM has empty caches, so they pass without special-casing. A
-// finding on a line carrying //als:invalidate-ok is an acknowledged
-// exception.
+// Constructors (Build, BuildParallel, BuildER) define the receiver
+// locally — a fresh CPM has empty caches, so they pass without
+// special-casing. A finding on a line carrying //als:invalidate-ok is an
+// acknowledged exception.
 var Invalidation = &Analyzer{
 	Name: "invalidation",
 	Doc:  "CPM row writers must invalidate lazy caches; Engine state mutates through Apply",
@@ -79,7 +82,8 @@ func (p *Pass) checkEngineWrites(body *ast.BlockStmt) {
 	})
 }
 
-// checkCPMRowWrites enforces the paired-call pattern on writes to CPM.p.
+// checkCPMRowWrites enforces the paired-call pattern on writes to the
+// CPM's rows (p, cur, prev).
 func (p *Pass) checkCPMRowWrites(fn *ast.FuncDecl) {
 	var writes []*ast.AssignStmt // statements writing some CPM's p field
 	var writeBases []types.Object
@@ -92,6 +96,7 @@ func (p *Pass) checkCPMRowWrites(fn *ast.FuncDecl) {
 			if base := p.cpmRowTarget(lhs); base != nil {
 				writes = append(writes, as)
 				writeBases = append(writeBases, base)
+				break // one finding per statement
 			}
 		}
 		return true
@@ -110,13 +115,13 @@ func (p *Pass) checkCPMRowWrites(fn *ast.FuncDecl) {
 		if p.suppressed(as.Pos(), "als:invalidate-ok") {
 			continue
 		}
-		p.Reportf(as.Pos(), "write to CPM propagation rows without invalidating the lazy caches in this function; drop cert/aemFor/anyProp or route through Refresh")
+		p.Reportf(as.Pos(), "write to CPM propagation rows without invalidating the lazy caches in this function; drop cert/aemFor or route through Refresh")
 	}
 }
 
 // cpmRowTarget reports whether lhs writes (directly or through indexing)
-// the p field of a core.CPM, returning the base object of the receiver
-// chain, or nil.
+// a row field of a core.CPM — p, or the ER form's cur and prev — returning
+// the base object of the receiver chain, or nil.
 func (p *Pass) cpmRowTarget(lhs ast.Expr) types.Object {
 	e := ast.Unparen(lhs)
 	for {
@@ -127,7 +132,12 @@ func (p *Pass) cpmRowTarget(lhs ast.Expr) types.Object {
 		e = ast.Unparen(ix.X)
 	}
 	sel, ok := e.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "p" {
+	if !ok {
+		return nil
+	}
+	switch sel.Sel.Name {
+	case "p", "cur", "prev":
+	default:
 		return nil
 	}
 	if !isNamed(p.typeOf(sel.X), "batchals/internal/core", "CPM") {
@@ -184,7 +194,7 @@ func (p *Pass) locallyConstructedCPM(body *ast.BlockStmt, base types.Object) boo
 
 // invalidatesCaches reports whether the body contains cache-invalidation
 // evidence for the CPM: a cert.Store call, an aemFor reset, or a Refresh
-// call.
+// or refreshRows call.
 func (p *Pass) invalidatesCaches(body *ast.BlockStmt, base types.Object) bool {
 	found := false
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -199,17 +209,13 @@ func (p *Pass) invalidatesCaches(body *ast.BlockStmt, base types.Object) bool {
 			}
 			switch sel.Sel.Name {
 			case "Store":
-				// cert.Store(nil) / anyProp[i].Store(nil) on the same CPM.
+				// cert.Store(nil) on the same CPM.
 				if inner, ok := ast.Unparen(sel.X).(*ast.SelectorExpr); ok {
 					if p.chainBase(inner) == base {
 						found = true
 					}
-				} else if ix, ok := ast.Unparen(sel.X).(*ast.IndexExpr); ok {
-					if p.chainBase(ix.X) == base {
-						found = true
-					}
 				}
-			case "Refresh":
+			case "Refresh", "refreshRows":
 				if isNamed(p.typeOf(sel.X), "batchals/internal/core", "CPM") && p.chainBase(sel.X) == base {
 					found = true
 				}

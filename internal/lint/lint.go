@@ -24,8 +24,9 @@
 //     drop it.
 //   - sharddisjoint: code iterating a par.Shards shard must index word
 //     slices only through that shard's [W0,W1) range.
-//   - invalidation:  writers of core.CPM rows must invalidate the lazy
-//     caches; core.Engine state must be mutated through Apply.
+//   - invalidation:  writers of core.CPM rows (either form's) must
+//     invalidate the lazy caches; core.Engine state must be mutated
+//     through Apply.
 //   - allocfree:     functions annotated //als:allocfree must not contain
 //     heap-allocating constructs (unless acknowledged by //als:alloc-ok).
 //   - errwrap:       sentinel errors must be wrapped with %w and compared

@@ -89,6 +89,18 @@ func (e *batchEstimator) prepare(ctx *iterContext) {
 	e.ctx = ctx
 }
 
+// referenceEstimator returns a batch estimator over a full CPM of ctx's
+// network and values, built from scratch: DeltaER and DeltaAEM, the
+// sequential reference the pooled scorer is held to. The engine's CPM is
+// the ER form for ER, which only the pooled scorer reads.
+func referenceEstimator(ctx *iterContext) *batchEstimator {
+	ref := *ctx
+	ref.cpm = core.BuildParallel(ctx.net, ctx.vals, nil)
+	return &batchEstimator{ctx: &ref}
+}
+
+// delta scores one candidate with DeltaER or DeltaAEM, which need the
+// full CPM: only a referenceEstimator's delta is called.
 func (e *batchEstimator) delta(target circuit.NodeID, newVal, change *bitvec.Vec) float64 {
 	if e.ctx.metric == core.MetricAEM {
 		return e.ctx.cpm.DeltaAEM(target, change, e.ctx.st)

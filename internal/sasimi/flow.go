@@ -437,7 +437,7 @@ func RunContext(goCtx context.Context, golden *circuit.Network, cfg Config) (*Re
 	// yields the golden outputs.
 	sp = prof.Begin(obs.PhaseSimulate)
 	approx := golden.Clone()
-	eng := core.NewEngine(approx, nil, patterns, pool)
+	eng := core.NewEngine(approx, nil, patterns, cfg.Metric, pool)
 	goldenOut := eng.St.U
 	prof.End(sp)
 
@@ -593,7 +593,7 @@ loop:
 		wrongCount := int64(eng.St.WrongAny.Count())
 		cfg.Timeline.End(tlm)
 		if cfg.verifyIncremental {
-			if err := crossCheckEngine(eng, goldenOut, patterns, pool); err != nil {
+			if err := crossCheckEngine(eng, goldenOut, patterns, cfg.Metric, pool); err != nil {
 				prof.End(sp)
 				return nil, err
 			}
@@ -664,10 +664,9 @@ loop:
 
 // crossCheckIncremental is the verifyIncremental paranoia pass over an
 // iteration's estimation inputs: it rebuilds the candidate list (and, when
-// present, the CPM) from scratch and compares against the incremental
-// results field for field.
+// present, the CPM; see core.CPM.CheckRebuild) from scratch and compares
+// against the incremental results field for field.
 func crossCheckIncremental(env *gatherEnv, pool *par.Pool, cands []cand, cpm *core.CPM) error {
-	net, vals := env.net, env.vals
 	full, err := gather(context.Background(), env, pool, nil)
 	if err != nil {
 		return err
@@ -681,13 +680,8 @@ func crossCheckIncremental(env *gatherEnv, pool *par.Pool, cands []cand, cpm *co
 		}
 	}
 	if cpm != nil {
-		fresh := core.BuildParallel(net, vals, pool)
-		for _, id := range net.LiveNodes() {
-			for o := 0; o < fresh.NumOutputs(); o++ {
-				if !cpm.Prop(id, o).Equal(fresh.Prop(id, o)) {
-					return fmt.Errorf("sasimi: incremental CPM diverged at node %d output %d", id, o)
-				}
-			}
+		if err := cpm.CheckRebuild(pool); err != nil {
+			return fmt.Errorf("sasimi: incremental CPM diverged: %w", err)
 		}
 	}
 	return nil
@@ -695,15 +689,17 @@ func crossCheckIncremental(env *gatherEnv, pool *par.Pool, cands []cand, cpm *co
 
 // crossCheckScores is the verifyIncremental paranoia pass over a batch
 // estimator's scoring: the sequential reference scoreCandidates rescores
-// every candidate from scratch, and each candidate's carried pattern sum,
-// the feasible entries — Delta, Score and Exact — and the chosen index
-// must match bit for bit.
+// every candidate from scratch with DeltaER or DeltaAEM on a full CPM
+// built afresh, and each candidate's carried pattern sum, the feasible
+// entries — Delta, Score and Exact — and the chosen index must match bit
+// for bit.
 func crossCheckScores(ctx *iterContext, est estimator, cands []cand, sums *candSums, best int, feasible []scored,
 	curErr, threshold float64) error {
 
 	if _, ok := est.(*batchEstimator); !ok {
 		return nil
 	}
+	est = referenceEstimator(ctx)
 	m := ctx.vals.M
 	scratch, change := bitvec.New(m), bitvec.New(m)
 	refBest, refFeasible := scoreCandidates(est, cands, nil, ctx.vals, curErr, threshold, scratch, change, nil, 0)
@@ -736,8 +732,10 @@ func crossCheckScores(ctx *iterContext, est estimator, cands []cand, sums *candS
 // accepted edit: a fresh core.NewEngine of the edited network must agree
 // with the engine's in-place state — every live node's value vector and
 // the error state's V, W and WrongAny.
-func crossCheckEngine(eng *core.Engine, goldenOut *bitvec.Matrix, patterns *sim.Patterns, pool *par.Pool) error {
-	fresh := core.NewEngine(eng.Net, goldenOut, patterns, pool)
+func crossCheckEngine(eng *core.Engine, goldenOut *bitvec.Matrix, patterns *sim.Patterns, metric core.Metric,
+	pool *par.Pool) error {
+
+	fresh := core.NewEngine(eng.Net, goldenOut, patterns, metric, pool)
 	for _, id := range eng.Net.LiveNodes() {
 		if !eng.Vals.Node(id).Equal(fresh.Vals.Node(id)) {
 			return fmt.Errorf("sasimi: incremental value table diverged at node %d", id)
@@ -899,7 +897,7 @@ func EstimateAll(golden, approx *circuit.Network, cfg Config) ([]Candidate, erro
 		patterns = sim.RandomPatterns(golden.NumInputs(), cfg.NumPatterns, cfg.Seed)
 	}
 	goldenVals := sim.SimulateParallel(golden, patterns, pool)
-	eng := core.NewEngine(approx, sim.OutputMatrix(golden, goldenVals), patterns, pool)
+	eng := core.NewEngine(approx, sim.OutputMatrix(golden, goldenVals), patterns, cfg.Metric, pool)
 	vals := eng.Vals
 
 	est := newEstimator(cfg.Estimator)

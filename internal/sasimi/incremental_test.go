@@ -157,6 +157,12 @@ func itoa(n int) string {
 // above 2^32; its first 23 accepts at M = 1000 change no output (each
 // substitute equals its target on every pattern, so they score first),
 // so it runs 28 iterations to correct sums after four accepts that do.
+// The CPM of the ER rows is the ER form, held to a fresh build of it and
+// to a full build (core.CPM.CheckRebuild), with reference scores from
+// DeltaER on a full CPM. The cmp8 rows need accepts that make patterns
+// wrong and one that corrects some, lowering the error, so that the
+// per-output rows at the wrong patterns grow and shrink, and carried sums
+// are corrected across both.
 func TestVerifyIncrementalCrossCheck(t *testing.T) {
 	c880, err := bench.ByName("c880")
 	if err != nil {
@@ -170,29 +176,37 @@ func TestVerifyIncrementalCrossCheck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cmp8, err := bench.ByName("cmp8")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		golden     *circuit.Network
 		metric     core.Metric
 		threshold  float64
 		m          int
+		seed       int64
 		workers    int
 		maxIters   int
 		minIters   int // iterations the run must accept, so cache updates ran
 		minChanges int // accepts that must change the measured error
+		minDrops   int // accepts that must lower it
 	}{
-		{bench.RCA(8), core.MetricER, 0.1, 800, 0, 0, 1, 0},
-		{bench.RCA(8), core.MetricAEM, 4.0, 800, 0, 0, 1, 0},
-		{c880, core.MetricER, 0.01, 10000, 2, 0, 10, 0},
-		{c880, core.MetricER, 0.01, 10000, 1, 12, 10, 0},
-		{mul8, core.MetricAEM, 64, 1024, 2, 12, 5, 5},
-		{ksa32, core.MetricAEM, 8589934, 1000, 2, 28, 28, 4},
+		{bench.RCA(8), core.MetricER, 0.1, 800, 3, 0, 0, 1, 0, 0},
+		{bench.RCA(8), core.MetricAEM, 4.0, 800, 3, 0, 0, 1, 0, 0},
+		{c880, core.MetricER, 0.01, 10000, 3, 2, 0, 10, 0, 0},
+		{c880, core.MetricER, 0.01, 10000, 3, 1, 12, 10, 0, 0},
+		{cmp8, core.MetricER, 0.1, 800, 4, 2, 0, 10, 5, 1},
+		{cmp8, core.MetricER, 0.1, 800, 5, 1, 0, 10, 5, 1},
+		{mul8, core.MetricAEM, 64, 1024, 3, 2, 12, 5, 5, 0},
+		{ksa32, core.MetricAEM, 8589934, 1000, 3, 2, 28, 28, 4, 0},
 	} {
 		res, err := Run(tc.golden, Config{
 			Budget: flow.Budget{
 				Metric:        tc.metric,
 				Threshold:     tc.threshold,
 				NumPatterns:   tc.m,
-				Seed:          3,
+				Seed:          tc.seed,
 				MaxIterations: tc.maxIters,
 			},
 			Estimator:         EstimatorBatch,
@@ -201,22 +215,26 @@ func TestVerifyIncrementalCrossCheck(t *testing.T) {
 			CheckInvariants:   true,
 			verifyIncremental: true,
 		})
-		label := fmt.Sprintf("%s metric %v M=%d workers=%d", tc.golden.Name, tc.metric, tc.m, tc.workers)
+		label := fmt.Sprintf("%s metric %v M=%d seed %d workers=%d", tc.golden.Name, tc.metric, tc.m, tc.seed, tc.workers)
 		if err != nil {
 			t.Fatalf("%s: cross-check failed: %v", label, err)
 		}
 		if res.NumIterations < tc.minIters {
 			t.Fatalf("%s: %d iterations, want at least %d", label, res.NumIterations, tc.minIters)
 		}
-		changes, prev := 0, 0.0
+		changes, drops, prev := 0, 0, 0.0
 		for _, it := range res.Iterations {
 			if it.ActualErr != prev {
 				changes++
 			}
+			if it.ActualErr < prev {
+				drops++
+			}
 			prev = it.ActualErr
 		}
-		if changes < tc.minChanges {
-			t.Fatalf("%s: %d accepts changed the error, want at least %d", label, changes, tc.minChanges)
+		if changes < tc.minChanges || drops < tc.minDrops {
+			t.Fatalf("%s: %d accepts changed the error and %d lowered it, want at least %d and %d",
+				label, changes, drops, tc.minChanges, tc.minDrops)
 		}
 	}
 }

@@ -36,8 +36,7 @@ func scoreCandidatesMaybeSharded(ctx *iterContext, est estimator, cands []cand, 
 type scoreScratch struct {
 	lastM, lastWorkers int
 	shards             []par.Shard
-	seen               []bool // changed-row marks by node slot, cleared after each use
-	targets            []circuit.NodeID
+	seen               []bool         // changed-row marks by node slot, cleared after each use
 	erNet              [][]int32      // per shard: each rescored candidate's net ER count
 	er                 []core.ERTerms // per shard: the current target's masks
 
@@ -133,18 +132,6 @@ func scoreER(goCtx context.Context, ctx *iterContext, cands []cand, sl *sumList[
 		ss.lastM, ss.lastWorkers = m, pool.Workers()
 	}
 	shards := ss.shards
-
-	// Warm the CPM's AnyProp cache before the scoring fan-out: its fills
-	// are atomic and pure, so the distinct targets' rows are filled on the
-	// pool, each once. The list is grouped by target, so a target is new
-	// where the target changes.
-	ss.targets = ss.targets[:0]
-	for i := range cands {
-		if t := cands[i].target; i == 0 || t != cands[i-1].target {
-			ss.targets = append(ss.targets, t)
-		}
-	}
-	cpm.EnsureAnyProp(ss.targets, pool)
 
 	sums, carried := sl.forList(len(cands))
 	carried = carried && ss.carry(ctx)

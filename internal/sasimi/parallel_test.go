@@ -249,18 +249,18 @@ func TestParallelScoringMatchesSequential(t *testing.T) {
 	}
 }
 
-// batchFixture returns a prepared batch estimator and its context for net
-// against the golden output matrix on patterns, as a flow's first
-// iteration sees them: value table, error state and CPM from a fresh
-// core.Engine.
+// batchFixture returns a prepared batch context for net against the
+// golden output matrix on patterns, as a flow's first iteration sees
+// them — value table, error state and the metric's CPM from a fresh
+// core.Engine — and the sequential reference estimator on a full CPM
+// (referenceEstimator), as crossCheckScores uses it.
 func batchFixture(net *circuit.Network, golden *bitvec.Matrix, patterns *sim.Patterns,
 	metric core.Metric) (*iterContext, estimator) {
 
-	eng := core.NewEngine(net, golden, patterns, nil)
+	eng := core.NewEngine(net, golden, patterns, metric, nil)
 	ctx := &iterContext{net: net, vals: eng.Vals, st: eng.St, metric: metric, engine: eng}
-	est := newEstimator(EstimatorBatch)
-	est.prepare(ctx)
-	return ctx, est
+	newEstimator(EstimatorBatch).prepare(ctx)
+	return ctx, referenceEstimator(ctx)
 }
 
 // shardedScoringAllocs returns the allocations of a repeated sharded

@@ -43,6 +43,40 @@ func (v *Values) Clone() *Values {
 	return c
 }
 
+// Compact returns the value table restricted to the patterns set in sel,
+// an M-bit mask, in pattern order: pattern k of the result is the k-th
+// pattern sel sets. It holds a vector for every node v holds one for.
+func (v *Values) Compact(sel *bitvec.Vec) *Values {
+	c := &Values{M: sel.Count(), vecs: make([]*bitvec.Vec, len(v.vecs))}
+	arena := bitvec.NewArena(c.M, len(v.vecs))
+	for id, x := range v.vecs {
+		if x != nil {
+			c.vecs[id] = arena.New()
+			bitvec.Compact(c.vecs[id].WordsSlice(), x.WordsSlice(), sel.WordsSlice())
+		}
+	}
+	return c
+}
+
+// Recompact brings a table that Compact made from src under sel up to
+// date after the vectors of ids changed in src: each is compacted again,
+// or dropped where src no longer holds one. The table grows to src's node
+// slots.
+func (v *Values) Recompact(src *Values, sel *bitvec.Vec, ids []circuit.NodeID) {
+	v.Grow(len(src.vecs))
+	for _, id := range ids {
+		x := src.vecs[id]
+		if x == nil {
+			v.vecs[id] = nil
+			continue
+		}
+		if v.vecs[id] == nil {
+			v.vecs[id] = bitvec.New(v.M)
+		}
+		bitvec.Compact(v.vecs[id].WordsSlice(), x.WordsSlice(), sel.WordsSlice())
+	}
+}
+
 // Simulate evaluates the whole network on the pattern set and returns the
 // per-node value vectors. The pattern set must match the network's input
 // count.

@@ -9,10 +9,10 @@ package batchals
 //     pass beyond the recorder's own pre-sized rings (checked exactly
 //     with testing.AllocsPerRun — allocation counts are deterministic,
 //     so this is the strong cross-machine signal);
-//   - time: median-of-pairs wall-clock comparison, interleaved so
-//     frequency scaling and cache state hit both sides equally. Skipped
-//     under -race (detector instrumentation dwarfs the recorder) and in
-//     -short mode.
+//   - time: median-of-pairs comparison of the process's CPU time
+//     (processTime), interleaved so frequency scaling and cache state hit
+//     both sides equally. Skipped under -race (detector instrumentation
+//     dwarfs the recorder) and in -short mode.
 
 import (
 	"runtime"
@@ -27,6 +27,10 @@ import (
 )
 
 const tlOverheadPatterns = 2048
+
+// tlPassRuns is how many passes a side one pair of
+// TestTimelineOverheadOnParallelEstimate times.
+const tlPassRuns = 4
 
 func tlEstimateOnce(tb testing.TB, golden *Network, rec *timeline.Recorder) {
 	cands, err := sasimi.EstimateAll(golden, golden.Clone(), sasimi.Config{
@@ -110,13 +114,20 @@ func TestTimelineOverheadAllocations(t *testing.T) {
 // traced/untraced ratio over interleaved pairs must stay within the 2%
 // budget (plus a small absolute guard for sub-millisecond jitter).
 //
-// One pass takes ~15 ms on a 2-CPU host, where a single pair's ratio
-// scatters by ±10%, so the median needs many pairs and a level field:
-// half the pairs run the traced pass first (with a fixed order the
-// second pass inherited the first one's garbage, charged to the traced
-// side every time), and every timed pass starts after a collection, so
-// no pass pays for garbage another pass left. The recorder's own
-// allocations are pinned exactly by TestTimelineOverheadAllocations.
+// Each pass is timed by the CPU time this process spends on it, not by
+// wall time: under `go test ./...` other packages' tests share the CPUs,
+// and a pass that waits for a CPU costs wall time the recorder did not
+// add (single pairs spread from 0.55 to 2.75 timed by the wall clock).
+// One pass takes about 6 ms on a 2-CPU host, where a single pass's CPU
+// time still scatters by ±10% and drifts as the host's load does, so a
+// pair sums tlPassRuns passes a side, traced and untraced passes
+// alternating, and the median needs many pairs and a level field: which
+// side runs first alternates from pass to pass and from pair to pair
+// (with a fixed order the second pass inherited the first one's garbage,
+// charged to the traced side every time), and every timed pass starts
+// after a collection, so no pass pays for garbage another pass left. The
+// recorder's own allocations are pinned exactly by
+// TestTimelineOverheadAllocations.
 func TestTimelineOverheadOnParallelEstimate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation dwarfs the recorder's cost")
@@ -135,28 +146,26 @@ func TestTimelineOverheadOnParallelEstimate(t *testing.T) {
 	tlEstimateOnce(t, golden, rec)
 
 	const pairs = 64
+	timed := func(r *timeline.Recorder) time.Duration {
+		if r != nil {
+			r.Reset()
+		}
+		runtime.GC()
+		start := processTime()
+		tlEstimateOnce(t, golden, r)
+		return processTime() - start
+	}
 	ratios := make([]float64, 0, pairs)
 	for i := 0; i < pairs; i++ {
 		var off, on time.Duration
-		runOff := func() {
-			runtime.GC()
-			start := time.Now()
-			tlEstimateOnce(t, golden, nil)
-			off = time.Since(start)
-		}
-		runOn := func() {
-			rec.Reset()
-			runtime.GC()
-			start := time.Now()
-			tlEstimateOnce(t, golden, rec)
-			on = time.Since(start)
-		}
-		if i%2 == 0 {
-			runOff()
-			runOn()
-		} else {
-			runOn()
-			runOff()
+		for k := 0; k < tlPassRuns; k++ {
+			if (i+k)%2 == 0 {
+				off += timed(nil)
+				on += timed(rec)
+			} else {
+				on += timed(rec)
+				off += timed(nil)
+			}
 		}
 		ratios = append(ratios, float64(on)/float64(off))
 	}
