@@ -41,6 +41,12 @@ type wrongSlice struct {
 	// rows is a full-form CPM over the value table compacted to the
 	// slice's patterns; nil when the state gets every pattern right.
 	rows *CPM
+	// The storage a refresh refills (see newWrongSlice): w's words, and
+	// the arena of the compacted value table's vectors, whose slab holds
+	// arenaVecs of them.
+	wbuf      []uint64
+	arena     *bitvec.Arena
+	arenaVecs int
 }
 
 // BuildAnyProp builds the ER form's AnyProp rows alone, one per live node
@@ -69,11 +75,21 @@ func BuildER(n *circuit.Network, vals *sim.Values, st *emetric.State, pool *par.
 }
 
 // newWrongSlice builds the per-output rows at the patterns st gets wrong,
-// folding them over the pool under its current label, in the row storage
-// of spare, a slice nothing reads any more, when it is not nil.
+// folding them over the pool under its current label. When spare, a
+// slice nothing reads any more, is not nil, the new slice is spare
+// itself, refilled: its position and W arrays, its compacted value table
+// and its rows' storage are reused where they are large enough.
 func newWrongSlice(n *circuit.Network, vals *sim.Values, st *emetric.State, spare *wrongSlice, pool *par.Pool) *wrongSlice {
 	sel := st.WrongAny.WordsSlice()
-	s := &wrongSlice{wa: st.WrongAny, base: make([]int32, len(sel)+1)}
+	s := spare
+	if s == nil {
+		s = &wrongSlice{}
+	}
+	s.wa = st.WrongAny
+	if cap(s.base) < len(sel)+1 {
+		s.base = make([]int32, len(sel)+1)
+	}
+	s.base = s.base[:len(sel)+1]
 	k := 0
 	for w, x := range sel {
 		s.base[w] = int32(k)
@@ -81,20 +97,30 @@ func newWrongSlice(n *circuit.Network, vals *sim.Values, st *emetric.State, spar
 	}
 	s.base[len(sel)] = int32(k)
 	if k == 0 {
+		s.w, s.rows = nil, nil
 		return s
 	}
 	words := bitvec.Words(k)
-	flat := make([]uint64, st.W.Rows()*words)
-	s.w = make([][]uint64, st.W.Rows())
-	for o := range s.w {
-		s.w[o] = flat[o*words : (o+1)*words : (o+1)*words]
-		bitvec.Compact(s.w[o], st.W.Row(o).WordsSlice(), sel)
+	o := st.W.Rows()
+	if cap(s.wbuf) < o*words {
+		s.wbuf = make([]uint64, o*words)
 	}
-	var rows *CPM
-	if spare != nil {
-		rows = spare.rows
+	if cap(s.w) < o {
+		s.w = make([][]uint64, o)
 	}
-	s.rows = build(n, vals.Compact(st.WrongAny), n.NumOutputs(), rows, pool)
+	s.w = s.w[:o]
+	for i := range s.w {
+		s.w[i] = s.wbuf[i*words : (i+1)*words : (i+1)*words]
+		bitvec.Compact(s.w[i], st.W.Row(i).WordsSlice(), sel)
+	}
+	var table *sim.Values
+	if s.rows != nil {
+		table = s.rows.vals
+	}
+	if live := n.NumNodes(); s.arena == nil || live > s.arenaVecs {
+		s.arena, s.arenaVecs = bitvec.NewArena(k, live), live
+	}
+	s.rows = build(n, vals.CompactInto(table, st.WrongAny, s.arena), n.NumOutputs(), s.rows, pool)
 	return s
 }
 

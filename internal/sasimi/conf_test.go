@@ -153,8 +153,8 @@ func TestIdleStreamSubscriberScoringAllocs(t *testing.T) {
 	cfg := Config{Budget: flow.Budget{Metric: core.MetricER, Threshold: 1}}
 	cfg.fillDefaults()
 	arrival := lib.NodeArrival(net)
-	cands := gatherRecords(t, net, vals, &cfg, arrival, lib.GateDelay(circuit.KindNot))
-	if len(cands) == 0 {
+	cands := gatherStore(t, net, vals, &cfg, arrival, lib.GateDelay(circuit.KindNot))
+	if cands.len() == 0 {
 		t.Fatal("no candidates on RCA8")
 	}
 	scratch := bitvec.New(vals.M)

@@ -253,7 +253,7 @@ func newRunObs(cfg *Config, net *circuit.Network) *runObs {
 	return o
 }
 
-func (o *runObs) candidateScored(iter int, c *cand, e scored) {
+func (o *runObs) candidateScored(iter int, c *choice, e scored) {
 	if o == nil {
 		return
 	}
@@ -265,7 +265,7 @@ func (o *runObs) candidateScored(iter int, c *cand, e scored) {
 			Iter:     iter,
 			Target:   o.net.NameOf(c.target),
 			Sub:      subName(o.net, c),
-			Inverted: c.kind == kindInverted,
+			Inverted: c.kind() == kindInverted,
 			Delta:    e.delta,
 			Gain:     c.gain,
 			Score:    e.score,
@@ -500,13 +500,13 @@ loop:
 		arrival := cfg.Library.NodeArrival(approx)
 		invDelay := cfg.Library.GateDelay(circuit.KindNot)
 		env := newGatherEnv(approx, vals, &cfg, arrival, invDelay, adm)
-		var cands []cand
+		var store *candStore
 		var gerr error
 		if cache == nil {
 			cache = &gatherCache{}
-			cands, gerr = cache.full(goCtx, env, pool)
+			store, gerr = cache.full(goCtx, env, pool)
 		} else {
-			cands, gerr = cache.update(goCtx, env, pendingEdit, pendingChanged, pool)
+			store, gerr = cache.update(goCtx, env, pendingEdit, pendingChanged, pool)
 		}
 		if gerr != nil {
 			// A cancelled gather leaves the cache partially written; drop
@@ -519,12 +519,12 @@ loop:
 			break loop
 		}
 		if cfg.verifyIncremental {
-			if err := crossCheckIncremental(env, pool, cands, ictx.cpm); err != nil {
+			if err := crossCheckIncremental(env, pool, store, ictx.cpm); err != nil {
 				prof.End(sp)
 				return nil, err
 			}
 		}
-		if len(cands) == 0 {
+		if store.len() == 0 {
 			prof.End(sp)
 			cfg.Timeline.End(tli)
 			o.iteration(iter, curErr, 0, 0, false, time.Since(iterStart))
@@ -534,7 +534,7 @@ loop:
 		// Estimate the increased error of every candidate (the batch step)
 		// and pick the best feasible one by ΔArea/ΔError score. best indexes
 		// feasible, the scored entries of the candidates within budget.
-		best, feasible := scoreCandidatesMaybeSharded(ictx, est, cands, &cache.sums, entries, curErr, cfg.Threshold,
+		best, feasible := scoreCandidatesMaybeSharded(ictx, est, store, entries, curErr, cfg.Threshold,
 			scratch, change, &sscratch, pool, o, iter)
 		entries = feasible
 		prof.End(sp)
@@ -543,7 +543,7 @@ loop:
 			break loop
 		}
 		if cfg.verifyIncremental {
-			if err := crossCheckScores(ictx, est, cands, &cache.sums, best, feasible, curErr, cfg.Threshold); err != nil {
+			if err := crossCheckScores(ictx, est, store, best, feasible, curErr, cfg.Threshold); err != nil {
 				return nil, err
 			}
 		}
@@ -552,7 +552,7 @@ loop:
 		if cfg.VerifyTopK > 0 && cfg.Estimator != EstimatorFull && len(feasible) > 0 {
 			tlv := cfg.Timeline.Start("sasimi.verify_topk", obs.PhaseVerifyApply)
 			var verr error
-			best, verr = verifyTopK(goCtx, approx, vals, st, &cfg, cands, feasible, curErr, &vscratch, pool, o)
+			best, verr = verifyTopK(goCtx, approx, vals, st, &cfg, store, feasible, curErr, &vscratch, pool, o)
 			cfg.Timeline.End(tlv)
 			if verr != nil {
 				prof.End(sp)
@@ -563,19 +563,19 @@ loop:
 		if best == -1 {
 			prof.End(sp)
 			cfg.Timeline.End(tli)
-			o.iteration(iter, curErr, len(cands), len(feasible), false, time.Since(iterStart))
+			o.iteration(iter, curErr, store.len(), len(feasible), false, time.Since(iterStart))
 			break // nothing fits in the remaining budget
 		}
 		pick := feasible[best]
-		chosen := &cands[pick.idx]
+		chosen := store.at(int(pick.idx))
 
 		// Apply the substitution on a backup so an over-budget result can
 		// be rolled back, then measure the actual error (paper §3.2).
 		tla := cfg.Timeline.Start("sasimi.apply", obs.PhaseVerifyApply)
 		backup := approx.Clone()
-		ed := applyCandidate(approx, chosen)
+		ed := applyCandidate(approx, &chosen)
 		if cfg.CheckInvariants {
-			if err := checkAcyclic(approx, backup, chosen); err != nil {
+			if err := checkAcyclic(approx, backup, &chosen); err != nil {
 				prof.End(sp)
 				return nil, err
 			}
@@ -608,7 +608,7 @@ loop:
 			prof.End(sp)
 			o.rolledBack()
 			cfg.Timeline.End(tli)
-			o.iteration(iter, curErr, len(cands), len(feasible), false, time.Since(iterStart))
+			o.iteration(iter, curErr, store.len(), len(feasible), false, time.Since(iterStart))
 			break
 		}
 		prof.End(sp)
@@ -618,13 +618,13 @@ loop:
 		res.FinalArea = cfg.Library.NetworkArea(approx)
 		res.FinalError = actual
 		targetName := backup.NameOf(chosen.target)
-		subN := subName(backup, chosen)
-		inverted := chosen.kind == kindInverted
+		subN := subName(backup, &chosen)
+		inverted := chosen.kind() == kindInverted
 		cfg.Timeline.Mark("accept", obs.PhaseVerifyApply)
 		o.accepted(iter, targetName, subN, inverted, predicted, actual, pick.exact, res.FinalArea,
 			pick.delta, wrongCount, int64(patterns.NumPatterns()))
 		cfg.Timeline.End(tli)
-		o.iteration(iter, curErr, len(cands), len(feasible), true, time.Since(iterStart))
+		o.iteration(iter, curErr, store.len(), len(feasible), true, time.Since(iterStart))
 		if cfg.KeepTrace {
 			res.Iterations = append(res.Iterations, IterationRecord{
 				Iter:       iter,
@@ -636,7 +636,7 @@ loop:
 				EstAccum:   estAccum,
 				ActualErr:  actual,
 				Area:       res.FinalArea,
-				Candidates: len(cands),
+				Candidates: store.len(),
 				Feasible:   len(feasible),
 				Exact:      pick.exact,
 				Drift:      actual - predicted,
@@ -663,20 +663,24 @@ loop:
 }
 
 // crossCheckIncremental is the verifyIncremental paranoia pass over an
-// iteration's estimation inputs: it rebuilds the candidate list (and, when
-// present, the CPM; see core.CPM.CheckRebuild) from scratch and compares
-// against the incremental results field for field.
-func crossCheckIncremental(env *gatherEnv, pool *par.Pool, cands []cand, cpm *core.CPM) error {
+// iteration's estimation inputs: it rebuilds the candidate store (and,
+// when present, the CPM; see core.CPM.CheckRebuild) from scratch and
+// compares against the incremental results candidate by candidate:
+// target, record and derived gain.
+func crossCheckIncremental(env *gatherEnv, pool *par.Pool, store *candStore, cpm *core.CPM) error {
 	full, err := gather(context.Background(), env, pool, nil)
 	if err != nil {
 		return err
 	}
-	if len(full) != len(cands) {
-		return fmt.Errorf("sasimi: incremental gather diverged: %d candidates vs %d full", len(cands), len(full))
+	if full.len() != store.len() {
+		return fmt.Errorf("sasimi: incremental gather diverged: %d candidates vs %d full", store.len(), full.len())
 	}
-	for i := range full {
-		if cands[i] != full[i] {
-			return fmt.Errorf("sasimi: incremental gather diverged at candidate %d: %+v vs full %+v", i, cands[i], full[i])
+	a, b := segCursor{segs: store.segs}, segCursor{segs: full.segs}
+	for i := 0; i < full.len(); i++ {
+		sa, sb := a.seek(i), b.seek(i)
+		ca, cb := sa.choice(i-int(sa.pos), store.invArea), sb.choice(i-int(sb.pos), full.invArea)
+		if ca != cb {
+			return fmt.Errorf("sasimi: incremental gather diverged at candidate %d: %+v vs full %+v", i, ca, cb)
 		}
 	}
 	if cpm != nil {
@@ -693,7 +697,7 @@ func crossCheckIncremental(env *gatherEnv, pool *par.Pool, cands []cand, cpm *co
 // built afresh, and each candidate's carried pattern sum, the feasible
 // entries — Delta, Score and Exact — and the chosen index must match bit
 // for bit.
-func crossCheckScores(ctx *iterContext, est estimator, cands []cand, sums *candSums, best int, feasible []scored,
+func crossCheckScores(ctx *iterContext, est estimator, store *candStore, best int, feasible []scored,
 	curErr, threshold float64) error {
 
 	if _, ok := est.(*batchEstimator); !ok {
@@ -702,7 +706,7 @@ func crossCheckScores(ctx *iterContext, est estimator, cands []cand, sums *candS
 	est = referenceEstimator(ctx)
 	m := ctx.vals.M
 	scratch, change := bitvec.New(m), bitvec.New(m)
-	refBest, refFeasible := scoreCandidates(est, cands, nil, ctx.vals, curErr, threshold, scratch, change, nil, 0)
+	refBest, refFeasible := scoreCandidates(est, store, nil, ctx.vals, curErr, threshold, scratch, change, nil, 0)
 	if refBest != best || len(refFeasible) != len(feasible) {
 		return fmt.Errorf("sasimi: incremental scoring diverged: best %d of %d feasible vs reference %d of %d",
 			best, len(feasible), refBest, len(refFeasible))
@@ -713,13 +717,14 @@ func crossCheckScores(ctx *iterContext, est estimator, cands []cand, sums *candS
 				i, feasible[i], refFeasible[i])
 		}
 	}
-	_, all := scoreCandidates(est, cands, nil, ctx.vals, 0, math.Inf(1), scratch, change, nil, 0)
+	_, all := scoreCandidates(est, store, nil, ctx.vals, 0, math.Inf(1), scratch, change, nil, 0)
 	for _, e := range all {
+		sg, j := store.find(int(e.idx))
 		var got float64
 		if ctx.metric == core.MetricAEM {
-			got = sums.aem.cur[e.idx] / float64(m)
+			got = store.aem.of(sg)[j] / float64(m)
 		} else {
-			got = float64(sums.er.cur[e.idx]) / float64(m)
+			got = float64(store.er.of(sg)[j]) / float64(m)
 		}
 		if got != e.delta {
 			return fmt.Errorf("sasimi: carried pattern sum of candidate %d diverged: delta %v vs reference %v", e.idx, got, e.delta)
@@ -758,7 +763,7 @@ func crossCheckEngine(eng *core.Engine, goldenOut *bitvec.Matrix, patterns *sim.
 // separate code paths). Under Config.CheckInvariants every accepted
 // substitution is re-checked here, turning what would be a TopoOrder
 // panic inside the next simulation into an error that names the cycle.
-func checkAcyclic(approx, backup *circuit.Network, c *cand) error {
+func checkAcyclic(approx, backup *circuit.Network, c *choice) error {
 	cyc := analyze.FindCycle(approx)
 	if cyc == nil {
 		return nil
@@ -789,28 +794,32 @@ func cycleNames(net *circuit.Network, cyc []circuit.NodeID) string {
 // The batch estimator's CPM queries are counted once for the whole pass.
 //
 //als:allocfree
-func scoreCandidates(est estimator, cands []cand, buf []scored, vals *sim.Values,
+func scoreCandidates(est estimator, store *candStore, buf []scored, vals *sim.Values,
 	curErr, threshold float64, scratch, change *bitvec.Vec, o *runObs, iter int) (int, []scored) {
 
 	best := -1
+	var bc choice
 	feasible := buf[:0]
-	for i := range cands {
-		c := &cands[i]
-		sub := c.substituteValue(vals, scratch)
-		change.Xor(vals.Node(c.target), sub)
-		delta := est.delta(c.target, sub, change)
-		e := scored{idx: int32(i), delta: delta, score: score(c.gain, delta, vals.M), exact: est.exactFor(c.target)}
-		o.candidateScored(iter, c, e)
-		if curErr+delta > threshold+1e-12 {
-			continue // estimated to bust the budget
-		}
-		feasible = append(feasible, e) //als:alloc-ok amortised grow of the returned entries; the pin's baseline absorbs it
-		if best == -1 || better(cands, e, feasible[best]) {
-			best = len(feasible) - 1
+	for k := range store.segs {
+		sg := &store.segs[k]
+		for j := range sg.recs {
+			c := sg.choice(j, store.invArea)
+			sub := c.substituteValue(vals, scratch)
+			change.Xor(vals.Node(c.target), sub)
+			delta := est.delta(c.target, sub, change)
+			e := scored{idx: sg.pos + int32(j), delta: delta, score: score(c.gain, delta, vals.M), exact: est.exactFor(c.target)}
+			o.candidateScored(iter, &c, e)
+			if curErr+delta > threshold+1e-12 {
+				continue // estimated to bust the budget
+			}
+			feasible = append(feasible, e) //als:alloc-ok amortised grow of the returned entries; the pin's baseline absorbs it
+			if best == -1 || better(&c, e, &bc, feasible[best]) {
+				best, bc = len(feasible)-1, c
+			}
 		}
 	}
 	if be, ok := est.(*batchEstimator); ok {
-		core.CountDeltaQueries(be.ctx.metric, len(cands))
+		core.CountDeltaQueries(be.ctx.metric, store.len())
 	}
 	return best, feasible
 }
@@ -831,14 +840,14 @@ func score(gain, delta float64, m int) float64 {
 	return gain / delta
 }
 
-func subName(n *circuit.Network, c *cand) string {
-	switch c.kind {
+func subName(n *circuit.Network, c *choice) string {
+	switch c.kind() {
 	case kindConst1:
 		return "const1"
 	case kindConst0:
 		return "const0"
 	}
-	return n.NameOf(c.sub)
+	return n.NameOf(c.sub())
 }
 
 // applyCandidate performs the netlist surgery for an accepted candidate and
@@ -846,18 +855,18 @@ func subName(n *circuit.Network, c *cand) string {
 // replacement signal, the nodes rewired onto it (the target's former
 // fanouts, captured before the rewiring), any added node, and the swept
 // region with its live boundary.
-func applyCandidate(net *circuit.Network, c *cand) core.Edit {
+func applyCandidate(net *circuit.Network, c *choice) core.Edit {
 	var ed core.Edit
 	var repl circuit.NodeID
-	switch c.kind {
+	switch c.kind() {
 	case kindConst1, kindConst0:
-		repl = net.AddConst(c.kind == kindConst1)
+		repl = net.AddConst(c.kind() == kindConst1)
 		ed.Added = []circuit.NodeID{repl}
 	case kindInverted:
-		repl = net.AddGate(circuit.KindNot, c.sub)
+		repl = net.AddGate(circuit.KindNot, c.sub())
 		ed.Added = []circuit.NodeID{repl}
 	default:
-		repl = c.sub
+		repl = c.sub()
 	}
 	ed.Repl = repl
 	ed.Rewired = append([]circuit.NodeID(nil), net.Fanouts(c.target)...)
@@ -907,19 +916,25 @@ func EstimateAll(golden, approx *circuit.Network, cfg Config) ([]Candidate, erro
 	arrival := cfg.Library.NodeArrival(approx)
 	adm := newAdmission(vals.M, cfg.SimilarityCap)
 	env := newGatherEnv(approx, vals, &cfg, arrival, cfg.Library.GateDelay(circuit.KindNot), adm)
-	cands, err := gather(context.Background(), env, pool, nil)
+	store, err := gather(context.Background(), env, pool, nil)
 	if err != nil {
 		return nil, err
 	}
 	scratch := bitvec.New(patterns.NumPatterns())
 	change := bitvec.New(patterns.NumPatterns())
 	o := newRunObs(&cfg, approx)
-	_, scores := scoreCandidatesMaybeSharded(ctx, est, cands, &candSums{}, make([]scored, 0, len(cands)),
+	_, scores := scoreCandidatesMaybeSharded(ctx, est, store, make([]scored, 0, store.len()),
 		0, math.Inf(1), scratch, change, &scoreScratch{}, pool, o, 1)
-	out := make([]Candidate, len(cands))
+	out := make([]Candidate, store.len())
+	for k := range store.segs {
+		sg := &store.segs[k]
+		for j := range sg.recs {
+			c := sg.choice(j, store.invArea)
+			out[int(sg.pos)+j] = adm.view(&c)
+		}
+	}
 	for _, e := range scores {
 		c := &out[e.idx]
-		*c = adm.view(&cands[e.idx])
 		c.Delta, c.Score, c.Exact = e.delta, e.score, e.exact
 	}
 	return out, nil

@@ -44,6 +44,9 @@ func newGatherEnv(net *circuit.Network, vals *sim.Values, cfg *Config, arrival [
 	if adm.m != vals.M {
 		panic("sasimi: admission thresholds computed for a different pattern count")
 	}
+	if net.NumSlots() > maxSlots {
+		panic("sasimi: network has more node slots than a stored candidate can name")
+	}
 	env := &gatherEnv{
 		net:      net,
 		vals:     vals,
@@ -90,7 +93,7 @@ func newGatherEnv(net *circuit.Network, vals *sim.Values, cfg *Config, arrival [
 // same d, which may differ in the last bit (never at power-of-two M).
 // Distinct d lie 1/M apart, far beyond either form's rounding error, so
 // equal ranks mean equal DiffProbs and rank order is DiffProb order. The
-// candidate list stores the rank in place of the DiffProb (cand.rank), and
+// candidate store keeps the rank in place of the DiffProb (rec.rank), and
 // view recomputes the DiffProb where a caller needs it.
 type admission struct {
 	m                int
@@ -134,42 +137,6 @@ func formRank(d int, above bool) uint32 {
 	return r
 }
 
-// binBlock is the size, in records, of the blocks a bin buffer grows by
-// (24 KiB). A buffer grows block by block, without the copies of an
-// append chain, and a small bin allocates one block.
-const binBlock = 1024
-
-// binBuf is one gather bin's output and scratch: the candidates it
-// emits, in identity order, in fixed-size blocks, and the reusable state
-// of its MFFC walks. The gather cache keeps one per bin and reuses it from
-// one update to the next.
-type binBuf struct {
-	blocks [][]cand
-	n      int // records the bin has emitted
-
-	mffc       circuit.MFFCScratch
-	cone, excl []circuit.NodeID // the current target's MFFC; a pair's
-	seen       []bool           // dependency marks by node slot, cleared after use
-}
-
-func (b *binBuf) add(c cand) {
-	bi := b.n / binBlock
-	if bi == len(b.blocks) {
-		b.blocks = append(b.blocks, make([]cand, binBlock))
-	}
-	b.blocks[bi][b.n%binBlock] = c
-	b.n++
-}
-
-// appendSegments appends the filled part of each of the bin's blocks to
-// segs, in order.
-func (b *binBuf) appendSegments(segs [][]cand) [][]cand {
-	for lo := 0; lo < b.n; lo += binBlock {
-		segs = append(segs, b.blocks[lo/binBlock][:min(binBlock, b.n-lo)])
-	}
-	return segs
-}
-
 // targetData is the per-target gather state: the MFFC-derived gain
 // figures every pair of the target needs, plus the dependency set the
 // incremental cache probes to decide staleness.
@@ -177,6 +144,10 @@ type targetData struct {
 	live     bool
 	baseGain float64
 	mffc     []circuit.NodeID
+	// exc holds the gains pairGain walked for substitutes inside the MFFC,
+	// the store's exceptions. The MFFC walks read only deps, so an entry
+	// holds while the target is clean, whatever pairs come and go.
+	exc []excGain
 	// deps are the nodes whose records the MFFC computation read: the cone
 	// nodes themselves (fanin lists) and their fanins (fanout counts and
 	// output-driver status). If none of them was touched by an edit, the
@@ -186,8 +157,8 @@ type targetData struct {
 
 // target computes target t's MFFC gain figures in bin b's scratch, with
 // the dependency set when wantDeps is set (the incremental cache records
-// it, so td.mffc is then a copy; otherwise it is b's buffer, valid until
-// the bin's next target).
+// it, so td.mffc is then a copy, the prefix of td.deps; otherwise it is
+// b's buffer, valid until the bin's next target).
 func (env *gatherEnv) target(b *binBuf, t circuit.NodeID, wantDeps bool) targetData {
 	td := targetData{live: true}
 	b.cone = env.net.AppendMFFC(b.cone[:0], &b.mffc, t, circuit.InvalidNode)
@@ -198,25 +169,26 @@ func (env *gatherEnv) target(b *binBuf, t circuit.NodeID, wantDeps bool) targetD
 		td.mffc = b.cone
 		return td
 	}
-	td.mffc = slices.Clone(b.cone)
+	// The cone's nodes, then their fanins outside it, in one allocation
+	// whose prefix is the cone's copy.
 	b.seen = grow(b.seen, env.net.NumSlots())
-	for _, id := range td.mffc {
-		if !b.seen[id] {
-			b.seen[id] = true
-			td.deps = append(td.deps, id)
-		}
+	b.deps = append(b.deps[:0], b.cone...)
+	for _, id := range b.cone {
+		b.seen[id] = true
 	}
-	for _, id := range td.mffc {
+	for _, id := range b.cone {
 		for _, f := range env.net.Fanins(id) {
 			if !b.seen[f] {
 				b.seen[f] = true
-				td.deps = append(td.deps, f)
+				b.deps = append(b.deps, f)
 			}
 		}
 	}
-	for _, id := range td.deps {
+	for _, id := range b.deps {
 		b.seen[id] = false
 	}
+	td.deps = slices.Clone(b.deps)
+	td.mffc = td.deps[:len(b.cone):len(b.cone)]
 	return td
 }
 
@@ -238,10 +210,10 @@ func (env *gatherEnv) appendTarget(b *binBuf, td *targetData, t circuit.NodeID) 
 	}
 	adm, pt := env.adm, env.pop[t]
 	if pt >= adm.minInv {
-		b.add(cand{target: t, sub: circuit.InvalidNode, kind: kindConst1, rank: adm.invRank[pt-adm.minInv], gain: td.baseGain})
+		b.add(t, mkRec(circuit.InvalidNode, kindConst1, false, adm.invRank[pt-adm.minInv]))
 	}
 	if pt <= adm.maxPlain {
-		b.add(cand{target: t, sub: circuit.InvalidNode, kind: kindConst0, rank: adm.plainRank[pt], gain: td.baseGain})
+		b.add(t, mkRec(circuit.InvalidNode, kindConst0, false, adm.plainRank[pt]))
 	}
 	var tfo []bool
 	if !env.strict {
@@ -266,7 +238,8 @@ func (env *gatherEnv) appendTarget(b *binBuf, td *targetData, t circuit.NodeID) 
 // is M − d — at least |pop(t) − (M − pop(s))|, so d is at most
 // M − |pop(t) − (M − pop(s))|. Each bound is compared with the admission
 // threshold of its form, so the screen rejects a pair only when the
-// admission test itself would.
+// admission test itself would. A pair is stored only while its gain,
+// which the store derives (see segment.gainOf), is positive.
 func (env *gatherEnv) appendPair(b *binBuf, td *targetData, t, s circuit.NodeID, tv *bitvec.Vec) {
 	tArr := env.arrival[t]
 	plain := env.arrival[s] <= tArr
@@ -282,15 +255,17 @@ func (env *gatherEnv) appendPair(b *binBuf, td *targetData, t, s circuit.NodeID,
 		return
 	}
 	c := bitvec.XorCount(tv, env.vals.Node(s))
-	if plain && c <= adm.maxPlain {
-		if g := env.pairGain(b, td, t, s); g > 0 {
-			b.add(cand{target: t, sub: s, kind: kindPlain, rank: adm.plainRank[c], gain: g})
-		}
+	plain = plain && c <= adm.maxPlain
+	inv = inv && c >= adm.minInv
+	if !plain && !inv {
+		return
 	}
-	if inv && c >= adm.minInv {
-		if g := env.pairGain(b, td, t, s) - env.invArea; g > 0 {
-			b.add(cand{target: t, sub: s, kind: kindInverted, rank: adm.invRank[c-adm.minInv], gain: g})
-		}
+	g, exc := env.pairGain(b, td, t, s)
+	if plain && g > 0 {
+		b.add(t, mkRec(s, kindPlain, exc, adm.plainRank[c]))
+	}
+	if inv && g-env.invArea > 0 {
+		b.add(t, mkRec(s, kindInverted, exc, adm.invRank[c-adm.minInv]))
 	}
 }
 
@@ -302,9 +277,12 @@ func absInt(x int) int {
 }
 
 // pairGain returns the exact area reclaimed when t is replaced by s: the
-// base MFFC gain, or — for the uncommon substitute inside t's MFFC — the
-// gain with s pinned alive, walked in bin b's scratch.
-func (env *gatherEnv) pairGain(b *binBuf, td *targetData, t, s circuit.NodeID) float64 {
+// base MFFC gain, or — for the uncommon substitute inside t's MFFC, an
+// exception — the gain with s pinned alive, walked in bin b's scratch
+// the first time the target needs it and kept, until the target's
+// records end (binBuf.end), in the bin's exceptions. exc reports the
+// exception.
+func (env *gatherEnv) pairGain(b *binBuf, td *targetData, t, s circuit.NodeID) (g float64, exc bool) {
 	in := false
 	for _, id := range td.mffc {
 		if id == s {
@@ -313,31 +291,41 @@ func (env *gatherEnv) pairGain(b *binBuf, td *targetData, t, s circuit.NodeID) f
 		}
 	}
 	if !in {
-		return td.baseGain
+		return td.baseGain, false
 	}
-	g := 0.0
+	for _, exc := range [2][]excGain{td.exc, b.exc[b.excStart:]} {
+		for _, e := range exc {
+			if e.sub == s {
+				return e.gain, true
+			}
+		}
+	}
 	b.excl = env.net.AppendMFFC(b.excl[:0], &b.mffc, t, s)
 	for _, id := range b.excl {
 		g += env.cfg.Library.GateArea(env.net.Kind(id), len(env.net.Fanins(id)))
 	}
-	return g
+	if len(b.exc) == cap(b.exc) {
+		b.exc = slices.Grow(b.exc, 32)
+	}
+	b.exc = append(b.exc, excGain{sub: s, gain: g})
+	return g, true
 }
 
 // gather is the one full candidate enumeration, used by every path: the
-// non-incremental flow, EstimateAll, the incremental cross-check and the
-// gather cache's first iteration. It returns the candidates in identity
-// order (target, substitute, kind; see idCompare), the order appendTarget
+// flow's first iteration (through the gather cache), EstimateAll and the
+// incremental cross-check. It returns the candidate store, in identity
+// order (target, substitute, kind; see mkRec), the order appendTarget
 // emits a target's candidates in. The targets, ascending, are split into
 // contiguous bins of balanced expected cost (see enumCost); each bin
-// appends its candidates into its own block buffer on whichever worker
-// runs it, and the driver lays the bins' blocks end to end. So the list
-// is the same at any worker count and bin shape, with nothing to sort or
-// merge. A single-worker pool runs its one bin inline.
+// appends its candidates to its own pages on whichever worker runs it,
+// and the store takes the bins' pages end to end, copying nothing. So the
+// list is the same at any worker count and bin shape, with nothing to
+// sort or merge. A single-worker pool runs its one bin inline.
 //
 // When data is non-nil, each target's gather state is recorded in
 // data[t] (the slot is owned by the target, so workers write disjointly).
 // A cancelled context aborts the fan-out and returns the context's error.
-func gather(goCtx context.Context, env *gatherEnv, pool *par.Pool, data []targetData) ([]cand, error) {
+func gather(goCtx context.Context, env *gatherEnv, pool *par.Pool, data []targetData) (*candStore, error) {
 	targets := liveGateTargets(env.net)
 	cost := env.enumCost()
 	costs := make([]float64, len(targets))
@@ -350,9 +338,12 @@ func gather(goCtx context.Context, env *gatherEnv, pool *par.Pool, data []target
 	pool.Label("sasimi.gather", obs.PhaseEstimate)
 	if err := pool.DoCtx(goCtx, len(bufs), func(_, bi int) {
 		b := &bufs[bi]
+		b.segs = make([]segment, 0, bounds[bi+1]-bounds[bi])
 		for _, t := range targets[bounds[bi]:bounds[bi+1]] {
 			td := env.target(b, t, data != nil)
+			b.begin()
 			env.appendTarget(b, &td, t)
+			b.end(&td)
 			if data != nil {
 				data[t] = td
 			}
@@ -360,17 +351,9 @@ func gather(goCtx context.Context, env *gatherEnv, pool *par.Pool, data []target
 	}); err != nil {
 		return nil, err
 	}
-	var segs [][]cand
-	n := 0
-	for bi := range bufs {
-		segs = bufs[bi].appendSegments(segs)
-		n += bufs[bi].n
-	}
-	list := make([]cand, 0, n)
-	for _, seg := range segs {
-		list = append(list, seg...)
-	}
-	return list, nil
+	st := &candStore{invArea: env.invArea}
+	st.adopt(bufs)
+	return st, nil
 }
 
 // enumCost returns a function giving a target's expected cost of a full
@@ -404,24 +387,6 @@ func liveGateTargets(net *circuit.Network) []circuit.NodeID {
 	return targets
 }
 
-// idCompare is the candidate list's order as a three-way comparison:
-// candidate identity (target, substitute, kind). Constants carry sub ==
-// circuit.InvalidNode, below every node, so a target's constants come
-// first, constant 1 before constant 0, then its pairs by substitute,
-// plain before inverted: the order appendTarget emits them in. No two
-// distinct candidates compare equal, so the list of a candidate multiset
-// in this order is unique, and merging ordered pieces is bit-identical to
-// sorting their concatenation.
-func idCompare(a, b *cand) int {
-	switch {
-	case a.target != b.target:
-		return cmp.Compare(a.target, b.target)
-	case a.sub != b.sub:
-		return cmp.Compare(a.sub, b.sub)
-	}
-	return cmp.Compare(a.kind, b.kind)
-}
-
 // candCompare is the flow's preference between candidates of equal score,
 // as a three-way comparison: most similar first (ascending rank, which is
 // ascending DiffProb), ties by larger gain, then by identity. It is a
@@ -429,7 +394,7 @@ func idCompare(a, b *cand) int {
 // of any set of candidates is unique: selectFeasible and scoreCandidates
 // pick it among equal best scores, and verifyTopK orders its feasible
 // entries by it, whatever order the list is in.
-func candCompare(a, b *cand) int {
+func candCompare(a, b *choice) int {
 	switch {
 	case a.rank != b.rank:
 		return cmp.Compare(a.rank, b.rank)
@@ -439,5 +404,5 @@ func candCompare(a, b *cand) int {
 		}
 		return 1
 	}
-	return idCompare(a, b)
+	return recCompare(a.target, a.rec, b.target, b.rec)
 }

@@ -16,7 +16,8 @@ import (
 // B/op are recorded apart from the flow around it. Simulation, arrival
 // times and the admission tables are set up outside the timer. c880 at
 // M = 10000 is the paper's setting; synth10k at M = 1024 is the quadratic
-// monolithic gather at scale (about 8.3M candidates, 0.45 GB per op).
+// monolithic gather at scale (about 8.4M candidates in 8-byte records,
+// about 70 MB per op).
 func BenchmarkGather(b *testing.B) {
 	for _, tc := range []struct {
 		circuit string
@@ -40,7 +41,7 @@ func BenchmarkGather(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				n = len(cands)
+				n = cands.len()
 			}
 			b.ReportMetric(float64(n), "cands")
 		})

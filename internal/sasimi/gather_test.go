@@ -3,9 +3,6 @@ package sasimi
 import (
 	"context"
 	"fmt"
-	"math/rand"
-	"reflect"
-	"slices"
 	"sort"
 	"testing"
 	"unsafe"
@@ -104,19 +101,19 @@ func idLess(a, b *Candidate) bool {
 	return !a.Inverted && b.Inverted
 }
 
-// identityOf returns the stored record with a Candidate's identity (no
-// rank or gain): enough to materialise its substitute value.
-func identityOf(c *Candidate) cand {
-	r := cand{target: c.Target, sub: c.Sub}
+// identityOf returns the stored candidate with a Candidate's identity
+// (no rank or gain): enough to materialise its substitute value.
+func identityOf(c *Candidate) choice {
+	kind := kindPlain
 	switch {
 	case c.Const && c.ConstVal:
-		r.kind = kindConst1
+		kind = kindConst1
 	case c.Const:
-		r.kind = kindConst0
+		kind = kindConst0
 	case c.Inverted:
-		r.kind = kindInverted
+		kind = kindInverted
 	}
-	return r
+	return choice{target: c.Target, rec: mkRec(c.Sub, kind, false, 0)}
 }
 
 // gatherFixture simulates net on m seeded random patterns and returns the
@@ -128,7 +125,7 @@ func gatherFixture(net *circuit.Network, m int, cfg *Config) (*sim.Values, []flo
 }
 
 // gatherOn runs the production gather at the given worker count.
-func gatherOn(t testing.TB, env *gatherEnv, workers int) []cand {
+func gatherOn(t testing.TB, env *gatherEnv, workers int) *candStore {
 	t.Helper()
 	pool := par.NewPool(workers)
 	defer pool.Close()
@@ -139,34 +136,72 @@ func gatherOn(t testing.TB, env *gatherEnv, workers int) []cand {
 	return got
 }
 
-// gatherRecords runs the production gather for a fixture on one worker.
-func gatherRecords(t testing.TB, net *circuit.Network, vals *sim.Values, cfg *Config, arrival []float64, invDelay float64) []cand {
+// gatherStore runs the production gather for a fixture on one worker.
+func gatherStore(t testing.TB, net *circuit.Network, vals *sim.Values, cfg *Config, arrival []float64, invDelay float64) *candStore {
 	t.Helper()
 	env := newGatherEnv(net, vals, cfg, arrival, invDelay, newAdmission(vals.M, cfg.SimilarityCap))
 	return gatherOn(t, env, 1)
 }
 
+// choices decodes every stored candidate, in list order.
+func choices(store *candStore) []choice {
+	var out []choice
+	for k := range store.segs {
+		sg := &store.segs[k]
+		if int(sg.pos) != len(out) {
+			panic("segment positions are not the records laid end to end")
+		}
+		for j := range sg.recs {
+			out = append(out, sg.choice(j, store.invArea))
+		}
+	}
+	return out
+}
+
 // sameCandidates converts the production records through the view
 // EstimateAll builds and fails the test at the first field-level
 // divergence from the reference.
-func sameCandidates(t *testing.T, label string, adm *admission, got []cand, want []Candidate) {
+func sameCandidates(t *testing.T, label string, adm *admission, got *candStore, want []Candidate) {
 	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: %d candidates, reference has %d", label, len(got), len(want))
+	cs := choices(got)
+	if len(cs) != len(want) || got.len() != len(want) {
+		t.Fatalf("%s: %d candidates (%d stored), reference has %d", label, len(cs), got.len(), len(want))
 	}
-	for i := range got {
-		if v := adm.view(&got[i]); v != want[i] {
-			t.Fatalf("%s: candidate %d diverges:\n got  %+v (%+v)\n want %+v", label, i, v, got[i], want[i])
+	for i := range cs {
+		if v := adm.view(&cs[i]); v != want[i] {
+			t.Fatalf("%s: candidate %d diverges:\n got  %+v (%+v)\n want %+v", label, i, v, cs[i], want[i])
 		}
 	}
 }
 
+// storePrefix returns a store of the first n candidates of st, sharing
+// its pages.
+func storePrefix(st *candStore, n int) *candStore {
+	p := &candStore{invArea: st.invArea, n: n}
+	for _, sg := range st.segs {
+		if int(sg.pos) >= n {
+			break
+		}
+		if sg.end() > n {
+			sg.recs = sg.recs[:n-int(sg.pos)]
+		}
+		p.segs = append(p.segs, sg)
+	}
+	for acc := 0; acc < n; {
+		pg := st.pages[len(p.pages)]
+		pg = pg[:min(len(pg), n-acc)]
+		p.pages = append(p.pages, pg)
+		acc += len(pg)
+	}
+	return p
+}
+
 // TestStoredCandidateLayout pins the size of the stored record, which
 // sets the bytes per candidate of every gathered list, and of the scored
-// entry: at most 24 each (the Candidate view is 56).
+// entry: 8 and at most 24 (the Candidate view is 56).
 func TestStoredCandidateLayout(t *testing.T) {
-	if got := unsafe.Sizeof(cand{}); got > 24 {
-		t.Fatalf("stored candidate is %d bytes, want at most 24", got)
+	if got := unsafe.Sizeof(rec{}); got != 8 {
+		t.Fatalf("stored candidate is %d bytes, want 8", got)
 	}
 	if got := unsafe.Sizeof(scored{}); got > 24 {
 		t.Fatalf("scored entry is %d bytes, want at most 24", got)
@@ -322,9 +357,9 @@ func TestGatherConeWalkFallback(t *testing.T) {
 		sameCandidates(t, fmt.Sprintf("c880 zero-delay NOT workers=%d", workers), env.adm, gatherOn(t, env, workers), want)
 	}
 	env.strict = true // skip the walks although arrival does not cover them
-	if got := gatherOn(t, env, 1); len(got) <= len(want) {
+	if got := gatherOn(t, env, 1); got.len() <= len(want) {
 		t.Fatalf("without the cone walk the gather found %d candidates, want more than %d: the fallback is untested",
-			len(got), len(want))
+			got.len(), len(want))
 	}
 }
 
@@ -350,69 +385,6 @@ func TestIncrementalConeWalkFallback(t *testing.T) {
 		}
 		if res.NumIterations < 2 {
 			t.Fatalf("workers=%d: %d iterations; the cache update never ran", workers, res.NumIterations)
-		}
-	}
-}
-
-// TestMergeFreshEqualsSort is the identity merge's property test over
-// stored records: merging fresh candidates into the kept ones, in the
-// kept list's own buffer, equals sorting their union into identity order.
-// The fresh candidates come in segments, some empty, as the gather
-// cache's bins' blocks do; the buffer has room for the merged list or
-// not, and its unused tail holds stale records. Identities are drawn from
-// a small space (constants included), so every identity tie-break is
-// reached and fresh and kept candidates interleave at every level.
-func TestMergeFreshEqualsSort(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	byID := func(a, b cand) int { return idCompare(&a, &b) }
-	for trial := 0; trial < 600; trial++ {
-		var kept, fresh []cand
-		seen := map[cand]bool{} // identities drawn so far
-		for n := r.Intn(120); len(kept)+len(fresh) < n; {
-			id := cand{target: circuit.NodeID(r.Intn(5)), sub: circuit.NodeID(r.Intn(13) - 1)}
-			if id.sub == circuit.InvalidNode {
-				id.kind = kindConst1 + candKind(r.Intn(2))
-			} else {
-				id.kind = kindPlain + candKind(r.Intn(2))
-			}
-			if seen[id] {
-				n-- // candidates are distinct
-				continue
-			}
-			seen[id] = true
-			c := id
-			c.rank, c.gain = uint32(r.Intn(9)), float64(r.Intn(3))
-			if r.Intn(3) == 0 {
-				fresh = append(fresh, c)
-			} else {
-				kept = append(kept, c)
-			}
-		}
-		slices.SortFunc(kept, byID)
-		slices.SortFunc(fresh, byID)
-		var segs [][]cand
-		for rest := fresh; len(rest) > 0 || r.Intn(3) == 0; {
-			k := r.Intn(len(rest) + 1)
-			segs = append(segs, rest[:k])
-			rest = rest[k:]
-		}
-		want := append(slices.Clone(kept), fresh...)
-		slices.SortFunc(want, byID)
-
-		buf := make([]cand, len(kept), len(kept)+r.Intn(len(fresh)+len(kept)+1))
-		copy(buf, kept)
-		stale := buf[len(buf):cap(buf)]
-		for i := range stale {
-			stale[i] = cand{target: circuit.NodeID(i % 5), sub: circuit.NodeID(i%13 - 1), rank: uint32(r.Intn(9))}
-		}
-		got := mergeFresh(buf, segs)
-		if len(want) == 0 {
-			if len(got) != 0 {
-				t.Fatalf("trial %d: merged %d candidates from nothing", trial, len(got))
-			}
-		} else if !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d (%d kept, %d fresh in %d segments): merge differs from sorting the union",
-				trial, len(kept), len(fresh), len(segs))
 		}
 	}
 }

@@ -18,9 +18,9 @@ import (
 // clean target's candidates only the pairs whose substitute lies in the
 // edit's dirty region need re-evaluation. The cache exploits exactly that:
 //
-//   - per target it keeps the MFFC gain figures plus the dependency set
-//     deps (MFFC cone nodes and their fanins — the records the MFFC walk
-//     reads, see targetData);
+//   - per target it keeps the MFFC gain figures, the exceptions its pairs
+//     needed so far, and the dependency set deps (MFFC cone nodes and
+//     their fanins — the records the MFFC walks read, see targetData);
 //   - after an edit it derives targetDirty = value-changed ∪ added ∪
 //     arrival-changed ∪ {t : deps(t) ∩ probe ≠ ∅}, where probe is the set
 //     of nodes whose structural records the edit touched (Repl, Rewired,
@@ -34,65 +34,62 @@ import (
 //   - dirty targets re-enumerate in full, clean targets evaluate only the
 //     pairs with a dirty substitute.
 //
-// The candidate list itself is maintained by filter-and-merge. The list
-// is in identity order (see idCompare), a strict total order, so the list
-// of a candidate multiset is unique, and the cache keeps the previous
-// iteration's list. After an edit it filters out the entries owned by
-// dirty or removed targets and dropped substitutes (a linear pass that
-// keeps the order), the workers enumerate the replacement entries in
-// contiguous bins of the work items, ascending by target, so the bins'
-// outputs laid end to end are in identity order too, and one two-way
-// merge by identity joins them with the kept entries (see mergeFresh).
-// The result is the unique ordered list of the new multiset —
-// bit-identical to a full gather, pinned by the differential suite and
-// the Config.verifyIncremental cross-check. No per-target candidate lists
-// are kept: the filter reads the list directly. The merge fills the
-// list's own buffer from the back, the kept entries being its prefix, so
-// an iteration allocates a list only when the list outgrows its buffer.
+// The candidate store is updated in place, segment by segment (see
+// candStore.update). The store is in identity order, a strict total
+// order, so the list of a candidate multiset is unique. After an edit the
+// store's filter drops the records of dirty or removed targets and of
+// dropped substitutes, keeping the order, the workers enumerate the
+// replacement records in contiguous bins of the work items, ascending by
+// target, so the bins' output laid end to end is in identity order too,
+// and the store's merge joins each target's kept and fresh records. The
+// result is the unique ordered list of the new multiset — bit-identical to
+// a full gather, pinned by the differential suite and the
+// Config.verifyIncremental cross-check. The update moves records within
+// the store's own pages, cutting them or growing the last one as the list
+// shrinks or grows, so no dead page outlives an update.
 //
-// The cache also carries each candidate's pattern sum (sums) through the
-// filter and the merge, so the scorer can reuse it (see
+// The store also carries each candidate's pattern sum through the update,
+// with its record, so the scorer can reuse it (see
 // scoreCandidatesSharded).
 type gatherCache struct {
 	data        []targetData // indexed by node slot
 	prevArrival []float64
-	// list is the full candidate list of the previous gather, in identity
-	// order. Callers get it, not a copy, and only read it: an iteration's
-	// scores live in scored entries outside the list.
-	list []cand
-	sums candSums
+	// store is the candidate list of the previous gather. Callers get it,
+	// not a copy, and only read it: an iteration's scores live in scored
+	// entries outside it.
+	store *candStore
+	su    storeUpdate
 
 	// Dispatch scratch: the bin planner and its inputs (work items as
-	// target node ids, ascending, plus their estimated costs), one
-	// reusable block buffer per bin, and the bins' filled blocks in order.
+	// target node ids, ascending, plus their estimated costs), and one
+	// reusable page buffer per bin.
 	planner par.Planner
 	items   []circuit.NodeID
 	costs   []float64
 	bufs    []binBuf
-	segs    [][]cand
 }
 
 // full performs the initial complete gather, recording every target's
 // gain figures and dependency set. A cancelled context aborts the fan-out
 // and returns the context's error; the cache is then partially populated
 // and must be discarded.
-func (gc *gatherCache) full(goCtx context.Context, env *gatherEnv, pool *par.Pool) ([]cand, error) {
+func (gc *gatherCache) full(goCtx context.Context, env *gatherEnv, pool *par.Pool) (*candStore, error) {
 	gc.data = make([]targetData, env.net.NumSlots())
-	list, err := gather(goCtx, env, pool, gc.data)
+	st, err := gather(goCtx, env, pool, gc.data)
 	if err != nil {
 		return nil, err
 	}
-	gc.list = list
+	gc.store = st
 	gc.prevArrival = append([]float64(nil), env.arrival...)
-	return gc.list, nil
+	return st, nil
 }
 
-// update refreshes the cache after one accepted edit and returns the new
-// candidate list. ed is the structural record of the edit and changed the
+// update refreshes the cache after one accepted edit and returns the
+// updated candidate store. ed is the structural record of the edit and changed the
 // nodes whose value vectors differ (from core.Engine.Apply). A cancelled
 // context aborts the fan-out and returns the context's error; the cache is
 // then partially updated and must be discarded.
-func (gc *gatherCache) update(goCtx context.Context, env *gatherEnv, ed *core.Edit, changed []circuit.NodeID, pool *par.Pool) ([]cand, error) {
+func (gc *gatherCache) update(goCtx context.Context, env *gatherEnv, ed *core.Edit, changed []circuit.NodeID, pool *par.Pool) (*candStore, error) {
 	n := env.net
 	slots := n.NumSlots()
 	for len(gc.data) < slots {
@@ -167,7 +164,7 @@ func (gc *gatherCache) update(goCtx context.Context, env *gatherEnv, ed *core.Ed
 		}
 	}
 
-	// drop marks substitutes whose pairs must leave the list: the
+	// drop marks substitutes whose pairs must leave the store: the
 	// dirty ones (re-evaluated below) and the removed ones (gone).
 	drop := make([]bool, slots)
 	copy(drop, subDirty)
@@ -226,91 +223,35 @@ func (gc *gatherCache) update(goCtx context.Context, env *gatherEnv, ed *core.Ed
 	pool.Label("sasimi.gather_inc", obs.PhaseEstimate)
 	err := pool.DoCtx(goCtx, bins, func(_, bi int) {
 		b := &gc.bufs[bi]
-		b.n = 0
+		b.reset()
 		for _, t := range gc.items[bounds[bi]:bounds[bi+1]] {
+			b.begin()
 			if dirtyT[t] {
 				gc.data[t] = env.target(b, t, true)
 				env.appendTarget(b, &gc.data[t], t)
-				continue
-			}
-			td := &gc.data[t]
-			tv := env.vals.Node(t)
-			for i, s := range dirtySubs {
-				if s == t || (tfis != nil && tfis[i][t]) {
-					continue
+			} else {
+				td := &gc.data[t]
+				tv := env.vals.Node(t)
+				for i, s := range dirtySubs {
+					if s == t || (tfis != nil && tfis[i][t]) {
+						continue
+					}
+					env.appendPair(b, td, t, s, tv)
 				}
-				env.appendPair(b, td, t, s, tv)
 			}
+			b.end(&gc.data[t])
 		}
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	// Filter the previous list in place, with its sums in lockstep: minus
-	// the entries of dirty or removed targets and dropped substitutes it
-	// is still in identity order, and the bins' output is exactly the
-	// complement of the new multiset. The previous iteration's view of
-	// this list is dead by now.
-	kept := gc.list[:0]
-	for i := range gc.list {
-		c := &gc.list[i]
-		if !n.IsLive(c.target) || dirtyT[c.target] {
-			continue
-		}
-		if !c.isConst() && drop[c.sub] {
-			continue
-		}
-		gc.sums.er.move(len(kept), i)
-		gc.sums.aem.move(len(kept), i)
-		kept = append(kept, *c)
-	}
-	gc.segs = gc.segs[:0]
-	for bi := range bins {
-		gc.segs = gc.bufs[bi].appendSegments(gc.segs)
-	}
-	gc.list = mergeFresh(kept, gc.segs)
-	// A merge keeps each side's order, so the kept entries reach the new
-	// list in their filtered order, and an entry is re-enumerated exactly
-	// when the filter would drop it.
-	fresh := func(c *cand) bool { return dirtyT[c.target] || (!c.isConst() && drop[c.sub]) }
-	gc.sums.er.align(gc.list, len(kept), fresh)
-	gc.sums.aem.align(gc.list, len(kept), fresh)
-
+	// The bins' output is exactly the complement, in the new multiset, of
+	// what the filter keeps: the records of dirty targets and of dropped
+	// substitutes.
+	gc.store.update(n, dirtyT, drop, gc.bufs[:bins], &gc.su)
 	gc.prevArrival = append(gc.prevArrival[:0], env.arrival...)
-	return gc.list, nil
-}
-
-// mergeFresh merges the fresh candidates into the kept ones and returns
-// the merged list in identity order. kept is in identity order, and so
-// are fresh's segments laid end to end; no fresh candidate has a kept
-// one's identity. The merge fills kept's own buffer, grown to the total
-// if it is shorter, from the back, last first: when it writes slot k, at
-// most k+1 entries remain unmerged, so an unread kept entry sits at k or
-// below, and at k only if it is the entry being written. Once the fresh
-// candidates are placed, the kept entries still unread are already in
-// their slots. fresh must not overlap kept's buffer.
-func mergeFresh(kept []cand, fresh [][]cand) []cand {
-	total := len(kept)
-	for _, seg := range fresh {
-		total += len(seg)
-	}
-	out := grow(kept, total)
-	j, k := len(kept)-1, total-1
-	for si := len(fresh) - 1; si >= 0; si-- {
-		seg := fresh[si]
-		for fi := len(seg) - 1; fi >= 0; fi-- {
-			f := &seg[fi]
-			for j >= 0 && idCompare(&out[j], f) > 0 {
-				out[k] = out[j]
-				j--
-				k--
-			}
-			out[k] = *f
-			k--
-		}
-	}
-	return out
+	return gc.store, nil
 }
 
 func depsTouched(deps []circuit.NodeID, probe []bool) bool {
@@ -323,66 +264,11 @@ func depsTouched(deps []circuit.NodeID, probe []bool) bool {
 }
 
 // patternSum is the type of a candidate's pattern sum: the ER net count,
-// or the AEM magnitude sum, an integer held in a float64.
+// or the AEM magnitude sum, an integer held in a float64. The store keeps
+// the sums in pages beside its records (sumPages).
 type patternSum interface{ int32 | float64 }
 
 // staleSum marks a carried sum that must be recomputed: the entry was
 // re-enumerated. No ER net count reaches it (|count| ≤ M < 2^31); an AEM
 // sum that happened to equal it would only be recomputed needlessly.
 const staleSum = math.MinInt32
-
-// sumList is one metric's per-candidate pattern sums, aligned with the
-// gather cache's list.
-type sumList[T patternSum] struct {
-	cur []T
-	// valid reports that cur holds a sum for every entry of the list it is
-	// aligned with, stale-marked where the entry was re-enumerated since.
-	valid bool
-}
-
-// candSums holds the batch scorer's carried pattern sums; the flow's
-// metric decides which list is in use.
-type candSums struct {
-	er  sumList[int32]
-	aem sumList[float64]
-}
-
-// move copies the sum of list entry src to entry dst (dst ≤ src) as the
-// filter compacts the list.
-func (s *sumList[T]) move(dst, src int) {
-	if s.valid {
-		s.cur[dst] = s.cur[src]
-	}
-}
-
-// align lays the compacted sums of the kept entries, cur[:kept], out along
-// the merged list, in place: the kept entries, in order, take their sums
-// and the fresh ones staleSum. Filled from the back, like the merge, so
-// the j-th kept sum moves up to its slot k ≥ j before anything writes
-// over it.
-func (s *sumList[T]) align(merged []cand, kept int, fresh func(*cand) bool) {
-	if !s.valid {
-		return
-	}
-	s.cur = grow(s.cur, len(merged))
-	j := kept - 1
-	for k := len(merged) - 1; k >= 0; k-- {
-		if fresh(&merged[k]) {
-			s.cur[k] = staleSum
-		} else {
-			s.cur[k] = s.cur[j]
-			j--
-		}
-	}
-}
-
-// forList returns the sums for a list of n candidates and whether they
-// carry from the previous pass; if not, cur is resized to n and every
-// entry is to be computed.
-func (s *sumList[T]) forList(n int) ([]T, bool) {
-	if !s.valid || len(s.cur) != n {
-		s.valid = false
-		s.cur = grow(s.cur, n)
-	}
-	return s.cur, s.valid
-}

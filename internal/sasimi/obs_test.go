@@ -154,8 +154,8 @@ func TestNilTracerScoringAllocs(t *testing.T) {
 	cfg := Config{Budget: flow.Budget{Metric: core.MetricER, Threshold: 1}}
 	cfg.fillDefaults()
 	arrival := lib.NodeArrival(net)
-	cands := gatherRecords(t, net, vals, &cfg, arrival, lib.GateDelay(circuit.KindNot))
-	if len(cands) == 0 {
+	cands := gatherStore(t, net, vals, &cfg, arrival, lib.GateDelay(circuit.KindNot))
+	if cands.len() == 0 {
 		t.Fatal("no candidates on RCA8")
 	}
 	scratch := bitvec.New(vals.M)
@@ -165,18 +165,21 @@ func TestNilTracerScoringAllocs(t *testing.T) {
 	baseline := testing.AllocsPerRun(20, func() {
 		best := -1
 		var feasible []scored
-		for i := range cands {
-			c := &cands[i]
-			sub := c.substituteValue(vals, scratch)
-			change.Xor(vals.Node(c.target), sub)
-			delta := est.delta(c.target, sub, change)
-			e := scored{idx: int32(i), delta: delta, score: score(c.gain, delta, vals.M), exact: est.exactFor(c.target)}
-			if delta > cfg.Threshold+1e-12 {
-				continue
-			}
-			feasible = append(feasible, e)
-			if best == -1 || e.score > feasible[best].score {
-				best = len(feasible) - 1
+		for k := range cands.segs {
+			sg := &cands.segs[k]
+			for j := range sg.recs {
+				c := sg.choice(j, cands.invArea)
+				sub := c.substituteValue(vals, scratch)
+				change.Xor(vals.Node(c.target), sub)
+				delta := est.delta(c.target, sub, change)
+				e := scored{idx: sg.pos + int32(j), delta: delta, score: score(c.gain, delta, vals.M), exact: est.exactFor(c.target)}
+				if delta > cfg.Threshold+1e-12 {
+					continue
+				}
+				feasible = append(feasible, e)
+				if best == -1 || e.score > feasible[best].score {
+					best = len(feasible) - 1
+				}
 			}
 		}
 		_ = feasible
@@ -192,11 +195,11 @@ func TestNilTracerScoringAllocs(t *testing.T) {
 
 	// The batch flow scores through the sharded scorer: with no
 	// observability, its repeated pass allocates nothing per candidate.
-	half := shardedScoringAllocs(ctx, cands[:len(cands)/2], cfg.Threshold, 1, nil)
-	full := shardedScoringAllocs(ctx, cands, cfg.Threshold, 1, nil)
+	half := shardedScoringAllocs(ctx, storePrefix(cands, cands.len()/2), cfg.Threshold, 1, nil)
+	full := shardedScoringAllocs(ctx, storePrefix(cands, cands.len()), cfg.Threshold, 1, nil)
 	if full > half {
 		t.Fatalf("nil-tracer sharded scoring allocates %v/run over %d candidates, %v/run over %d",
-			full, len(cands), half, len(cands)/2)
+			full, cands.len(), half, cands.len()/2)
 	}
 }
 
@@ -216,7 +219,7 @@ func TestCheckInvariantsNamesCycle(t *testing.T) {
 	n.AddOutput("y", g3)
 
 	backup := n.Clone()
-	c := &cand{target: g2, sub: g3}
+	c := &choice{target: g2, rec: mkRec(g3, kindPlain, false, 0)}
 	if err := checkAcyclic(n, backup, c); err != nil {
 		t.Fatalf("acyclic network flagged: %v", err)
 	}

@@ -3,6 +3,7 @@ package sasimi
 import (
 	"context"
 	"math/bits"
+	"sort"
 
 	"batchals/internal/bitvec"
 	"batchals/internal/circuit"
@@ -15,19 +16,19 @@ import (
 // scoreCandidatesMaybeSharded dispatches candidate scoring on the
 // estimator: the batch estimator takes the pooled path at every worker
 // count (inline on a single-worker pool), carrying each candidate's
-// pattern sum in sums from one iteration to the next; the
-// full estimator (which mutates the value table during cone
-// resimulation) and the local estimator (a trivial popcount) run the
-// sequential loop. Both append the feasible entries to buf[:0].
-func scoreCandidatesMaybeSharded(ctx *iterContext, est estimator, cands []cand, sums *candSums, buf []scored,
+// pattern sum in the store from one iteration to the next; the full
+// estimator (which mutates the value table during cone resimulation) and
+// the local estimator (a trivial popcount) run the sequential loop. Both
+// append the feasible entries to buf[:0].
+func scoreCandidatesMaybeSharded(ctx *iterContext, est estimator, store *candStore, buf []scored,
 	curErr, threshold float64, scratch, change *bitvec.Vec, ss *scoreScratch, pool *par.Pool,
 	o *runObs, iter int) (int, []scored) {
 
-	if _, ok := est.(*batchEstimator); ok && len(cands) > 0 {
-		return scoreCandidatesSharded(ctx, cands, sums, buf, curErr, threshold, ss, pool, o, iter)
+	if _, ok := est.(*batchEstimator); ok && store.len() > 0 {
+		return scoreCandidatesSharded(ctx, store, buf, curErr, threshold, ss, pool, o, iter)
 	}
-	o.scoringPass(len(cands), 0)
-	return scoreCandidates(est, cands, buf, ctx.vals, curErr, threshold, scratch, change, o, iter)
+	o.scoringPass(store.len(), 0)
+	return scoreCandidates(est, store, buf, ctx.vals, curErr, threshold, scratch, change, o, iter)
 }
 
 // scoreScratch is the flow-owned scratch of the sharded scorer. It
@@ -53,11 +54,8 @@ type scoreScratch struct {
 	mc      [][]uint64
 	left    []int
 
-	// AEM target pass: where each target's run of the list starts (target
-	// g's candidates are cands[bounds[g]:bounds[g+1]]), the runs' lengths
-	// as the planner's costs, the planner, and per pool worker its
-	// scratch.
-	bounds  []int
+	// AEM segment pass: the segments' lengths as the planner's costs, the
+	// planner, and per pool worker its scratch.
 	costs   []float64
 	planner par.Planner
 	aem     []aemWorker
@@ -69,14 +67,14 @@ type scoreScratch struct {
 //
 // A candidate's estimate is its pattern sum over M — for ER the net count
 // inc − dec of Algorithm 1, kept as one int32 (both counts are at most M),
-// for AEM the unnormalised magnitude sum — and sums carries every
-// candidate's sum from one iteration to the next, aligned with the gather
-// cache's list. A pass sums a candidate in full when it is fresh (its sum
-// is staleSum: the cache re-enumerated it), when its target's CPM row
-// changed in the refresh, and when nothing carries (the first iteration,
-// a full CPM build). Any other candidate keeps its sum plus the
-// correction at chg ∧ D, where D is the set of patterns whose output word
-// the accept changed (core.Engine.Diff): nothing when chg ∧ D is empty.
+// for AEM the unnormalised magnitude sum — and the store carries every
+// candidate's sum from one iteration to the next, with its record. A pass
+// sums a candidate in full when it is fresh (its sum is staleSum: the
+// cache re-enumerated it), when its target's CPM row changed in the
+// refresh, and when nothing carries (the first iteration, a full CPM
+// build). Any other candidate keeps its sum plus the correction at
+// chg ∧ D, where D is the set of patterns whose output word the accept
+// changed (core.Engine.Diff): nothing when chg ∧ D is empty.
 //
 // The carried sum is exact: a kept candidate's change mask is unchanged,
 // because the cache re-enumerates any candidate whose target or
@@ -85,27 +83,33 @@ type scoreScratch struct {
 // are integers, so adding the difference gives what a full re-sum would.
 // The ER and AEM passes differ in how they split the work (scoreER,
 // scoreAEM); both leave every sum, and so every score, the same at any
-// worker count.
-func scoreCandidatesSharded(ctx *iterContext, cands []cand, sums *candSums, buf []scored,
+// worker count. The selection runs under a sasimi.select driver span.
+func scoreCandidatesSharded(ctx *iterContext, store *candStore, buf []scored,
 	curErr, threshold float64, ss *scoreScratch, pool *par.Pool, o *runObs, iter int) (int, []scored) {
 
-	pool.Label("sasimi.score", obs.PhaseEstimate)
 	goCtx := ctx.goCtx
 	if goCtx == nil {
 		goCtx = context.Background()
 	}
-	if ctx.metric == core.MetricAEM {
-		if err := scoreAEM(goCtx, ctx, cands, &sums.aem, ss, pool, o); err != nil {
-			// Cancelled mid-scoring: the partial results are abandoned and
-			// the flow returns at its next iteration-boundary check.
-			return -1, nil
-		}
-		return selectFeasible(ctx, cands, sums.aem.cur, buf, curErr, threshold, o, iter)
+	aem := ctx.metric == core.MetricAEM
+	var err error
+	if aem {
+		err = scoreAEM(goCtx, ctx, store, ss, pool, o)
+	} else {
+		err = scoreER(goCtx, ctx, store, ss, pool, o)
 	}
-	if err := scoreER(goCtx, ctx, cands, &sums.er, ss, pool, o); err != nil {
+	if err != nil {
+		// Cancelled mid-scoring: the partial results are abandoned and the
+		// flow returns at its next iteration-boundary check.
 		return -1, nil
 	}
-	return selectFeasible(ctx, cands, sums.er.cur, buf, curErr, threshold, o, iter)
+	tl := pool.Timeline()
+	span := tl.Start("sasimi.select", obs.PhaseEstimate)
+	defer tl.End(span)
+	if aem {
+		return selectFeasible(ctx, store, &store.aem, buf, curErr, threshold, o, iter)
+	}
+	return selectFeasible(ctx, store, &store.er, buf, curErr, threshold, o, iter)
 }
 
 // scoreER brings every candidate's ER net count up to date. It shards the
@@ -119,10 +123,11 @@ func scoreCandidatesSharded(ctx *iterContext, cands []cand, sums *candSums, buf 
 // counts are integers, so the result equals the sequential DeltaER bit
 // for bit (see core.ERTerms for the word-locality argument). Each shard
 // counts its queries once, after its loop. Shard 0 writes its partials
-// straight into sums, so an iteration that rescores every candidate
+// straight into the sums, so an iteration that rescores every candidate
 // builds no list of them and no array beyond the other shards' partials.
-// The carried sums are corrected by carryPass first.
-func scoreER(goCtx context.Context, ctx *iterContext, cands []cand, sl *sumList[int32], ss *scoreScratch,
+// The carried sums are corrected by carryPass first, a dispatch of its
+// own (sasimi.carry).
+func scoreER(goCtx context.Context, ctx *iterContext, store *candStore, ss *scoreScratch,
 	pool *par.Pool, o *runObs) error {
 
 	cpm, vals, st := ctx.cpm, ctx.vals, ctx.st
@@ -133,16 +138,18 @@ func scoreER(goCtx context.Context, ctx *iterContext, cands []cand, sl *sumList[
 	}
 	shards := ss.shards
 
-	sums, carried := sl.forList(len(cands))
+	sums := &store.er
+	carried := sums.forStore(store)
 	carried = carried && ss.carry(ctx)
-	sl.valid = false // until the pass completes
+	sums.valid = false // until the pass completes
 	// Without a carry every candidate is rescored; with one, the carry
 	// pass marks those it leaves to the full kernel in a bit set.
 	var rescore []uint64
-	n := len(cands)
+	n := store.len()
 	if carried {
 		var err error
-		if n, err = carryPass(goCtx, ss, ctx, cands, sums, pool); err != nil {
+		pool.Label("sasimi.carry", obs.PhaseEstimate)
+		if n, err = carryPass(goCtx, ss, ctx, store, pool); err != nil {
 			return err
 		}
 		rescore = ss.rescore
@@ -156,21 +163,25 @@ func scoreER(goCtx context.Context, ctx *iterContext, cands []cand, sl *sumList[
 	}
 	out := ss.erNet
 	if n > 0 {
+		pool.Label("sasimi.score", obs.PhaseEstimate)
 		err := pool.DoCtx(goCtx, len(shards), func(_, si int) {
 			sh := shards[si]
 			terms := &ss.er[si]
 			built := circuit.InvalidNode
 			it := rescoreIter{set: rescore}
+			cur := segCursor{segs: store.segs}
 			for j := 0; j < n; j++ {
 				i := it.next(j)
-				c := &cands[i]
-				if c.target != built {
-					terms.Build(cpm, c.target, st, sh.W0, sh.W1)
-					built = c.target
+				sg := cur.seek(i)
+				k := i - int(sg.pos)
+				r := sg.recs[k]
+				if sg.target != built {
+					terms.Build(cpm, sg.target, st, sh.W0, sh.W1)
+					built = sg.target
 				}
-				net := int32(terms.Net(vals.Node(c.target).WordsSlice(), subWords(vals, c.sub, c.kind), flipWord(c.kind)))
+				net := int32(terms.Net(vals.Node(sg.target).WordsSlice(), subWords(vals, r), flipWord(r.kind())))
 				if si == 0 {
-					sums[i] = net
+					sums.pages[sg.page][int(sg.off)+k] = net
 				} else {
 					out[si][j] = net
 				}
@@ -182,87 +193,111 @@ func scoreER(goCtx context.Context, ctx *iterContext, cands []cand, sl *sumList[
 		}
 		if len(shards) > 1 {
 			it := rescoreIter{set: rescore}
+			cur := segCursor{segs: store.segs}
 			for j := 0; j < n; j++ {
 				i := it.next(j)
+				sg := cur.seek(i)
+				k := int(sg.off) + i - int(sg.pos)
 				for si := 1; si < len(shards); si++ {
-					sums[i] += out[si][j]
+					sums.pages[sg.page][k] += out[si][j]
 				}
 			}
 		}
 	}
-	sl.valid = true
-	o.scoringPass(n, len(cands)-n)
+	sums.valid = true
+	o.scoringPass(n, store.len()-n)
 	return nil
+}
+
+// segCursor finds the segments of list positions, in amortised constant
+// time per position when the positions ascend.
+type segCursor struct {
+	segs []segment
+	k    int
+}
+
+// seek returns the segment holding list position i: it steps forward
+// from the previous call's segment, or searches when i lies before it.
+func (c *segCursor) seek(i int) *segment {
+	if i < int(c.segs[c.k].pos) {
+		c.k = sort.Search(c.k, func(k int) bool { return c.segs[k].end() > i })
+	}
+	for c.segs[c.k].end() <= i {
+		c.k++
+	}
+	return &c.segs[c.k]
 }
 
 // selectFeasible turns the pattern sums into scored entries, in list
 // order, and picks the best feasible one, the candCompare-first of equal
 // best scores, as scoreCandidates does.
-func selectFeasible[T patternSum](ctx *iterContext, cands []cand, sums []T, buf []scored,
+func selectFeasible[T patternSum](ctx *iterContext, store *candStore, sums *sumPages[T], buf []scored,
 	curErr, threshold float64, o *runObs, iter int) (int, []scored) {
 
 	m := ctx.vals.M
 	best := -1
+	var bc choice
 	feasible := buf[:0]
-	for i := range cands {
-		c := &cands[i]
-		delta := float64(sums[i]) / float64(m)
-		e := scored{idx: int32(i), delta: delta, score: score(c.gain, delta, m), exact: ctx.cpm.ExactFor(c.target)}
-		o.candidateScored(iter, c, e)
-		if curErr+delta > threshold+1e-12 {
-			continue
-		}
-		feasible = append(feasible, e)
-		if best == -1 || better(cands, e, feasible[best]) {
-			best = len(feasible) - 1
+	for k := range store.segs {
+		sg := &store.segs[k]
+		exact := ctx.cpm.ExactFor(sg.target)
+		ps := sums.of(sg)
+		for j, r := range sg.recs {
+			c := choice{target: sg.target, rec: r, gain: sg.gainOf(r, store.invArea)}
+			delta := float64(ps[j]) / float64(m)
+			e := scored{idx: sg.pos + int32(j), delta: delta, score: score(c.gain, delta, m), exact: exact}
+			o.candidateScored(iter, &c, e)
+			if curErr+delta > threshold+1e-12 {
+				continue
+			}
+			feasible = append(feasible, e)
+			if best == -1 || better(&c, e, &bc, feasible[best]) {
+				best, bc = len(feasible)-1, c
+			}
 		}
 	}
 	return best, feasible
 }
 
-// better reports whether entry e beats entry b, the best so far: a higher
-// score, or an equal one on a candidate that candCompare puts first. It
-// makes the pick a function of the entries, not of their order.
-func better(cands []cand, e, b scored) bool {
-	return e.score > b.score || e.score == b.score && candCompare(&cands[e.idx], &cands[b.idx]) < 0
+// better reports whether entry e of candidate c beats entry b of bc, the
+// best so far: a higher score, or an equal one on a candidate that
+// candCompare puts first. It makes the pick a function of the entries,
+// not of their order.
+func better(c *choice, e scored, bc *choice, b scored) bool {
+	return e.score > b.score || e.score == b.score && candCompare(c, bc) < 0
 }
 
 // scoreAEM brings every candidate's AEM magnitude sum up to date in one
-// pass over the list, which is grouped by target: the pool takes the
-// targets in contiguous chunks of balanced candidate count, each worker
-// scoring a target's candidates with its own core.AEMTerms (see
+// pass over the store's segments, each one target's: the pool takes the
+// segments in contiguous chunks of balanced candidate count, each worker
+// scoring a segment's candidates with its own core.AEMTerms (see
 // aemWorker.score). A candidate's sum is computed by one worker, in
 // ascending pattern order, so it is the same at any worker count and
 // chunking. It counts one query per candidate summed in full.
-func scoreAEM(goCtx context.Context, ctx *iterContext, cands []cand, sl *sumList[float64], ss *scoreScratch,
+func scoreAEM(goCtx context.Context, ctx *iterContext, store *candStore, ss *scoreScratch,
 	pool *par.Pool, o *runObs) error {
 
 	// The AEM column memo is plain and must be filled from this goroutine.
 	ctx.cpm.EnsureAEMColumns(ctx.st)
-	sums, carried := sl.forList(len(cands))
+	sums := &store.aem
+	carried := sums.forStore(store)
 	carried = carried && ss.carry(ctx)
-	sl.valid = false // until the pass completes
-	ss.bounds = ss.bounds[:0]
-	for i := range cands {
-		if i == 0 || cands[i].target != cands[i-1].target {
-			ss.bounds = append(ss.bounds, i)
-		}
-	}
-	ss.bounds = append(ss.bounds, len(cands))
+	sums.valid = false // until the pass completes
 	ss.costs = ss.costs[:0]
-	for g := 1; g < len(ss.bounds); g++ {
-		ss.costs = append(ss.costs, float64(ss.bounds[g]-ss.bounds[g-1]))
+	for k := range store.segs {
+		ss.costs = append(ss.costs, float64(len(store.segs[k].recs)))
 	}
 	chunks := ss.planner.Plan(ss.costs, par.PlanBins(len(ss.costs), pool.Workers()))
 	tasks := len(chunks) - 1
 	ss.aem = grow(ss.aem, pool.Workers())
 	ss.left = grow(ss.left, tasks)
+	pool.Label("sasimi.score", obs.PhaseEstimate)
 	err := pool.DoCtx(goCtx, tasks, func(w, task int) {
 		aw := &ss.aem[w]
 		full := 0
-		for g := chunks[task]; g < chunks[task+1]; g++ {
-			lo, hi := ss.bounds[g], ss.bounds[g+1]
-			full += aw.score(ctx, sums, cands, lo, hi, carried && !ss.seen[cands[lo].target], ss)
+		for k := chunks[task]; k < chunks[task+1]; k++ {
+			sg := &store.segs[k]
+			full += aw.score(ctx, sg, sums.of(sg), carried && !ss.seen[sg.target], ss)
 		}
 		ss.left[task] = full
 	})
@@ -277,51 +312,48 @@ func scoreAEM(goCtx context.Context, ctx *iterContext, cands []cand, sl *sumList
 		full += l
 	}
 	core.CountPartialQueries(ctx.metric, full)
-	sl.valid = true
-	o.scoringPass(full, len(cands)-full)
+	sums.valid = true
+	o.scoringPass(full, store.len()-full)
 	return nil
 }
 
-// aemWorker is one pool worker's scratch for the AEM target pass.
+// aemWorker is one pool worker's scratch for the AEM segment pass.
 type aemWorker struct {
 	terms core.AEMTerms
 	chg   []uint64 // a candidate's change mask
 	um    []uint64 // the union of the carried candidates' chg ∧ D, at D's words
 	mc    []uint64 // each corrected candidate's chg ∧ D, end to end
-	fix   []int32  // the corrected candidates' list indices
-	full  []int32  // the candidates to sum in full, by list index
+	fix   []int32  // the corrected candidates, by index in the segment
+	full  []int32  // the candidates to sum in full, by index in the segment
 }
 
-// score brings the sums of one target's candidates, cands[lo:hi], up to
-// date and returns how many it summed in full. With carry (the sums carry
-// and the target's CPM row did not change), a candidate that is not
-// fresh keeps its sum plus its correction: the worker builds the term
-// difference once, at the union of those candidates' chg ∧ D, and adds
-// each candidate's sum over its own chg ∧ D. Every other candidate is
-// summed over its change mask in the target's term table, built once
+// score brings the sums of one segment's candidates up to date and
+// returns how many it summed in full. With carry (the sums carry and the
+// target's CPM row did not change), a candidate that is not fresh keeps
+// its sum plus its correction: the worker builds the term difference
+// once, at the union of those candidates' chg ∧ D, and adds each
+// candidate's sum over its own chg ∧ D. Every other candidate is summed
+// over its change mask in the target's term table, built once
 // (core.AEMTerms).
-func (aw *aemWorker) score(ctx *iterContext, sums []float64, cands []cand, lo, hi int,
-	carry bool, ss *scoreScratch) int {
-
+func (aw *aemWorker) score(ctx *iterContext, sg *segment, sums []float64, carry bool, ss *scoreScratch) int {
 	cpm, st, vals := ctx.cpm, ctx.st, ctx.vals
 	words := bitvec.Words(vals.M)
 	last, tail := words-1, bitvec.TailMask(vals.M)
 	ws, dm := ss.dws, ss.dm
-	t := cands[lo].target
+	t := sg.target
 	tw := vals.Node(t).WordsSlice()
 	aw.full, aw.fix, aw.mc = aw.full[:0], aw.fix[:0], aw.mc[:0]
 	aw.um = grow(aw.um, len(ws))
 	clear(aw.um)
-	for i := lo; i < hi; i++ {
-		c := &cands[i]
-		if !carry || sums[i] == staleSum {
-			aw.full = append(aw.full, int32(i))
+	for j, r := range sg.recs {
+		if !carry || sums[j] == staleSum {
+			aw.full = append(aw.full, int32(j))
 			continue
 		}
-		sw := subWords(vals, c.sub, c.kind)
+		sw, kind := subWords(vals, r), r.kind()
 		var hit uint64
 		for k, w := range ws {
-			x := changeWord(c.kind, tw, sw, int(w), last, tail) & dm[k]
+			x := changeWord(kind, tw, sw, int(w), last, tail) & dm[k]
 			aw.mc = append(aw.mc, x)
 			aw.um[k] |= x
 			hit |= x
@@ -330,24 +362,24 @@ func (aw *aemWorker) score(ctx *iterContext, sums []float64, cands []cand, lo, h
 			aw.mc = aw.mc[:len(aw.mc)-len(ws)]
 			continue
 		}
-		aw.fix = append(aw.fix, int32(i))
+		aw.fix = append(aw.fix, int32(j))
 	}
 	if len(aw.fix) > 0 {
 		aw.terms.Correction(cpm, t, st, ss.prevV, ws, aw.um)
-		for j, i := range aw.fix {
-			sums[i] += aw.terms.SumAt(aw.mc[j*len(ws) : (j+1)*len(ws)])
+		for q, j := range aw.fix {
+			sums[j] += aw.terms.SumAt(aw.mc[q*len(ws) : (q+1)*len(ws)])
 		}
 	}
 	if len(aw.full) > 0 {
 		aw.terms.Full(cpm, t, st)
 		aw.chg = grow(aw.chg, words)
-		for _, i := range aw.full {
-			c := &cands[i]
-			sw := subWords(vals, c.sub, c.kind)
+		for _, j := range aw.full {
+			r := sg.recs[j]
+			sw, kind := subWords(vals, r), r.kind()
 			for w := range aw.chg {
-				aw.chg[w] = changeWord(c.kind, tw, sw, w, last, tail)
+				aw.chg[w] = changeWord(kind, tw, sw, w, last, tail)
 			}
-			sums[i] = aw.terms.Sum(aw.chg)
+			sums[j] = aw.terms.Sum(aw.chg)
 		}
 	}
 	return len(aw.full)
@@ -422,7 +454,13 @@ func (ss *scoreScratch) carry(ctx *iterContext) bool {
 // and those twice; then it marks every candidate that may move. The sums
 // are integers, so the result does not depend on the split. It clears
 // the changed-row marks carry set.
-func carryPass(goCtx context.Context, ss *scoreScratch, ctx *iterContext, cands []cand, sums []int32,
+//
+// It decides segment by segment where it can: a segment whose target's
+// row changed (or every segment, past the density cut) is marked whole,
+// and when there is no correction to compute, the pass only classifies
+// and reads the sums of the segments the last update rewrote (stale)
+// alone, on one task.
+func carryPass(goCtx context.Context, ss *scoreScratch, ctx *iterContext, store *candStore,
 	pool *par.Pool) (int, error) {
 
 	cpm, vals, st := ctx.cpm, ctx.vals, ctx.st
@@ -431,13 +469,12 @@ func carryPass(goCtx context.Context, ss *scoreScratch, ctx *iterContext, cands 
 	last, tail := words-1, bitvec.TailMask(vals.M)
 	ws, dm := ss.dws, ss.dm
 	dense := len(ws) > words/2
-	setWords := bitvec.Words(len(cands))
+	classify := len(ws) == 0 || dense
+	setWords := bitvec.Words(store.len())
 	ss.rescore = grow(ss.rescore, setWords)
 	clear(ss.rescore)
-	// Unless there are corrections to compute, the pass only classifies:
-	// no fan-out for that.
 	tasks := min(pool.Workers(), setWords)
-	if len(ws) == 0 || dense {
+	if classify {
 		tasks = 1
 	}
 	ss.mc = grow(ss.mc, tasks)
@@ -445,25 +482,42 @@ func carryPass(goCtx context.Context, ss *scoreScratch, ctx *iterContext, cands 
 	err := pool.DoCtx(goCtx, tasks, func(_, task int) {
 		mc := grow(ss.mc[task], len(ws))
 		left := 0
-		lo, hi := task*setWords/tasks*64, min((task+1)*setWords/tasks*64, len(cands))
-		for i := lo; i < hi; i++ {
-			c := &cands[i]
-			full := sums[i] == staleSum || ss.seen[c.target] || dense
-			if !full && len(ws) > 0 {
-				tw, sw := candWords(vals, c)
+		lo, hi := task*setWords/tasks*64, min((task+1)*setWords/tasks*64, store.len())
+		k := sort.Search(len(store.segs), func(k int) bool { return store.segs[k].end() > lo })
+		for ; k < len(store.segs) && int(store.segs[k].pos) < hi; k++ {
+			sg := &store.segs[k]
+			a, b := max(lo, int(sg.pos)), min(hi, sg.end())
+			if dense || ss.seen[sg.target] {
+				setBits(ss.rescore, a, b)
+				left += b - a
+				continue
+			}
+			if classify && !sg.stale {
+				continue
+			}
+			sums := store.er.of(sg)
+			tw := vals.Node(sg.target).WordsSlice()
+			for i := a; i < b; i++ {
+				j := i - int(sg.pos)
+				if sums[j] == staleSum {
+					ss.rescore[i>>6] |= 1 << (i & 63)
+					left++
+					continue
+				}
+				if classify {
+					continue
+				}
+				r := sg.recs[j]
+				sw, kind := subWords(vals, r), r.kind()
 				var hit uint64
-				for j, w := range ws {
-					x := changeWord(c.kind, tw, sw, int(w), last, tail) & dm[j]
-					mc[j] = x
+				for q, w := range ws {
+					x := changeWord(kind, tw, sw, int(w), last, tail) & dm[q]
+					mc[q] = x
 					hit |= x
 				}
 				if hit != 0 {
-					sums[i] += int32(cpm.DeltaERCorrection(c.target, mc, ws, st, prev))
+					sums[j] += int32(cpm.DeltaERCorrection(sg.target, mc, ws, st, prev))
 				}
-			}
-			if full {
-				ss.rescore[i>>6] |= 1 << (i & 63)
-				left++
 			}
 		}
 		ss.mc[task], ss.left[task] = mc, left
@@ -479,6 +533,16 @@ func carryPass(goCtx context.Context, ss *scoreScratch, ctx *iterContext, cands 
 	return n, nil
 }
 
+// setBits sets bits [a, b) of set.
+func setBits(set []uint64, a, b int) {
+	for a < b {
+		w, lo := a>>6, a&63
+		hi := min(b-w*64, 64)
+		set[w] |= ^uint64(0) >> (64 - (hi - lo)) << lo
+		a = w*64 + hi
+	}
+}
+
 // clearChanged clears the changed-row marks carry set.
 func (ss *scoreScratch) clearChanged(ctx *iterContext) {
 	stats, _ := ctx.engine.LastRefresh()
@@ -487,18 +551,13 @@ func (ss *scoreScratch) clearChanged(ctx *iterContext) {
 	}
 }
 
-// candWords returns the value words of a candidate's target and
-// substitute (nil for a constant).
-func candWords(vals *sim.Values, c *cand) (tw, sw []uint64) {
-	return vals.Node(c.target).WordsSlice(), subWords(vals, c.sub, c.kind)
-}
-
-// subWords returns the value words of a substitute, nil for a constant.
-func subWords(vals *sim.Values, sub circuit.NodeID, kind candKind) []uint64 {
-	if kind >= kindConst1 {
+// subWords returns the value words of a record's substitute, nil for a
+// constant.
+func subWords(vals *sim.Values, r rec) []uint64 {
+	if r.isConst() {
 		return nil
 	}
-	return vals.Node(sub).WordsSlice()
+	return vals.Node(r.sub()).WordsSlice()
 }
 
 // flipWord is what a candidate's substitute word is XORed with besides

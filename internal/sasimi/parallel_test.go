@@ -171,16 +171,17 @@ func TestParallelScoringMatchesSequential(t *testing.T) {
 		// patterns, so the ER estimates' dec counts (patterns a candidate
 		// would correct) are not all zero.
 		approx := net.Clone()
-		first := gatherRecords(t, approx, golden, &cfg, lib.NodeArrival(approx), lib.GateDelay(circuit.KindNot))
-		applyCandidate(approx, &first[len(first)/2])
+		first := gatherStore(t, approx, golden, &cfg, lib.NodeArrival(approx), lib.GateDelay(circuit.KindNot))
+		mid := first.at(first.len() / 2)
+		applyCandidate(approx, &mid)
 		ctx, est := batchFixture(approx, sim.OutputMatrix(net, golden), patterns, metric)
 		vals, st := ctx.vals, ctx.st
 		if !st.WrongAny.Any() {
 			t.Fatal("the approximation is exact on every pattern; the fixture exercises no correction")
 		}
 		arrival := lib.NodeArrival(approx)
-		seqCands := gatherRecords(t, approx, vals, &cfg, arrival, lib.GateDelay(circuit.KindNot))
-		if len(seqCands) == 0 {
+		seqCands := gatherStore(t, approx, vals, &cfg, arrival, lib.GateDelay(circuit.KindNot))
+		if seqCands.len() == 0 {
 			t.Fatal("no candidates")
 		}
 		// The one-worker gather matches the brute-force reference, and the
@@ -200,37 +201,37 @@ func TestParallelScoringMatchesSequential(t *testing.T) {
 		before := seqQueries.Value()
 		wantBest, wantFeasible := scoreCandidates(est, seqCands, nil, vals, 0, cfg.Threshold,
 			scratch, change, nil, 1)
-		if got := seqQueries.Value() - before; got != int64(len(seqCands)) {
-			t.Fatalf("metric=%v: a sequential pass over %d candidates counted %d queries", metric, len(seqCands), got)
+		if got := seqQueries.Value() - before; got != int64(seqCands.len()) {
+			t.Fatalf("metric=%v: a sequential pass over %d candidates counted %d queries", metric, seqCands.len(), got)
 		}
 		_, wantAll := scoreCandidates(est, seqCands, nil, vals, 0, math.Inf(1), scratch, change, nil, 1)
-		if len(wantAll) != len(seqCands) {
-			t.Fatalf("metric=%v: with no budget %d of %d candidates were scored", metric, len(wantAll), len(seqCands))
+		if len(wantAll) != seqCands.len() {
+			t.Fatalf("metric=%v: with no budget %d of %d candidates were scored", metric, len(wantAll), seqCands.len())
 		}
 
 		for _, workers := range []int{1, 2, 4, 7} {
 			pool := par.NewPool(workers)
 			env := newGatherEnv(approx, vals, &cfg, arrival, lib.GateDelay(circuit.KindNot), adm)
 			gotCands, err := gather(context.Background(), env, pool, nil)
-			if err != nil || !reflect.DeepEqual(gotCands, seqCands) {
+			if err != nil || !reflect.DeepEqual(choices(gotCands), choices(seqCands)) {
 				pool.Close()
 				t.Fatalf("metric=%v workers=%d: gathered candidates diverge (err %v)", metric, workers, err)
 			}
 			var ss scoreScratch
 			before := shardQueries.Value()
-			gotBest, gotFeasible := scoreCandidatesSharded(ctx, gotCands, &candSums{}, nil, 0, cfg.Threshold, &ss, pool, nil, 1)
+			gotBest, gotFeasible := scoreCandidatesSharded(ctx, gotCands, nil, 0, cfg.Threshold, &ss, pool, nil, 1)
 			// ER counts one partial query per candidate and shard, AEM one
 			// per candidate summed in full: here, with nothing carried,
 			// every candidate.
-			want := int64(len(gotCands) * len(par.Shards(vals.M, workers)))
+			want := int64(gotCands.len() * len(par.Shards(vals.M, workers)))
 			if metric == core.MetricAEM {
-				want = int64(len(gotCands))
+				want = int64(gotCands.len())
 			}
 			if got := shardQueries.Value() - before; got != want {
 				pool.Close()
 				t.Fatalf("metric=%v workers=%d: a sharded pass counted %d queries, want %d", metric, workers, got, want)
 			}
-			_, gotAll := scoreCandidatesSharded(ctx, gotCands, &candSums{}, nil, 0, math.Inf(1), &ss, pool, nil, 1)
+			_, gotAll := scoreCandidatesSharded(ctx, gotCands, nil, 0, math.Inf(1), &ss, pool, nil, 1)
 			pool.Close()
 			if gotBest != wantBest || !reflect.DeepEqual(gotFeasible, wantFeasible) {
 				t.Fatalf("metric=%v workers=%d: selection diverges (best %d vs %d)",
@@ -264,18 +265,17 @@ func batchFixture(net *circuit.Network, golden *bitvec.Matrix, patterns *sim.Pat
 }
 
 // shardedScoringAllocs returns the allocations of a repeated sharded
-// scoring pass over cands on a pool of the given size, with the scratch
-// and the entry buffer grown by a first pass, as the flow reuses them
-// across iterations.
-func shardedScoringAllocs(ctx *iterContext, cands []cand, threshold float64, workers int, o *runObs) float64 {
+// scoring pass over the store on a pool of the given size, with the
+// scratch, the store's sums and the entry buffer grown by a first pass,
+// as the flow reuses them across iterations.
+func shardedScoringAllocs(ctx *iterContext, store *candStore, threshold float64, workers int, o *runObs) float64 {
 	pool := par.NewPool(workers)
 	defer pool.Close()
 	var ss scoreScratch
-	var sums candSums
-	buf := make([]scored, 0, len(cands))
-	scoreCandidatesSharded(ctx, cands, &sums, buf, 0, threshold, &ss, pool, o, 1)
+	buf := make([]scored, 0, store.len())
+	scoreCandidatesSharded(ctx, store, buf, 0, threshold, &ss, pool, o, 1)
 	return testing.AllocsPerRun(20, func() {
-		scoreCandidatesSharded(ctx, cands, &sums, buf, 0, threshold, &ss, pool, o, 1)
+		scoreCandidatesSharded(ctx, store, buf, 0, threshold, &ss, pool, o, 1)
 	})
 }
 
@@ -291,16 +291,16 @@ func TestNilTracerShardedScoringAllocs(t *testing.T) {
 		ctx, _ := batchFixture(net, sim.OutputMatrix(net, sim.Simulate(net, patterns)), patterns, metric)
 		cfg := Config{Budget: flow.Budget{Metric: metric, Threshold: 1}}
 		cfg.fillDefaults()
-		cands := gatherRecords(t, net, ctx.vals, &cfg, lib.NodeArrival(net), lib.GateDelay(circuit.KindNot))
-		if len(cands) < 2 {
-			t.Fatalf("%d candidates on RCA8, need two list sizes", len(cands))
+		cands := gatherStore(t, net, ctx.vals, &cfg, lib.NodeArrival(net), lib.GateDelay(circuit.KindNot))
+		if cands.len() < 2 {
+			t.Fatalf("%d candidates on RCA8, need two list sizes", cands.len())
 		}
 		for _, workers := range []int{1, 2} {
-			half := shardedScoringAllocs(ctx, cands[:len(cands)/2], cfg.Threshold, workers, nil)
-			full := shardedScoringAllocs(ctx, cands, cfg.Threshold, workers, nil)
+			half := shardedScoringAllocs(ctx, storePrefix(cands, cands.len()/2), cfg.Threshold, workers, nil)
+			full := shardedScoringAllocs(ctx, storePrefix(cands, cands.len()), cfg.Threshold, workers, nil)
 			if full > half {
 				t.Fatalf("metric=%v workers=%d: a pass over %d candidates allocates %v/run, over %d %v/run",
-					metric, workers, len(cands), full, len(cands)/2, half)
+					metric, workers, cands.len(), full, cands.len()/2, half)
 			}
 		}
 	}

@@ -82,6 +82,8 @@ func TestTimelineFlowSpanTaxonomy(t *testing.T) {
 		"cpm.build":          obs.PhaseCPMBuild,
 		"sasimi.gather":      obs.PhaseEstimate,
 		"sasimi.score":       obs.PhaseEstimate,
+		"sasimi.carry":       obs.PhaseEstimate,
+		"sasimi.select":      obs.PhaseEstimate,
 		"sasimi.verify_topk": obs.PhaseVerifyApply,
 		"sasimi.apply":       obs.PhaseVerifyApply,
 		"iteration":          obs.PhaseEstimate,

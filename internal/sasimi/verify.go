@@ -134,6 +134,15 @@ type verifyScratch struct {
 	aemSum      []float64 // (candidate, shard) error-magnitude sums
 	uRows       [][]uint64
 	valRows     [][]uint64
+	keys        []verifyKey // the feasible entries' candCompare keys
+	top         []choice    // the verified candidates, decoded
+}
+
+// verifyKey is a feasible entry's candidate as candCompare reads it,
+// with the entry's index in the feasible list.
+type verifyKey struct {
+	c  choice
+	fi int32
 }
 
 // verifyTopK re-evaluates the K best-scoring feasible candidates with
@@ -144,7 +153,7 @@ type verifyScratch struct {
 // batch estimate's exactness certificate. The (candidate, pattern-shard)
 // grid fans out over the pool (see the file comment).
 func verifyTopK(goCtx context.Context, net *circuit.Network, vals *sim.Values,
-	st *emetric.State, cfg *Config, cands []cand, feasible []scored,
+	st *emetric.State, cfg *Config, store *candStore, feasible []scored,
 	curErr float64, vs *verifyScratch, pool *par.Pool, o *runObs) (int, error) {
 
 	k := cfg.VerifyTopK
@@ -157,14 +166,41 @@ func verifyTopK(goCtx context.Context, net *circuit.Network, vals *sim.Values,
 	// of this comparator over the entries in the order it gets them — part
 	// of the bit-identity contract. So they are first put in candCompare
 	// order, a total order over the candidates, which makes the result a
-	// function of the entries whatever order the list keeps.
-	slices.SortFunc(feasible, func(a, b scored) int {
-		return candCompare(&cands[a.idx], &cands[b.idx])
-	})
+	// function of the entries whatever order the store keeps: each entry's
+	// candidate is decoded once, the keys sorted, and the entries placed in
+	// their order, cycle by cycle.
+	vs.keys = grow(vs.keys, len(feasible))
+	cur := segCursor{segs: store.segs}
+	for i, e := range feasible {
+		sg := cur.seek(int(e.idx))
+		vs.keys[i] = verifyKey{c: sg.choice(int(e.idx)-int(sg.pos), store.invArea), fi: int32(i)}
+	}
+	slices.SortFunc(vs.keys, func(a, b verifyKey) int { return candCompare(&a.c, &b.c) })
+	for i := range vs.keys {
+		if vs.keys[i].fi < 0 {
+			continue
+		}
+		first, j := feasible[i], i
+		for {
+			src := int(vs.keys[j].fi)
+			vs.keys[j].fi = -1
+			if src == i {
+				feasible[j] = first
+				break
+			}
+			feasible[j] = feasible[src]
+			j = src
+		}
+	}
 	sort.Slice(feasible, func(a, b int) bool {
 		return feasible[a].score > feasible[b].score
 	})
-	return verifyTopKParallel(goCtx, net, vals, st, cfg, cands, feasible[:k], curErr, vs, pool, o)
+	vs.top = grow(vs.top, k)
+	for i, e := range feasible[:k] {
+		sg := cur.seek(int(e.idx))
+		vs.top[i] = sg.choice(int(e.idx)-int(sg.pos), store.invArea)
+	}
+	return verifyTopKParallel(goCtx, net, vals, st, cfg, vs.top, feasible[:k], curErr, vs, pool, o)
 }
 
 // verifyTopKParallel fans the (candidate, pattern-shard) grid of top out
@@ -172,9 +208,9 @@ func verifyTopK(goCtx context.Context, net *circuit.Network, vals *sim.Values,
 // an eval dispatch resimulates each overlay shard and computes the metric
 // partial, and a driver-side reduction in candidate order makes the
 // decisions, overwriting the entries of top and returning the index in
-// top of the best.
+// top of the best. cands[i] is top[i]'s candidate.
 func verifyTopKParallel(goCtx context.Context, net *circuit.Network, vals *sim.Values,
-	st *emetric.State, cfg *Config, cands []cand, top []scored, curErr float64,
+	st *emetric.State, cfg *Config, cands []choice, top []scored, curErr float64,
 	vs *verifyScratch, pool *par.Pool, o *runObs) (int, error) {
 
 	k := len(top)
@@ -217,14 +253,14 @@ func verifyTopKParallel(goCtx context.Context, net *circuit.Network, vals *sim.V
 
 	pool.Label("sasimi.verify_topk", obs.PhaseVerifyApply)
 	if err := pool.DoCtx(goCtx, k, func(_, ci int) {
-		vs.cands[ci].prepare(net, order, outputs, cands[top[ci].idx].target, slots, words)
+		vs.cands[ci].prepare(net, order, outputs, cands[ci].target, slots, words)
 	}); err != nil {
 		return -1, err
 	}
 	pool.Label("sasimi.verify_topk", obs.PhaseVerifyApply)
 	if err := pool.DoCtx(goCtx, k*s, func(w, ti int) {
 		ci, si := ti/s, ti%s
-		vs.evalShard(net, vals, &cands[top[ci].idx], &vs.cands[ci], vs.shards[si],
+		vs.evalShard(net, vals, &cands[ci], &vs.cands[ci], vs.shards[si],
 			&vs.workers[w], cfg.Metric, lastWord, tail, ci*s+si)
 	}); err != nil {
 		return -1, err
@@ -254,7 +290,7 @@ func verifyTopKParallel(goCtx context.Context, net *circuit.Network, vals *sim.V
 		}
 		e.delta = after - before
 		e.exact = true
-		e.score = score(cands[e.idx].gain, e.delta, m)
+		e.score = score(cands[ci].gain, e.delta, m)
 		o.verified(batchDelta, e.delta, wasExact)
 		if curErr+e.delta > cfg.Threshold+1e-12 {
 			continue
@@ -275,29 +311,29 @@ func verifyTopKParallel(goCtx context.Context, net *circuit.Network, vals *sim.V
 //
 //als:allocfree
 func (vs *verifyScratch) evalShard(net *circuit.Network, vals *sim.Values,
-	c *cand, cs *verifyCandScratch, sh par.Shard, ws *verifyWorkerScratch,
+	c *choice, cs *verifyCandScratch, sh par.Shard, ws *verifyWorkerScratch,
 	metric core.Metric, lastWord int, tail uint64, slot int) {
 
 	hasTail := sh.W1-1 == lastWord
 
 	// Target substitute words — the same bits substituteValue produces.
 	dst := cs.rows[0]
-	switch c.kind {
+	switch c.kind() {
 	case kindConst1, kindConst0:
 		fill := uint64(0)
-		if c.kind == kindConst1 {
+		if c.kind() == kindConst1 {
 			fill = ^uint64(0)
 		}
 		for w := sh.W0; w < sh.W1; w++ {
 			dst[w] = fill
 		}
 	case kindInverted:
-		sw := vals.Node(c.sub).WordsSlice()
+		sw := vals.Node(c.sub()).WordsSlice()
 		for w := sh.W0; w < sh.W1; w++ {
 			dst[w] = ^sw[w]
 		}
 	default:
-		copy(dst[sh.W0:sh.W1], vals.Node(c.sub).WordsSlice()[sh.W0:sh.W1])
+		copy(dst[sh.W0:sh.W1], vals.Node(c.sub()).WordsSlice()[sh.W0:sh.W1])
 	}
 	if hasTail {
 		dst[lastWord] &= tail

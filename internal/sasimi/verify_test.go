@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
-	"slices"
 	"testing"
 
 	"batchals/internal/bench"
@@ -87,11 +86,10 @@ func TestParallelVerifyTopKBitIdentical(t *testing.T) {
 }
 
 // verifyFixture builds the inputs verifyTopKParallel needs outside a flow:
-// a simulated network, an error state against itself as golden, a
-// gathered candidate list, and unscored entries for its first k
-// candidates.
+// a simulated network, an error state against itself as golden, the
+// first k candidates of a gathered store, and unscored entries for them.
 func verifyFixture(t testing.TB, name string, metric core.Metric, k int) (*circuit.Network,
-	*sim.Values, *emetric.State, *Config, []cand, []scored) {
+	*sim.Values, *emetric.State, *Config, []choice, []scored) {
 	t.Helper()
 	net, err := bench.ByName(name)
 	if err != nil {
@@ -108,12 +106,14 @@ func verifyFixture(t testing.TB, name string, metric core.Metric, k int) (*circu
 	vals := sim.Simulate(net, patterns)
 	st := emetric.NewState(sim.OutputMatrix(net, vals), sim.OutputMatrix(net, vals))
 	arrival := cfg.Library.NodeArrival(net)
-	cands := gatherRecords(t, net, vals, cfg, arrival, cfg.Library.GateDelay(circuit.KindNot))
-	if len(cands) < k {
-		t.Fatalf("fixture %s gathered only %d candidates, need %d", name, len(cands), k)
+	store := gatherStore(t, net, vals, cfg, arrival, cfg.Library.GateDelay(circuit.KindNot))
+	if store.len() < k {
+		t.Fatalf("fixture %s gathered only %d candidates, need %d", name, store.len(), k)
 	}
+	cands := make([]choice, k)
 	top := make([]scored, k)
 	for i := range top {
+		cands[i] = store.at(i)
 		top[i].idx = int32(i)
 	}
 	return net, vals, st, cfg, cands, top
@@ -234,27 +234,29 @@ func TestTieBreakIgnoresListOrder(t *testing.T) {
 	cfg := Config{Budget: flow.Budget{Metric: core.MetricER, Threshold: 0.05}, VerifyTopK: 4}
 	cfg.fillDefaults()
 	ctx, est := batchFixture(net, sim.OutputMatrix(net, sim.Simulate(net, patterns)), patterns, core.MetricER)
-	cands := gatherRecords(t, net, ctx.vals, &cfg, cfg.Library.NodeArrival(net), cfg.Library.GateDelay(circuit.KindNot))
+	cands := gatherStore(t, net, ctx.vals, &cfg, cfg.Library.NodeArrival(net), cfg.Library.GateDelay(circuit.KindNot))
 	pool := par.NewPool(2)
 	defer pool.Close()
 
 	type picks struct {
-		sel, seq cand   // selectFeasible's and scoreCandidates' picks
-		top      []cand // the entries verifyTopK verified, in order
+		sel, seq choice   // selectFeasible's and scoreCandidates' picks
+		top      []choice // the entries verifyTopK verified, in order
 		deltas   []float64
-		verified cand // verifyTopK's pick
+		verified choice // verifyTopK's pick
 	}
 	scratch, change := bitvec.New(ctx.vals.M), bitvec.New(ctx.vals.M)
-	pick := func(list []cand) picks {
+	pick := func(list *candStore) picks {
 		var p picks
-		best, feasible := selectFeasible(ctx, list, make([]int32, len(list)), nil, 0, cfg.Threshold, nil, 1)
-		p.sel = list[feasible[best].idx]
+		var zero sumPages[int32]
+		zero.forStore(list)
+		best, feasible := selectFeasible(ctx, list, &zero, nil, 0, cfg.Threshold, nil, 1)
+		p.sel = list.at(int(feasible[best].idx))
 		ties := 0
 		for _, e := range feasible {
 			if e.score == feasible[best].score {
 				ties++
-				if c := &list[e.idx]; candCompare(c, &p.sel) < 0 {
-					t.Fatalf("selectFeasible picked %+v over the candCompare-first %+v of equal score", p.sel, *c)
+				if c := list.at(int(e.idx)); candCompare(&c, &p.sel) < 0 {
+					t.Fatalf("selectFeasible picked %+v over the candCompare-first %+v of equal score", p.sel, c)
 				}
 			}
 		}
@@ -262,9 +264,9 @@ func TestTieBreakIgnoresListOrder(t *testing.T) {
 			t.Fatalf("%d candidates tie on the best score; the tie-break is untested", ties)
 		}
 		best, feasible = scoreCandidates(est, list, nil, ctx.vals, 0, cfg.Threshold, scratch, change, nil, 1)
-		p.seq = list[feasible[best].idx]
+		p.seq = list.at(int(feasible[best].idx))
 
-		tied := make([]scored, len(list))
+		tied := make([]scored, list.len())
 		for i := range tied {
 			tied[i] = scored{idx: int32(i), delta: 0.001, score: 1}
 		}
@@ -276,22 +278,43 @@ func TestTieBreakIgnoresListOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, e := range tied[:cfg.VerifyTopK] {
-			p.top = append(p.top, list[e.idx])
+			p.top = append(p.top, list.at(int(e.idx)))
 			p.deltas = append(p.deltas, e.delta)
 		}
 		if best < 0 {
 			t.Fatal("verifyTopK found no verified entry feasible under a budget of 1")
 		}
-		p.verified = list[tied[best].idx]
+		p.verified = list.at(int(tied[best].idx))
 		return p
 	}
 	want := pick(cands)
 	r := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 5; trial++ {
-		perm := slices.Clone(cands)
-		r.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
-		if got := pick(perm); !reflect.DeepEqual(got, want) {
+		if got := pick(shuffledStore(cands, r)); !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: a permuted list picks\n %+v\nthe list order picks\n %+v", trial, got, want)
 		}
 	}
+}
+
+// shuffledStore returns a store of st's candidates in a random order:
+// each a segment of its own, on a page of its own.
+func shuffledStore(st *candStore, r *rand.Rand) *candStore {
+	type one struct {
+		sg *segment
+		j  int
+	}
+	var all []one
+	for k := range st.segs {
+		for j := range st.segs[k].recs {
+			all = append(all, one{&st.segs[k], j})
+		}
+	}
+	r.Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
+	out := &candStore{invArea: st.invArea, n: len(all)}
+	for i, o := range all {
+		out.pages = append(out.pages, []rec{o.sg.recs[o.j]})
+		out.segs = append(out.segs, segment{target: o.sg.target, page: int32(i), pos: int32(i),
+			gain: o.sg.gain, exc: o.sg.exc, recs: out.pages[i]})
+	}
+	return out
 }

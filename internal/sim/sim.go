@@ -47,15 +47,31 @@ func (v *Values) Clone() *Values {
 // an M-bit mask, in pattern order: pattern k of the result is the k-th
 // pattern sel sets. It holds a vector for every node v holds one for.
 func (v *Values) Compact(sel *bitvec.Vec) *Values {
-	c := &Values{M: sel.Count(), vecs: make([]*bitvec.Vec, len(v.vecs))}
-	arena := bitvec.NewArena(c.M, len(v.vecs))
+	return v.CompactInto(nil, sel, bitvec.NewArena(sel.Count(), len(v.vecs)))
+}
+
+// CompactInto is Compact into dst, a table Compact or CompactInto made
+// that nothing reads any more (nil for a new one), with the vectors
+// handed out by arena after a Reset: an owner that compacts again and
+// again refills one table's storage. It returns dst.
+func (v *Values) CompactInto(dst *Values, sel *bitvec.Vec, arena *bitvec.Arena) *Values {
+	if dst == nil {
+		dst = &Values{}
+	}
+	dst.M = sel.Count()
+	arena.Reset(dst.M)
+	if cap(dst.vecs) < len(v.vecs) {
+		dst.vecs = make([]*bitvec.Vec, len(v.vecs))
+	}
+	dst.vecs = dst.vecs[:len(v.vecs)]
 	for id, x := range v.vecs {
+		dst.vecs[id] = nil
 		if x != nil {
-			c.vecs[id] = arena.New()
-			bitvec.Compact(c.vecs[id].WordsSlice(), x.WordsSlice(), sel.WordsSlice())
+			dst.vecs[id] = arena.New()
+			bitvec.Compact(dst.vecs[id].WordsSlice(), x.WordsSlice(), sel.WordsSlice())
 		}
 	}
-	return c
+	return dst
 }
 
 // Recompact brings a table that Compact made from src under sel up to

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"batchals/internal/bitvec"
 	"batchals/internal/circuit"
 )
 
@@ -249,6 +250,37 @@ func TestOutputMatrix(t *testing.T) {
 	for o, out := range n.Outputs() {
 		if !m.Row(o).Equal(v.Node(out.Node)) {
 			t.Fatal("row mismatch")
+		}
+	}
+}
+
+// TestCompactIntoRefillsTable holds CompactInto, refilling one table and
+// one arena over a sequence of selections that grow and shrink the
+// compacted pattern count, to a fresh Compact of each selection, vector
+// for vector; dropped nodes stay dropped.
+func TestCompactIntoRefillsTable(t *testing.T) {
+	n := adder2(t)
+	vals := Simulate(n, RandomPatterns(n.NumInputs(), 700, 3))
+	r := rand.New(rand.NewSource(8))
+	arena := bitvec.NewArena(1, n.NumSlots())
+	var table *Values
+	for trial, density := range []float64{0.02, 0.3, 0.9, 0.1, 0, 0.5} {
+		sel := bitvec.New(vals.M)
+		for i := 0; i < vals.M; i++ {
+			if r.Float64() < density {
+				sel.Set(i, true)
+			}
+		}
+		want := vals.Compact(sel)
+		table = vals.CompactInto(table, sel, arena)
+		if table.M != want.M || len(table.vecs) != len(want.vecs) {
+			t.Fatalf("trial %d: table over %d patterns, %d slots; want %d, %d", trial, table.M, len(table.vecs), want.M, len(want.vecs))
+		}
+		for id := range want.vecs {
+			if (want.vecs[id] == nil) != (table.vecs[id] == nil) ||
+				want.vecs[id] != nil && !want.vecs[id].Equal(table.vecs[id]) {
+				t.Fatalf("trial %d: node %d differs from a fresh Compact", trial, id)
+			}
 		}
 	}
 }
