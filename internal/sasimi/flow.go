@@ -211,6 +211,8 @@ type runObs struct {
 	// whose carried pattern sum was reused (corrected or as is).
 	rescored *obs.Counter
 	reused   *obs.Counter
+	// gatherPairs counts the pairs the gathers compared on the patterns.
+	gatherPairs *obs.Counter
 
 	// emitCands caches obs.WantsCandidates(tracer): when the attached
 	// tracer declines the candidate firehose (a StreamTracer, a
@@ -246,6 +248,7 @@ func newRunObs(cfg *Config, net *circuit.Network) *runObs {
 			[]float64{0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1})
 		o.rescored = reg.Counter("sasimi_score_rescored_total")
 		o.reused = reg.Counter("sasimi_score_reused_total")
+		o.gatherPairs = reg.Counter("sasimi_gather_pairs_total")
 		if o.erMetric {
 			o.conf = obs.NewRunStats(reg, "sasimi", cfg.Threshold)
 		}
@@ -291,6 +294,14 @@ func (o *runObs) scoringPass(rescored, reused int) {
 	}
 	o.rescored.Add(int64(rescored))
 	o.reused.Add(int64(reused))
+}
+
+// gathered records the pairs one gather compared on the patterns.
+func (o *runObs) gathered(pairs int) {
+	if o == nil || o.gatherPairs == nil {
+		return
+	}
+	o.gatherPairs.Add(int64(pairs))
 }
 
 // resimmed records one cone-scoped resimulation of n nodes.
@@ -501,13 +512,15 @@ loop:
 		invDelay := cfg.Library.GateDelay(circuit.KindNot)
 		env := newGatherEnv(approx, vals, &cfg, arrival, invDelay, adm)
 		var store *candStore
+		var pairs int
 		var gerr error
 		if cache == nil {
 			cache = &gatherCache{}
-			store, gerr = cache.full(goCtx, env, pool)
+			store, pairs, gerr = cache.full(goCtx, env, pool)
 		} else {
-			store, gerr = cache.update(goCtx, env, pendingEdit, pendingChanged, pool)
+			store, pairs, gerr = cache.update(goCtx, env, pendingEdit, pendingChanged, pool)
 		}
+		o.gathered(pairs)
 		if gerr != nil {
 			// A cancelled gather leaves the cache partially written; drop
 			// it so a hypothetical resume cannot read torn state.
@@ -668,7 +681,7 @@ loop:
 // compares against the incremental results candidate by candidate:
 // target, record and derived gain.
 func crossCheckIncremental(env *gatherEnv, pool *par.Pool, store *candStore, cpm *core.CPM) error {
-	full, err := gather(context.Background(), env, pool, nil)
+	full, _, err := gather(context.Background(), env, pool, nil)
 	if err != nil {
 		return err
 	}
@@ -916,7 +929,7 @@ func EstimateAll(golden, approx *circuit.Network, cfg Config) ([]Candidate, erro
 	arrival := cfg.Library.NodeArrival(approx)
 	adm := newAdmission(vals.M, cfg.SimilarityCap)
 	env := newGatherEnv(approx, vals, &cfg, arrival, cfg.Library.GateDelay(circuit.KindNot), adm)
-	store, err := gather(context.Background(), env, pool, nil)
+	store, _, err := gather(context.Background(), env, pool, nil)
 	if err != nil {
 		return nil, err
 	}

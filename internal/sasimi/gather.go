@@ -160,11 +160,8 @@ type targetData struct {
 // it, so td.mffc is then a copy, the prefix of td.deps; otherwise it is
 // b's buffer, valid until the bin's next target).
 func (env *gatherEnv) target(b *binBuf, t circuit.NodeID, wantDeps bool) targetData {
-	td := targetData{live: true}
 	b.cone = env.net.AppendMFFC(b.cone[:0], &b.mffc, t, circuit.InvalidNode)
-	for _, id := range b.cone {
-		td.baseGain += env.cfg.Library.GateArea(env.net.Kind(id), len(env.net.Fanins(id)))
-	}
+	td := targetData{live: true, baseGain: env.area(b.cone)}
 	if !wantDeps {
 		td.mffc = b.cone
 		return td
@@ -190,6 +187,42 @@ func (env *gatherEnv) target(b *binBuf, t circuit.NodeID, wantDeps bool) targetD
 	td.deps = slices.Clone(b.deps)
 	td.mffc = td.deps[:len(b.cone):len(b.cone)]
 	return td
+}
+
+// area is the summed gate area of ids, added in order: the one float
+// expression of a base gain and of an exception gain.
+func (env *gatherEnv) area(ids []circuit.NodeID) float64 {
+	g := 0.0
+	for _, id := range ids {
+		g += env.cfg.Library.GateArea(env.net.Kind(id), len(env.net.Fanins(id)))
+	}
+	return g
+}
+
+// excGain walks the gain of replacing t by s, a node of t's MFFC: the area
+// of t's MFFC with s kept alive, in bin b's scratch.
+func (env *gatherEnv) excGain(b *binBuf, t, s circuit.NodeID) float64 {
+	b.excl = env.net.AppendMFFC(b.excl[:0], &b.mffc, t, s)
+	return env.area(b.excl)
+}
+
+// sameGain re-walks the gain figures of target t, whose dependency set an
+// edit touched, in bin b's scratch: its MFFC, base gain and every
+// exception gain td caches. When all three are unchanged, every pair of t
+// has the gain, and so the exception bit, it had, and td takes the new
+// dependency set; otherwise td is left as it was.
+func (env *gatherEnv) sameGain(b *binBuf, td *targetData, t circuit.NodeID) bool {
+	nd := env.target(b, t, true)
+	if nd.baseGain != td.baseGain || !slices.Equal(nd.mffc, td.mffc) {
+		return false
+	}
+	for _, e := range td.exc {
+		if env.excGain(b, t, e.sub) != e.gain {
+			return false
+		}
+	}
+	td.mffc, td.deps = nd.mffc, nd.deps
+	return true
 }
 
 // appendTarget appends every admissible candidate of target t to b: keep
@@ -220,17 +253,21 @@ func (env *gatherEnv) appendTarget(b *binBuf, td *targetData, t circuit.NodeID) 
 		tfo = env.net.TransitiveFanoutCone(t)
 	}
 	tv := env.vals.Node(t)
+	pairs := 0
 	for _, s := range env.subs {
 		if s == t || (tfo != nil && tfo[s]) {
 			continue
 		}
-		env.appendPair(b, td, t, s, tv)
+		pairs += env.appendPair(b, td, t, s, tv)
 	}
+	b.pairs += pairs
 }
 
 // appendPair appends the admissible plain and inverted candidates of the
-// pair (t, s). The caller has already screened s == t and, unless the
-// arrival times are strict, the cycle check (s in t's fanout cone).
+// pair (t, s) and returns the number of pattern comparisons it made, 0 or
+// 1, for the caller to add to binBuf.pairs without a branch. The caller
+// has already screened s == t and, unless the arrival times are strict,
+// the cycle check (s in t's fanout cone).
 //
 // Two exact screens run before the pattern-space XOR. The arrival guard
 // comes first. Then the popcount bound: the Hamming distance d of the two
@@ -240,25 +277,23 @@ func (env *gatherEnv) appendTarget(b *binBuf, td *targetData, t circuit.NodeID) 
 // threshold of its form, so the screen rejects a pair only when the
 // admission test itself would. A pair is stored only while its gain,
 // which the store derives (see segment.gainOf), is positive.
-func (env *gatherEnv) appendPair(b *binBuf, td *targetData, t, s circuit.NodeID, tv *bitvec.Vec) {
-	tArr := env.arrival[t]
-	plain := env.arrival[s] <= tArr
-	inv := env.arrival[s]+env.invDelay <= tArr
+func (env *gatherEnv) appendPair(b *binBuf, td *targetData, t, s circuit.NodeID, tv *bitvec.Vec) int {
+	plain, inv := arrivalGuard(env.arrival[s], env.invDelay, env.arrival[t])
 	if !plain && !inv {
-		return
+		return 0
 	}
 	adm, m := env.adm, env.m
 	pt, ps := env.pop[t], env.pop[s]
 	plain = plain && absInt(pt-ps) <= adm.maxPlain
 	inv = inv && m-absInt(pt-(m-ps)) >= adm.minInv
 	if !plain && !inv {
-		return
+		return 0
 	}
 	c := bitvec.XorCount(tv, env.vals.Node(s))
 	plain = plain && c <= adm.maxPlain
 	inv = inv && c >= adm.minInv
 	if !plain && !inv {
-		return
+		return 1
 	}
 	g, exc := env.pairGain(b, td, t, s)
 	if plain && g > 0 {
@@ -267,6 +302,14 @@ func (env *gatherEnv) appendPair(b *binBuf, td *targetData, t, s circuit.NodeID,
 	if inv && g-env.invArea > 0 {
 		b.add(t, mkRec(s, kindInverted, exc, adm.invRank[c-adm.minInv]))
 	}
+	return 1
+}
+
+// arrivalGuard is the delay screen of a pair whose substitute arrives at
+// a, for a target arriving at tArr: the plain pair keeps the circuit delay
+// when a ≤ tArr, the inverted one when a + invDelay ≤ tArr.
+func arrivalGuard(a, invDelay, tArr float64) (plain, inv bool) {
+	return a <= tArr, a+invDelay <= tArr
 }
 
 func absInt(x int) int {
@@ -300,10 +343,7 @@ func (env *gatherEnv) pairGain(b *binBuf, td *targetData, t, s circuit.NodeID) (
 			}
 		}
 	}
-	b.excl = env.net.AppendMFFC(b.excl[:0], &b.mffc, t, s)
-	for _, id := range b.excl {
-		g += env.cfg.Library.GateArea(env.net.Kind(id), len(env.net.Fanins(id)))
-	}
+	g = env.excGain(b, t, s)
 	if len(b.exc) == cap(b.exc) {
 		b.exc = slices.Grow(b.exc, 32)
 	}
@@ -316,7 +356,7 @@ func (env *gatherEnv) pairGain(b *binBuf, td *targetData, t, s circuit.NodeID) (
 // incremental cross-check. It returns the candidate store, in identity
 // order (target, substitute, kind; see mkRec), the order appendTarget
 // emits a target's candidates in. The targets, ascending, are split into
-// contiguous bins of balanced expected cost (see enumCost); each bin
+// contiguous bins of balanced expected cost (see enumCosts); each bin
 // appends its candidates to its own pages on whichever worker runs it,
 // and the store takes the bins' pages end to end, copying nothing. So the
 // list is the same at any worker count and bin shape, with nothing to
@@ -324,13 +364,15 @@ func (env *gatherEnv) pairGain(b *binBuf, td *targetData, t, s circuit.NodeID) (
 //
 // When data is non-nil, each target's gather state is recorded in
 // data[t] (the slot is owned by the target, so workers write disjointly).
-// A cancelled context aborts the fan-out and returns the context's error.
-func gather(goCtx context.Context, env *gatherEnv, pool *par.Pool, data []targetData) (*candStore, error) {
+// pairs is the number of pairs the enumeration compared on the patterns
+// (see binBuf.pairs). A cancelled context aborts the fan-out and returns
+// the context's error.
+func gather(goCtx context.Context, env *gatherEnv, pool *par.Pool, data []targetData) (st *candStore, pairs int, err error) {
 	targets := liveGateTargets(env.net)
-	cost := env.enumCost()
+	cost := env.costs()
 	costs := make([]float64, len(targets))
 	for i, t := range targets {
-		costs[i] = cost(t)
+		costs[i] = cost.full(env.arrival[t])
 	}
 	var planner par.Planner
 	bounds := planner.Plan(costs, par.PlanBins(len(targets), pool.Workers()))
@@ -349,31 +391,40 @@ func gather(goCtx context.Context, env *gatherEnv, pool *par.Pool, data []target
 			}
 		}
 	}); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	st := &candStore{invArea: env.invArea}
+	st = &candStore{invArea: env.invArea}
 	st.adopt(bufs)
-	return st, nil
+	return st, binPairs(bufs), nil
 }
 
-// enumCost returns a function giving a target's expected cost of a full
-// enumeration, for the bin planner: the substitutes that arrive no later
-// than the target, which pass the arrival guard and so take the popcount
-// screen, the XOR and most of the candidates, plus a share of the guard's
-// scan over every substitute. Weighting by them rather than by target
-// count keeps the bins' times even: late targets take the XOR for far
-// more pairs than early ones.
-func (env *gatherEnv) enumCost() func(circuit.NodeID) float64 {
+// enumCosts estimates enumeration costs for the bin planner from the
+// substitutes' arrival times, ascending: the substitutes a target's guard
+// passes take the popcount screen, the XOR and most of the candidates,
+// and every substitute costs a share (scan) of the guard's pass over
+// them. Weighting by them rather than by target count keeps the bins'
+// times even: late targets take the XOR for far more pairs than early
+// ones.
+type enumCosts struct {
+	arr  []float64
+	scan float64
+}
+
+func (env *gatherEnv) costs() enumCosts {
 	arr := make([]float64, len(env.subs))
 	for i, s := range env.subs {
 		arr[i] = env.arrival[s]
 	}
 	slices.Sort(arr)
-	scan := float64(len(arr)) / 8
-	return func(t circuit.NodeID) float64 {
-		a := env.arrival[t]
-		return scan + float64(sort.Search(len(arr), func(i int) bool { return arr[i] > a }))
-	}
+	return enumCosts{arr: arr, scan: float64(len(arr)) / 8}
+}
+
+// full is the cost of a full enumeration of a target arriving at a.
+func (c enumCosts) full(a float64) float64 { return c.scan + c.upTo(a) }
+
+// upTo counts the substitutes arriving no later than a.
+func (c enumCosts) upTo(a float64) float64 {
+	return float64(sort.Search(len(c.arr), func(i int) bool { return c.arr[i] > a }))
 }
 
 // liveGateTargets returns the admissible substitution targets, ascending.

@@ -37,7 +37,7 @@ func BenchmarkGather(b *testing.B) {
 			b.ResetTimer()
 			n := 0
 			for i := 0; i < b.N; i++ {
-				cands, err := gather(context.Background(), newGatherEnv(net, vals, cfg, arrival, invDelay, adm), pool, nil)
+				cands, _, err := gather(context.Background(), newGatherEnv(net, vals, cfg, arrival, invDelay, adm), pool, nil)
 				if err != nil {
 					b.Fatal(err)
 				}

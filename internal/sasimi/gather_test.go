@@ -129,7 +129,7 @@ func gatherOn(t testing.TB, env *gatherEnv, workers int) *candStore {
 	t.Helper()
 	pool := par.NewPool(workers)
 	defer pool.Close()
-	got, err := gather(context.Background(), env, pool, nil)
+	got, _, err := gather(context.Background(), env, pool, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

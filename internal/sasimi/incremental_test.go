@@ -11,6 +11,7 @@ import (
 	"batchals/internal/circuit"
 	"batchals/internal/core"
 	"batchals/internal/flow"
+	"batchals/internal/obs"
 )
 
 // differentialCase is one cell of the incremental cross-check grid.
@@ -262,5 +263,43 @@ func TestRunContextCancelled(t *testing.T) {
 	}
 	if res.NumIterations != 0 {
 		t.Fatalf("pre-cancelled run accepted %d iterations", res.NumIterations)
+	}
+}
+
+// TestGatherPairsPinned pins what one flow in the paper's setting examines
+// (the benchmark's c880-er setting: c880, ER ≤ 0.01, M = 10 000,
+// VerifyTopK 8; pattern seed 1000): the pairs its gathers compare on the
+// patterns and the candidates its scorer runs through the full kernel.
+// Results cannot show a change that re-examines more pairs, so the counts
+// must stay at or below the values of the dirty rules in gatherCache.
+// Re-enumerating every target whose dependency set an edit touched, the
+// structural fanout cone of the edit's seeds and every target whose
+// arrival moved, the same flow compared 202,625 pairs and rescored 85,464
+// candidates.
+func TestGatherPairsPinned(t *testing.T) {
+	const maxPairs, maxRescored = 84523, 45238
+	golden, err := bench.ByName("c880")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	res, err := Run(golden, Config{
+		Budget:     flow.Budget{Metric: core.MetricER, Threshold: 0.01, NumPatterns: 10000, Seed: 1000},
+		VerifyTopK: 8,
+		Workers:    2,
+		Metrics:    reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := reg.Snapshot()
+	pairs, rescored := snap.Counters["sasimi_gather_pairs_total"], snap.Counters["sasimi_score_rescored_total"]
+	t.Logf("%d iterations: %d pairs compared, %d candidates rescored", res.NumIterations, pairs, rescored)
+	if res.NumIterations < 30 {
+		t.Fatalf("%d iterations; the cache update barely ran", res.NumIterations)
+	}
+	if pairs > maxPairs || rescored > maxRescored {
+		t.Fatalf("%d pairs compared and %d candidates rescored, want at most %d and %d",
+			pairs, rescored, maxPairs, maxRescored)
 	}
 }

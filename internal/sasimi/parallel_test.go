@@ -212,7 +212,7 @@ func TestParallelScoringMatchesSequential(t *testing.T) {
 		for _, workers := range []int{1, 2, 4, 7} {
 			pool := par.NewPool(workers)
 			env := newGatherEnv(approx, vals, &cfg, arrival, lib.GateDelay(circuit.KindNot), adm)
-			gotCands, err := gather(context.Background(), env, pool, nil)
+			gotCands, _, err := gather(context.Background(), env, pool, nil)
 			if err != nil || !reflect.DeepEqual(choices(gotCands), choices(seqCands)) {
 				pool.Close()
 				t.Fatalf("metric=%v workers=%d: gathered candidates diverge (err %v)", metric, workers, err)

@@ -271,6 +271,12 @@ type binBuf struct {
 	// Runs handed out are never written again.
 	exc      []excGain
 	excStart int
+	// pairs counts the pairs the bin compared on the patterns (the XORs
+	// past appendPair's screens), summed after the dispatch. Callers add
+	// a target's count from a local sum of appendPair's results: an
+	// increment of this field per pair, or a branch on a per-pair result,
+	// slowed a one-worker full gather by a few percent.
+	pairs int
 
 	mffc       circuit.MFFCScratch
 	cone, excl []circuit.NodeID // the current target's MFFC; a pair's
@@ -281,9 +287,18 @@ type binBuf struct {
 // reset empties the buffer, keeping its pages for reuse. The exceptions
 // handed out stay where they are.
 func (b *binBuf) reset() {
-	b.used, b.fill = 0, 0
+	b.used, b.fill, b.pairs = 0, 0, 0
 	b.segs = b.segs[:0]
 	b.exc = b.exc[len(b.exc):]
+}
+
+// binPairs sums the bins' pair counts.
+func binPairs(bins []binBuf) int {
+	n := 0
+	for bi := range bins {
+		n += bins[bi].pairs
+	}
+	return n
 }
 
 // begin starts a target's records: the next add opens its segment.
@@ -349,10 +364,9 @@ type storeUpdate struct {
 
 // update brings the store to the candidate list after an accepted edit,
 // in place, segment by segment. The records of a target that is no
-// longer live in net or marked dirty all leave (they are re-enumerated);
-// drop marks the substitutes whose pairs leave; fresh holds the bins' new
-// records, in identity order when the bins are laid end to end, none with
-// a kept record's identity.
+// longer live in net all leave, and so do those sr names (they are
+// re-enumerated); fresh holds the bins' new records, in identity order
+// when the bins are laid end to end, none with a kept record's identity.
 //
 // Two passes keep it in place. The filter walks the segments forward and
 // moves each kept record, with its carried sums, to the next free
@@ -366,7 +380,7 @@ type storeUpdate struct {
 // candidate multiset, as a full gather would lay it out, and the segment
 // headers are rebuilt over it, marking the targets that took fresh
 // records stale.
-func (st *candStore) update(net *circuit.Network, dirty, drop []bool, fresh []binBuf, u *storeUpdate) {
+func (st *candStore) update(net *circuit.Network, sr *staleRecs, fresh []binBuf, u *storeUpdate) {
 	er, aem := st.er.valid, st.aem.valid
 	// Filter. wrecs, wer and waem are the write cursor's page.
 	u.kept = u.kept[:0]
@@ -376,9 +390,10 @@ func (st *candStore) update(net *circuit.Network, dirty, drop []bool, fresh []bi
 	var waem, saem []float64
 	for si := range st.segs {
 		sg := &st.segs[si]
-		if !net.IsLive(sg.target) || dirty[sg.target] {
+		if !net.IsLive(sg.target) || sr.dirty[sg.target] {
 			continue
 		}
+		bd := sr.band(sg.target)
 		if er {
 			ser = st.er.of(sg)
 		}
@@ -387,7 +402,7 @@ func (st *candStore) update(net *circuit.Network, dirty, drop []bool, fresh []bi
 		}
 		start := w.pos
 		for j, r := range sg.recs {
-			if !r.isConst() && drop[r.sub()] {
+			if !r.isConst() && sr.dropped(bd, r.sub()) {
 				continue
 			}
 			if w.off == len(wrecs) {

@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"batchals/internal/bench"
 	"batchals/internal/bitvec"
+	"batchals/internal/cell"
 	"batchals/internal/circuit"
 	"batchals/internal/core"
 	"batchals/internal/flow"
@@ -164,7 +166,7 @@ func TestStoreFootprint(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	store, err := gather(context.Background(), env, pool, nil)
+	store, _, err := gather(context.Background(), env, pool, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,16 +199,31 @@ func TestStoreFootprint(t *testing.T) {
 // their records. A candidate the old list did not hold must be stale,
 // every segment with a stale sum must be marked stale, and the pages may
 // hold no dead space beyond the unfilled tails of the bins' last pages.
+//
+// The flips row runs mul8, which has no inverters, under free inverters
+// (zeroDelayNotLibrary): an inverted accept adds an inverter, which
+// arrives with its fanin and so makes the arrival times non-strict, and
+// edits that remove the inverters' readers sweep them, making the times
+// strict again. Its edits seek both flips, and both must happen, so the
+// update runs on either side of each.
 func TestStoreUpdateMatchesFullGather(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		m     int
 		steps int
-	}{{"c880", 1000, 10}, {"mul8", 512, 10}, {"cmp8", 1024, 8}} {
+		flips bool
+	}{{"c880", 1000, 10, false}, {"mul8", 512, 10, false}, {"cmp8", 1024, 8, false}, {"mul8", 512, 16, true}} {
 		for _, workers := range []int{1, 2} {
-			t.Run(fmt.Sprintf("%s/workers=%d", tc.name, workers), func(t *testing.T) {
+			label := tc.name
+			if tc.flips {
+				label += "-flips"
+			}
+			t.Run(fmt.Sprintf("%s/workers=%d", label, workers), func(t *testing.T) {
 				net := storeCircuit(t, tc.name).Clone()
 				cfg := &Config{Budget: flow.Budget{Metric: core.MetricER, Threshold: 1}}
+				if tc.flips {
+					cfg.Library = zeroDelayNotLibrary()
+				}
 				cfg.fillDefaults()
 				patterns := sim.RandomPatterns(net.NumInputs(), tc.m, 5)
 				pool := par.NewPool(workers)
@@ -218,12 +235,13 @@ func TestStoreUpdateMatchesFullGather(t *testing.T) {
 					return newGatherEnv(net, eng.Vals, cfg, cfg.Library.NodeArrival(net), invDelay, adm)
 				}
 				var gc gatherCache
-				store, err := gc.full(context.Background(), envOf(), pool)
+				env := envOf()
+				store, _, err := gc.full(context.Background(), env, pool)
 				if err != nil {
 					t.Fatal(err)
 				}
 				r := rand.New(rand.NewSource(int64(len(tc.name) + workers)))
-				kept, stale := 0, 0
+				kept, stale, toLoose, toStrict := 0, 0, 0, 0
 				for step := 0; step < tc.steps && store.len() > 0; step++ {
 					before := choices(store)
 					store.er.forStore(store)
@@ -235,10 +253,20 @@ func TestStoreUpdateMatchesFullGather(t *testing.T) {
 					}
 					store.er.valid = true
 					c := store.at(r.Intn(store.len()))
+					if tc.flips {
+						c = flipPick(net, before, env.strict, r, c)
+					}
 					ed := applyCandidate(net, &c)
 					_, changed := eng.Apply(ed)
-					env := envOf()
-					if store, err = gc.update(context.Background(), env, &ed, changed, pool); err != nil {
+					wasStrict := env.strict
+					env = envOf()
+					switch {
+					case wasStrict && !env.strict:
+						toLoose++
+					case !wasStrict && env.strict:
+						toStrict++
+					}
+					if store, _, err = gc.update(context.Background(), env, &ed, changed, pool); err != nil {
 						t.Fatal(err)
 					}
 					if err := crossCheckIncremental(env, pool, store, nil); err != nil {
@@ -285,7 +313,181 @@ func TestStoreUpdateMatchesFullGather(t *testing.T) {
 				if kept == 0 || stale == 0 {
 					t.Fatalf("%d carried and %d stale sums checked; the edits exercised no update", kept, stale)
 				}
+				if tc.flips && (toLoose == 0 || toStrict == 0) {
+					t.Fatalf("arrival times turned non-strict %d times and strict %d times; want both", toLoose, toStrict)
+				}
 			})
 		}
+	}
+}
+
+// flipPick picks the next edit of the flips row among the candidates
+// cands: while the arrival times are strict, an inverted one, whose
+// inverter makes them non-strict; otherwise one that adds no inverter and
+// whose target is an inverter or reads one, so the edit removes an
+// inverter's fanout edge and, with its last one, the inverter. It keeps
+// the random pick c when no candidate qualifies.
+func flipPick(net *circuit.Network, cands []choice, strict bool, r *rand.Rand, c choice) choice {
+	readsNot := func(t circuit.NodeID) bool {
+		if net.Kind(t) == circuit.KindNot {
+			return true
+		}
+		for _, f := range net.Fanins(t) {
+			if net.Kind(f) == circuit.KindNot {
+				return true
+			}
+		}
+		return false
+	}
+	var pick []choice
+	for _, x := range cands {
+		switch {
+		case strict:
+			if x.kind() == kindInverted {
+				pick = append(pick, x)
+			}
+		case x.kind() != kindInverted && (x.isConst() || net.Kind(x.sub()) != circuit.KindNot) && readsNot(x.target):
+			pick = append(pick, x)
+		}
+	}
+	if len(pick) == 0 {
+		return c
+	}
+	return pick[r.Intn(len(pick))]
+}
+
+// TestStoreUpdateAfterNonStrictGather pins the rule that the strict
+// substitute rule needs strict arrival times at the previous gather too.
+// A buffer with a negative delay arrives before its fanin, so a pair whose
+// substitute reads it can pass the arrival guard while the cycle screen
+// rejects it. Here t = AND(AND(a, b), AND(a, c)) drives g = BUF(t), and
+// s = AND(g, OR(a, b)) equals t on every pattern and arrives with it. The
+// edit replaces g by y = AND(a, b, c), which equals it, so s keeps its
+// value and its arrival, g is swept, and the arrival times turn strict:
+// the pair (t, s), which the previous gather's cycle screen rejected, is
+// now a candidate, and only the structural cone of the rewired s puts it
+// back into the store.
+func TestStoreUpdateAfterNonStrictGather(t *testing.T) {
+	net := circuit.New("unstrict")
+	a, b, c := net.AddInput("a"), net.AddInput("b"), net.AddInput("c")
+	tg := net.AddGate(circuit.KindAnd, net.AddGate(circuit.KindAnd, a, b), net.AddGate(circuit.KindAnd, a, c))
+	g := net.AddGate(circuit.KindBuf, tg)
+	s := net.AddGate(circuit.KindAnd, g, net.AddGate(circuit.KindOr, a, b))
+	y := net.AddGate(circuit.KindAnd, a, b, c)
+	net.AddOutput("t", tg)
+	net.AddOutput("s", s)
+	net.AddOutput("y", y)
+
+	lib := cell.Default()
+	lib.Delay[circuit.KindBuf] = -5
+	cfg := &Config{Budget: flow.Budget{Metric: core.MetricER, Threshold: 1, Library: lib}}
+	cfg.fillDefaults()
+	const m = 256
+	pool := par.NewPool(1)
+	defer pool.Close()
+	eng := core.NewEngine(net, nil, sim.RandomPatterns(net.NumInputs(), m, 1), core.MetricER, pool)
+	adm := newAdmission(m, cfg.SimilarityCap)
+	envOf := func() *gatherEnv {
+		return newGatherEnv(net, eng.Vals, cfg, cfg.Library.NodeArrival(net), cfg.Library.GateDelay(circuit.KindNot), adm)
+	}
+	env := envOf()
+	if env.strict {
+		t.Fatal("the negative-delay buffer must make the arrival times non-strict")
+	}
+	var gc gatherCache
+	if _, _, err := gc.full(context.Background(), env, pool); err != nil {
+		t.Fatal(err)
+	}
+	edit := choice{target: g, rec: mkRec(y, kindPlain, false, 0)}
+	ed := applyCandidate(net, &edit)
+	_, changed := eng.Apply(ed)
+	for _, id := range changed {
+		if id == s {
+			t.Fatal("s changed value; the pair would be re-enumerated anyway")
+		}
+	}
+	env = envOf()
+	if !env.strict {
+		t.Fatal("with the buffer swept the arrival times must be strict")
+	}
+	store, _, err := gc.update(context.Background(), env, &ed, changed, pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := crossCheckIncremental(env, pool, store, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, x := range choices(store) {
+		if x.target == tg && !x.isConst() && x.sub() == s {
+			return
+		}
+	}
+	t.Fatal("the pair (t, s) is no candidate after the edit; the test is vacuous")
+}
+
+// TestGuardBandEdges holds guardBand.flips to the arrival guard itself at
+// the band's edges: a substitute arriving exactly at the target's old or
+// new arrival, plain (a) and inverted (a + invDelay), with the target's
+// arrival rising and falling. A plain guard at the band's low end passes
+// at both arrivals, one at its high end passes only at the later one.
+func TestGuardBandEdges(t *testing.T) {
+	const d = 0.25
+	x, y := 0.1, 0.2 // x + y rounds to just above 0.3
+	for _, arr := range [][2]float64{{3, 5}, {5, 3}, {x + y, 0.3}, {0.3, x + y}} {
+		a0, a1 := arr[0], arr[1]
+		bd := guardBand{min(a0, a1), max(a0, a1)}
+		for _, a := range []float64{a0, a1, a0 - d, a1 - d, a0 + d, a1 + d, (a0 + a1) / 2, (a0+a1)/2 - d, -1, 9} {
+			p0, i0 := arrivalGuard(a, d, a0)
+			p1, i1 := arrivalGuard(a, d, a1)
+			if want := p0 != p1 || i0 != i1; bd.flips(a, d) != want {
+				t.Fatalf("target arrival %v -> %v, substitute at %v: flips %v, guard flips %v", a0, a1, a, !want, want)
+			}
+		}
+		if bd.flips(bd.lo, 0) || !bd.flips(bd.hi, 0) {
+			t.Fatalf("band (%v, %v]: plain edges flip %v at lo, %v at hi", bd.lo, bd.hi, bd.flips(bd.lo, 0), bd.flips(bd.hi, 0))
+		}
+	}
+	// Each form alone at each edge: an inverter delay wider than the band
+	// (3, 5] keeps a substitute's other form outside it, and every sum is
+	// exact.
+	bd := guardBand{3, 5}
+	const inv = 4
+	for _, c := range []struct {
+		a    float64
+		want bool
+	}{{3, false}, {5, true}, {3 - inv, false}, {5 - inv, true}} {
+		if bd.flips(c.a, inv) != c.want {
+			t.Fatalf("band (3, 5], substitute at %v, inverter delay %v: flips %v, want %v", c.a, inv, !c.want, c.want)
+		}
+	}
+}
+
+// TestSameGainRewalksExceptions pins that a target whose MFFC and base
+// gain are unchanged still re-enumerates when an exception gain moved.
+// t = OR(w, x) with w = AND(a, b) and x = AND(a, c) has the MFFC
+// {t, w, x}. Rewiring w's fanin b to x keeps the MFFC, in the same walk
+// order, and its area, but replacing t by w now keeps x alive too.
+func TestSameGainRewalksExceptions(t *testing.T) {
+	net := circuit.New("exc")
+	a, b, c := net.AddInput("a"), net.AddInput("b"), net.AddInput("c")
+	w := net.AddGate(circuit.KindAnd, a, b)
+	x := net.AddGate(circuit.KindAnd, a, c)
+	tg := net.AddGate(circuit.KindOr, w, x)
+	net.AddOutput("t", tg)
+	cfg := &Config{}
+	cfg.fillDefaults()
+	env := &gatherEnv{net: net, cfg: cfg}
+	var buf binBuf
+	td := env.target(&buf, tg, true)
+	td.exc = []excGain{{sub: w, gain: env.excGain(&buf, tg, w)}}
+	if !env.sameGain(&buf, &td, tg) {
+		t.Fatal("nothing changed, yet sameGain reports moved gain figures")
+	}
+	net.ReplaceFanin(w, b, x)
+	if nd := env.target(&buf, tg, true); nd.baseGain != td.baseGain || !slices.Equal(nd.mffc, td.mffc) {
+		t.Fatalf("the rewire moved the MFFC %v -> %v or the base gain; the test is vacuous", td.mffc, nd.mffc)
+	}
+	if env.sameGain(&buf, &td, tg) {
+		t.Fatal("w's exception gain moved, yet sameGain reports the gain figures unchanged")
 	}
 }
